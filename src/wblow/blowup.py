@@ -419,11 +419,6 @@ def strict_transform_in_chart(f: Poly, centre: Centre, name: str) -> Poly:
     return sliced.drop_variables([name]).extend_variables(chart.variables)
 
 
-def excluded_variables(centre: Centre) -> Tuple[str, ...]:
-    """Positive-weight variables; their common zero locus is not in the blowup."""
-    return centre.support()
-
-
 # ---------------------------------------------------------------------------
 # smoothness of plane strict transforms
 # ---------------------------------------------------------------------------

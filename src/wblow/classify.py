@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .ring import Point, Poly, divides
+from .ring import Point, Poly, divides, insert_row
 from .polyvector import (
     OTHER,
     SPLIT_NONABELIAN,
@@ -38,10 +38,12 @@ from .polyvector import (
 )
 from .centre import Centre
 from .invariant import (
+    SHEAR_COEFFICIENTS,
     InvariantSeq,
     MonomialCentreResult,
     lex_compare,
     max_monomial_centre,
+    subleading_shift,
 )
 
 DEFAULT_DEGREE_BOUND = 12
@@ -53,13 +55,7 @@ INDETERMINATE = "indeterminate"
 # local algebra dimensions
 # ---------------------------------------------------------------------------
 
-def _grlex(m: Tuple[int, ...]) -> Tuple:
-    return (sum(m), m)
-
-
 def _monomials_below(variables: Tuple[str, ...], degree: int):
-    n = len(variables)
-
     def rec(prefix, remaining, budget):
         if remaining == 0:
             yield tuple(prefix)
@@ -67,35 +63,16 @@ def _monomials_below(variables: Tuple[str, ...], degree: int):
         for e in range(budget + 1):
             yield from rec(prefix + [e], remaining - 1, budget - e)
 
-    for m in rec([], n, degree - 1):
-        if sum(m) < degree:
-            yield m
+    yield from rec([], len(variables), degree - 1)
 
 
 def local_quotient_dimension(generators: Sequence[Poly], degree: int) -> int:
     """dim of O/(ideal + m^degree) by sparse row reduction over monomials."""
     generators = [g for g in generators if not g.is_zero()]
     if not generators:
-        variables = ()
         raise ValueError("no nonzero generators")
     variables = generators[0].variables
     pivots: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Fraction]] = {}
-
-    def insert(row: Dict[Tuple[int, ...], Fraction]) -> None:
-        while row:
-            lead = max(row, key=_grlex)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row
-                return
-            factor = row[lead] / pivot[lead]
-            for monomial, coeff in pivot.items():
-                new = row.get(monomial, Fraction(0)) - factor * coeff
-                if new == 0:
-                    row.pop(monomial, None)
-                else:
-                    row[monomial] = new
-
     for g in generators:
         base = g.min_total_degree()
         for alpha in _monomials_below(variables, max(degree - base, 1)):
@@ -105,7 +82,7 @@ def local_quotient_dimension(generators: Sequence[Poly], degree: int) -> int:
                 if sum(shifted) < degree:
                     row[shifted] = coeff
             if row:
-                insert(row)
+                insert_row(pivots, row)
     total = sum(1 for _ in _monomials_below(variables, degree))
     return total - len(pivots)
 
@@ -177,20 +154,17 @@ def milnor_number(f: Poly,
     """Dimension of the local algebra O/(partial derivatives of f).
 
     Stabilisation of the truncated dimensions certifies the value; a
-    coordinate axis inside the critical locus certifies ``unbounded``
-    (non-isolated).  Otherwise the string ``unbounded`` is returned when the
-    degree bound is exhausted.
+    rational line inside the critical locus certifies ``unbounded``
+    (non-isolated).  When the degree bound is exhausted without either
+    certificate the result is ``indeterminate``.
     """
     if f.constant_term() != 0:
         raise ValueError("the germ must vanish at the origin")
     gradient = [f.diff(v) for v in f.variables]
-    if all(g.is_zero() for g in gradient):
-        return UNBOUNDED
     verdict, dimension = local_dimension_is_zero(gradient, degree_bound)
-    if verdict is True:
-        assert dimension is not None
-        return dimension
-    return UNBOUNDED
+    if verdict is None:
+        return INDETERMINATE
+    return dimension if verdict else UNBOUNDED
 
 
 def is_isolated_singularity(f: Poly,
@@ -198,22 +172,12 @@ def is_isolated_singularity(f: Poly,
                             ) -> Union[bool, str]:
     """Whether the singular locus of V(f) is at most the origin.
 
-    True when the Milnor dimension stabilises; False when a coordinate axis
-    is contained in the singular locus (f and its gradient vanish on it);
-    ``indeterminate`` otherwise.
+    True when the Milnor number is finite; False when it is ``unbounded``: f
+    is constant, hence zero, along the certifying line, so the line lies in
+    the singular locus; ``indeterminate`` otherwise.
     """
-    if f.constant_term() != 0:
-        raise ValueError("the germ must vanish at the origin")
-    system = [f] + [f.diff(v) for v in f.variables]
-    if line_in_zero_locus(system) is not None:
-        return False
-    gradient = [g for g in system[1:] if not g.is_zero()]
-    if not gradient:
-        return INDETERMINATE
-    verdict, _ = local_dimension_is_zero(gradient, degree_bound)
-    if verdict is True:
-        return True
-    return INDETERMINATE
+    mu = milnor_number(f, degree_bound)
+    return INDETERMINATE if mu == INDETERMINATE else mu != UNBOUNDED
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +238,13 @@ def _complete_square(f: Poly) -> Optional[Tuple[Poly, Tuple[str, Poly]]]:
     if f.min_total_degree() != 2:
         return None
     for name in f.variables:
-        square = tuple(2 if v == name else 0 for v in f.variables)
-        if square not in f.terms or f.degree_in(name) != 2:
+        if f.degree_in(name) != 2:
             continue
-        coefficients = f.coefficients_in(name)
-        lead = coefficients[2]
-        if lead.total_degree() != 0:
-            continue
-        sub = coefficients[1]
-        if sub.is_zero():
-            continue
-        shift = sub.extend_variables(f.variables).scale(Fraction(-1, 2) / lead.constant_term())
-        image = Poly.var(f.variables, name) + shift
-        return f.substitute({name: image}), (name, shift)
+        found = subleading_shift(f, name)
+        if found is not None:
+            shift = found[0]
+            return f.substitute({name: Poly.var(f.variables, name) + shift}), (name, shift)
     return None
-
-
-_SHEAR_RANGE = (1, -1, 2, -2, 3, -3)
 
 
 def _preparation_candidates(f: Poly):
@@ -301,7 +255,7 @@ def _preparation_candidates(f: Poly):
         for source in f.variables:
             if source == target:
                 continue
-            for c in _SHEAR_RANGE:
+            for c in SHEAR_COEFFICIENTS:
                 shift = Poly.var(f.variables, target).scale(c)
                 form = f.substitute({source: Poly.var(f.variables, source) + shift})
                 base.append((form, [(source, shift)]))
@@ -365,17 +319,18 @@ def classify_surface(f: Poly,
             report.index = None
         return report
     if finite == (Fraction(2), Fraction(3), Fraction(3)):
-        isolated = is_isolated_singularity(f, degree_bound)
+        # a finite Milnor number certifies isolatedness, an unbounded one a
+        # line in the singular locus (see is_isolated_singularity)
         report.milnor = milnor_number(f, degree_bound)
-        if isolated is True:
-            if isinstance(report.milnor, int) and report.milnor >= 4:
+        if isinstance(report.milnor, int):
+            if report.milnor >= 4:
                 report.kind = D_CLASS
                 report.index = report.milnor
             else:
                 report.diagnostics.append(
                     f"isolated with invariant (2,3,3) but Milnor number {report.milnor}")
             return report
-        if isolated is False:
+        if report.milnor == UNBOUNDED:
             report.kind = WHITNEY_UMBRELLA
             return report
         report.diagnostics.append("isolatedness indeterminate at the degree bound")

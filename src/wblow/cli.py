@@ -33,7 +33,7 @@ from .invariant import (
     plane_curve_invariant,
     validate_invariant,
 )
-from .classify import classify_surface, milnor_number, verify_normal_form
+from .classify import INDETERMINATE, classify_surface, milnor_number, verify_normal_form
 from .resolve import (
     RefusalError,
     StepAbort,
@@ -43,7 +43,7 @@ from .resolve import (
     select_centre_31,
     select_centre_32,
 )
-from .corpus import CORPORA
+from .corpus import CORPORA, run_corpus
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -97,8 +97,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "on affine charts")
     parser.add_argument("--machine", action="store_true",
                         help="emit one deterministic JSON document")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for corpus execution")
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, *, centre: bool = False, sigma: bool = False,
@@ -314,14 +312,18 @@ def _dispatch(args) -> int:
         if result.invariant is not None:
             line += f" invariant=({result.invariant})"
         _emit(report, [line], machine)
-        return EXIT_NEGATIVE if result.kind == "other" else EXIT_OK
+        if result.kind != "other":
+            return EXIT_OK
+        return EXIT_INDETERMINATE if result.milnor == INDETERMINATE else EXIT_NEGATIVE
 
     if command == "milnor":
         variables = _variables_for(args, args.expression)
         f = parse_poly(args.expression, variables)
         mu = milnor_number(f, args.bound)
         _emit({"command": "milnor", "milnor": mu}, [str(mu)], machine)
-        return EXIT_OK if isinstance(mu, int) else EXIT_NEGATIVE
+        if isinstance(mu, int):
+            return EXIT_OK
+        return EXIT_INDETERMINATE if mu == INDETERMINATE else EXIT_NEGATIVE
 
     if command == "resolve-curve":
         variables = _variables_for(args, args.expression)
@@ -391,7 +393,7 @@ def _dispatch(args) -> int:
         return EXIT_NEGATIVE if result.checks else EXIT_INDETERMINATE
 
     if command == "corpus":
-        cases = _run_corpus(args.name, args.jobs)
+        cases = run_corpus(CORPORA[args.name]())
         failures = [c for c in cases if not c[1]]
         report = {"command": "corpus", "name": args.name,
                   "total": len(cases), "failures": len(failures),
@@ -410,11 +412,6 @@ def _coeff_list(text: str) -> List[Fraction]:
     if not text.strip():
         return []
     return [Fraction(piece.strip()) for piece in text.split(",")]
-
-
-def _run_corpus(name: str, jobs: int):
-    from .corpus import run_corpus
-    return run_corpus(CORPORA[name](), jobs)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,15 @@
 """Bundled regression corpora: the worked examples wired into named suites.
 
 Each corpus is a list of (name, thunk) pairs; a thunk returns (ok, detail).
-The runner evaluates the thunks, optionally in a thread pool, and always
-reports results in suite order.  The CLI ``corpus`` subcommand exits nonzero
-on any mismatch; the acceptance tests reuse the same case lists.
+The runner evaluates the thunks and reports results in suite order.  The
+CLI ``corpus`` subcommand exits nonzero on any mismatch; the acceptance tests
+reuse the same case lists.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -47,16 +46,10 @@ V3 = ("x", "y", "z")
 F = Fraction
 
 
-def run_corpus(cases: Sequence[Case], jobs: int = 1) -> List[Result]:
-    """Evaluate the case thunks, in a pool when jobs > 1, in suite order."""
-    names = [name for name, _ in cases]
-    thunks = [thunk for _, thunk in cases]
-    if jobs <= 1:
-        outcomes = [thunk() for thunk in thunks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda t: t(), thunks))
-    return [(name, bool(ok), detail) for name, (ok, detail) in zip(names, outcomes)]
+def run_corpus(cases: Sequence[Case]) -> List[Result]:
+    """Evaluate the case thunks in suite order."""
+    outcomes = [(name, thunk()) for name, thunk in cases]
+    return [(name, bool(ok), detail) for name, (ok, detail) in outcomes]
 
 
 def corpus_table_ade() -> List[Case]:

@@ -237,35 +237,6 @@ def max_monomial_centre(f: Union[Poly, Sequence[Poly]]) -> MonomialCentreResult:
     points = polyhedron.minimal_points
     n = len(variables)
 
-    def best_assignment(done: Dict[int, Fraction], remaining: Tuple[int, ...]
-                        ) -> Optional[Tuple[Fraction, ...]]:
-        # smallest feasible bound m for the remaining weights
-        m = Fraction(0)
-        for p in points:
-            finished = sum((done[i] * p[i] for i in done), Fraction(0))
-            load = sum(p[i] for i in remaining)
-            if load == 0:
-                if finished < 1:
-                    return None
-                continue
-            m = max(m, (1 - finished) / load)
-        if m < 0:
-            m = Fraction(0)
-        if not remaining:
-            return ()
-        if m == 0:
-            return (Fraction(0),) * len(remaining)
-        best: Optional[Tuple[Fraction, ...]] = None
-        for i in remaining:
-            rest = tuple(r for r in remaining if r != i)
-            tail = best_assignment({**done, i: m}, rest)
-            if tail is None:
-                continue
-            candidate = (m,) + tail
-            if best is None or candidate < best:
-                best = candidate
-        return best
-
     # branch over the carrier of each successive maximal weight; collect the
     # per-variable weights along the winning branch
     def search(done: Dict[int, Fraction], remaining: Tuple[int, ...]
@@ -328,7 +299,27 @@ class PlaneCurveInvariant:
     exact: bool                   # exact for multiplicity two, else lower bound
 
 
-_SHEAR_COEFFICIENTS = (1, -1, 2, -2, 3, -3)
+# the integer shears v -> v + c*w tried when preparing a germ
+SHEAR_COEFFICIENTS = (1, -1, 2, -2, 3, -3)
+
+
+def subleading_shift(f: Poly, name: str) -> Optional[Tuple[Poly, Poly, Fraction]]:
+    """The shift removing the coefficient of name^(d-1), d the degree of f in name.
+
+    When the coefficient ``lead`` of name^d is a constant and the coefficient
+    ``sub`` of name^(d-1) is nonzero, name -> name + shift with
+    shift = -sub/(d*lead) removes it exactly (for d = 2, completing the
+    square).  Returns (shift on f's chart, sub, d*lead), or None.
+    """
+    coefficients = f.coefficients_in(name)
+    d = len(coefficients) - 1
+    if d < 1:
+        return None
+    lead, sub = coefficients[d], coefficients[d - 1]
+    if lead.total_degree() != 0 or sub.is_zero():
+        return None
+    divisor = d * lead.constant_term()
+    return sub.extend_variables(f.variables).scale(-1 / divisor), sub, divisor
 
 
 def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
@@ -365,7 +356,7 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
     main = pure_power_variable(work)
     if main is None:
         for target, source in ((u, v), (v, u)):
-            for c in _SHEAR_COEFFICIENTS:
+            for c in SHEAR_COEFFICIENTS:
                 image = Poly.var(f.variables, source) + Poly.var(f.variables, target).scale(c)
                 sheared = work.substitute({source: image})
                 if pure_power_variable(sheared) is not None:
@@ -383,15 +374,11 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
         return PlaneCurveInvariant(result.invariant, u, f, log, exact=False)
 
     other = v if main == u else u
-    if work.degree_in(main) == d:
-        coefficients = work.coefficients_in(main)
-        lead = coefficients[d]
-        sub = coefficients[d - 1]
-        if lead.total_degree() == 0 and not sub.is_zero():
-            shift = sub.scale(Fraction(-1, d) / lead.constant_term())
-            image = Poly.var(work.variables, main) + shift.extend_variables(work.variables)
-            work = work.substitute({main: image})
-            log.append(f"shift {main} -> {main} - ({sub})/{d * lead.constant_term()}")
+    found = subleading_shift(work, main) if work.degree_in(main) == d else None
+    if found is not None:
+        shift, sub, divisor = found
+        work = work.substitute({main: Poly.var(work.variables, main) + shift})
+        log.append(f"shift {main} -> {main} - ({sub})/{divisor}")
 
     main_index = work.variables.index(main)
     other_index = work.variables.index(other)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .ring import Point, Poly, _ExprParser, divides
+from .ring import Point, Poly, _ExprParser, divides, insert_row
 
 IndexTuple = Tuple[int, ...]
 
@@ -400,6 +400,8 @@ OTHER = "other"
 
 Lie3Class = str
 
+_BASIS = tuple(tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3))
+
 
 @dataclass(frozen=True)
 class LieAlgebra3:
@@ -437,70 +439,38 @@ class LieAlgebra3:
         return tuple(out)
 
     def _jacobi_holds(self) -> bool:
-        basis = [tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3)]
         for i, j, k in itertools.permutations(range(3), 3):
             total = [Fraction(0)] * 3
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket(basis[b], basis[c])
-                outer = self.bracket(basis[a], inner)
+                inner = self.bracket(_BASIS[b], _BASIS[c])
+                outer = self.bracket(_BASIS[a], inner)
                 total = [t + o for t, o in zip(total, outer)]
             if any(t != 0 for t in total):
                 return False
         return True
 
     def derived_subalgebra_dim(self) -> int:
-        return _rank([list(b) for b in self.brackets])
+        pivots: Dict[IndexTuple, Dict[IndexTuple, Fraction]] = {}
+        for b in self.brackets:
+            insert_row(pivots, {(k,): Fraction(c) for k, c in enumerate(b) if c != 0})
+        return len(pivots)
 
     def classify(self) -> Lie3Class:
-        """Basis-independent class via dim[h,h] and the lower central series."""
+        """Basis-independent class via dim[g,g] and the lower central series.
+
+        When [g,g] is spanned by one vector v, the series continues with
+        [g,v], which is 0 or span(v); so g is nilpotent exactly when v is
+        central.
+        """
         derived_dim = self.derived_subalgebra_dim()
         if derived_dim == 0:
             return ABELIAN
         if derived_dim >= 2:
             return OTHER
-        if self._is_nilpotent():
+        v = next(b for b in self.brackets if any(b))
+        if not any(any(self.bracket(e, v)) for e in _BASIS):
             return HEISENBERG
         return SPLIT_NONABELIAN
-
-    def _is_nilpotent(self) -> bool:
-        # Lower central series; in dimension three it stabilises by step 3.
-        basis = [tuple(Fraction(int(i == k)) for k in range(3)) for i in range(3)]
-        current = [list(b) for b in self.brackets]
-        for _ in range(3):
-            current = _row_reduce(current)
-            if not current:
-                return True
-            next_layer = []
-            for vector in current:
-                for e in basis:
-                    next_layer.append(list(self.bracket(e, vector)))
-            if _rank(next_layer) == _rank(current) and _same_span(current, next_layer):
-                return False
-            current = next_layer
-        return _rank(current) == 0
-
-
-def _row_reduce(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    rows = [list(map(Fraction, r)) for r in rows if any(c != 0 for c in r)]
-    reduced: List[List[Fraction]] = []
-    for row in rows:
-        for pivot in reduced:
-            lead = next(i for i, c in enumerate(pivot) if c != 0)
-            if row[lead] != 0:
-                factor = row[lead] / pivot[lead]
-                row = [a - factor * b for a, b in zip(row, pivot)]
-        if any(c != 0 for c in row):
-            reduced.append(row)
-    return reduced
-
-
-def _rank(rows: List[List[Fraction]]) -> int:
-    return len(_row_reduce(rows))
-
-
-def _same_span(a: List[List[Fraction]], b: List[List[Fraction]]) -> bool:
-    ra, rb = _rank(a), _rank(b)
-    return ra == rb == _rank(a + b)
 
 
 def linearize(sigma: Polyvector, point: Point) -> Tuple[LieAlgebra3, Lie3Class]:

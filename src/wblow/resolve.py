@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .ring import Point, Poly, is_infinite
 from .polyvector import (
@@ -34,13 +34,13 @@ from .polyvector import (
     is_poisson,
     is_tangent,
     jacobian_poisson,
+    _sort_indices,
     shear_polyvector,
 )
 from .centre import Centre
 from .blowup import (
     CentreReport,
     check_centre,
-    is_smooth_plane_strict_transform,
     pullback_function,
     pullback_polyvector,
     rational_singular_points,
@@ -51,12 +51,12 @@ from .invariant import (
     InvariantSeq,
     centre_from_plane_invariant,
     lex_compare,
+    lex_key,
     max_monomial_centre,
     plane_curve_invariant,
 )
 from .classify import (
     DEFAULT_DEGREE_BOUND,
-    classify_surface,
     detect_duval_point,
     detect_nonnilpotent_point,
     sigma_tangent_to_ideal,
@@ -230,13 +230,8 @@ def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
             point_node.children.append(child)
     invariants = [child.invariant for child in node.children if child.invariant]
     if invariants:
-        node.invariant = max(invariants, key=lex_key_of)
+        node.invariant = max(invariants, key=lex_key)
     return node
-
-
-def lex_key_of(seq: InvariantSeq):
-    from .invariant import lex_key
-    return lex_key(seq)
 
 
 def resolution_is_complete(root: ResolutionNode) -> bool:
@@ -340,7 +335,6 @@ def _integrate_jacobian(residual: Polyvector, x_name: str, y_name: str,
     variables = residual.variables
     if residual.is_zero():
         return Poly.zero(variables)
-    target = jacobian_poisson  # noqa: local alias for clarity
     # residual should have components only in the (x,y) and (x,z) slots
     ix, iy, iz = (variables.index(x_name), variables.index(y_name),
                   variables.index(z_name))
@@ -359,8 +353,10 @@ def _integrate_jacobian(residual: Polyvector, x_name: str, y_name: str,
     if correction.degree_in(y_name) > 0:
         raise RefusalError("integration failed; input not in normal form")
     B = B + _antiderivative(correction, z_name)
-    check = jacobian_poisson_on(B, (x_name, y_name, z_name), variables)
-    if check != residual:
+    # [volume, B] in the frame (x, y, z) is the chart's Jacobian bivector
+    # times the sign of the frame's permutation
+    _, sign = _sort_indices((ix, iy, iz))
+    if jacobian_poisson(B).scale(sign) != residual:
         raise RefusalError("integrated potential does not reproduce the bivector")
     if not B.is_zero() and B.min_total_degree() < 3:
         raise RefusalError("the potential B does not vanish to order three")
@@ -374,28 +370,6 @@ def _antiderivative(f: Poly, name: str) -> Poly:
         lifted = exponent[:index] + (exponent[index] + 1,) + exponent[index + 1:]
         terms[lifted] = coeff / (exponent[index] + 1)
     return Poly(f.variables, terms, f.cap)
-
-
-def jacobian_poisson_on(B: Poly, frame: Tuple[str, str, str],
-                        variables: Tuple[str, ...]) -> Polyvector:
-    """[volume, B] for the ordered frame (x, y, z) inside a larger chart."""
-    x_name, y_name, z_name = frame
-    ix, iy, iz = (variables.index(x_name), variables.index(y_name),
-                  variables.index(z_name))
-    terms: Dict[Tuple[int, int], Poly] = {}
-
-    def put(a: int, b: int, coeff: Poly) -> None:
-        if coeff.is_zero():
-            return
-        if a < b:
-            terms[(a, b)] = terms.get((a, b), Poly.zero(variables)) + coeff
-        else:
-            terms[(b, a)] = terms.get((b, a), Poly.zero(variables)) - coeff
-
-    put(iy, iz, B.diff(x_name))
-    put(iz, ix, B.diff(y_name))
-    put(ix, iy, B.diff(z_name))
-    return Polyvector(2, variables, {k: v for k, v in terms.items() if not v.is_zero()})
 
 
 def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
@@ -425,10 +399,8 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
     for point in points:
         sigma_p = sigma.translate(point)
         generators_p = [g.translate(point) for g in y_generators]
-        invariant = max_monomial_centre(generators_p).invariant
-        a1 = invariant.entries[0]
-        if a1 > 1:
-            result = max_monomial_centre(generators_p)
+        result = max_monomial_centre(generators_p)
+        if result.invariant.entries[0] > 1:
             report = check_centre(sigma_p, result.centre)
             selections.append(CentreSelection(
                 A1_GT_1, result.centre, point, report,
@@ -459,7 +431,6 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
 
         x_name, A, B, (y_name, z_name) = _recognise_heisenberg_form(sigma_p)
         if not B.is_zero():
-            result = max_monomial_centre(generators_p)
             if result.centre.exponent_of(x_name) != 1:
                 raise RefusalError(
                     "expected the Heisenberg variable to carry exponent one in "
@@ -505,17 +476,11 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
 
 def _excluded_selection(point: Point, variables: Tuple[str, ...]) -> CentreSelection:
     # terminal: no codegenerate centre exists at a non-nilpotent point
-    dummy = CentreReport(conilpotent=True)
-    selection = CentreSelection.__new__(CentreSelection)
-    selection.case = TERMINAL_NON_NILPOTENT
-    selection.centre = Centre.unweighted(variables)
-    selection.point = point
-    selection.report = dummy
-    selection.rationale = ("non-nilpotent point: no codegenerate centre exists; "
-                           "the point is a terminal singularity of the triple")
-    selection.coordinate_change = None
-    selection.sigma = None
-    return selection
+    return CentreSelection(
+        TERMINAL_NON_NILPOTENT, Centre.unweighted(variables), point,
+        CentreReport(conilpotent=True),
+        "non-nilpotent point: no codegenerate centre exists; "
+        "the point is a terminal singularity of the triple")
 
 
 def _axis_in_singular_locus(f: Poly) -> List[str]:
@@ -558,19 +523,13 @@ def select_centre_32(sigma: Polyvector, f: Poly,
         duval = detect_duval_point(sigma_p, f_p, tuple(Fraction(0) for _ in variables),
                                    degree_bound)
         if duval.duval:
-            selection = CentreSelection.__new__(CentreSelection)
-            selection.case = TERMINAL_DUVAL
-            selection.centre = Centre.unweighted(variables)
-            selection.point = point
-            selection.report = CentreReport(conilpotent=True)
-            selection.rationale = ("Du Val point of the triple: no codegenerate "
-                                   "centre exists (weight sums exceed one)")
-            selection.coordinate_change = None
-            selection.sigma = None
-            selections.append(selection)
+            selections.append(CentreSelection(
+                TERMINAL_DUVAL, Centre.unweighted(variables), point,
+                CentreReport(conilpotent=True),
+                "Du Val point of the triple: no codegenerate centre exists "
+                "(weight sums exceed one)"))
             continue
 
-        surface = classify_surface(f_p, degree_bound)
         result = max_monomial_centre(f_p)
         invariant = result.invariant
         if invariant.finite_entries() != (Fraction(2), Fraction(3), Fraction(3)):

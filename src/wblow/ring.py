@@ -492,6 +492,33 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
+# exact sparse row reduction
+# ---------------------------------------------------------------------------
+
+def insert_row(pivots: Dict[Exponent, Dict[Exponent, Fraction]],
+               row: Dict[Exponent, Fraction]) -> None:
+    """Reduce a sparse row against echelon pivots and keep what is left.
+
+    Rows map exponents to nonzero coefficients; each pivot is stored under its
+    graded-lexicographic leading exponent.  ``row`` is consumed.  After every
+    insertion ``len(pivots)`` is the rank of the rows inserted so far.
+    """
+    while row:
+        lead = max(row, key=_grlex_key)
+        pivot = pivots.get(lead)
+        if pivot is None:
+            pivots[lead] = row
+            return
+        factor = row[lead] / pivot[lead]
+        for exponent, coeff in pivot.items():
+            new = row.get(exponent, Fraction(0)) - factor * coeff
+            if new == 0:
+                row.pop(exponent, None)
+            else:
+                row[exponent] = new
+
+
+# ---------------------------------------------------------------------------
 # division, resultants, rational roots
 # ---------------------------------------------------------------------------
 

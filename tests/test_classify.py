@@ -53,9 +53,13 @@ def test_milnor_e8():
 
 
 def test_milnor_classical_values():
+    # A19 and D16 are isolated, but the default degree bound cannot certify
+    # their Milnor numbers and no line certificate exists: indeterminate
     for text, expected in [("x^2 + y^2*z + z^3", 4), ("x^2 + y^2*z + z^4", 5),
                            ("x^2 + y^2*z + z^7", 8), ("x^2 + y^3 + z^4", 6),
-                           ("x^2 + y^3 + y*z^3", 7)]:
+                           ("x^2 + y^3 + y*z^3", 7),
+                           ("x^2 + y^2 + z^20", "indeterminate"),
+                           ("x^2 + y^2*z + z^15", "indeterminate")]:
         assert milnor_number(parse_poly(text, V3)) == expected
 
 
@@ -91,6 +95,8 @@ def test_isolatedness():
     assert is_isolated_singularity(parse_poly("x^2 + y^2*z + z^3", V3)) is True
     assert is_isolated_singularity(parse_poly("x^2 - y^2*z", V3)) is False
     assert is_isolated_singularity(parse_poly("x*y", V3)) is False
+    for text in ("x^2 + y^2 + z^20", "x^2 + y^2*z + z^15"):
+        assert is_isolated_singularity(parse_poly(text, V3)) == "indeterminate"
 
 
 # --- surface classification ---------------------------------------------------------

@@ -56,6 +56,12 @@ def test_negative_verdicts():
 def test_indeterminate_exit_code(capsys):
     code, _, _ = run(capsys, "resolve-curve", "y^2 - (x^2 - 2)^2")
     assert code == 3
+    # an exhausted Milnor degree bound is no negative verdict
+    for germ in ("x^2 + y^2 + z^20", "x^2 + y^2*z + z^15"):
+        code, out, _ = run(capsys, "--machine", "milnor", germ)
+        assert code == 3 and json.loads(out)["milnor"] == "indeterminate"
+        code, out, _ = run(capsys, "classify", germ)
+        assert code == 3 and out.startswith("other")
 
 
 def test_machine_output_is_deterministic_and_reparses(capsys):
@@ -136,9 +142,3 @@ def test_corpus_commands(capsys):
         code, out, _ = run(capsys, "corpus", name)
         assert code == 0, (name, out)
         assert "passed" in out
-
-
-def test_corpus_jobs_deterministic(capsys):
-    _, plain, _ = run(capsys, "--machine", "corpus", "whitney")
-    _, threaded, _ = run(capsys, "--machine", "--jobs", "4", "corpus", "whitney")
-    assert plain == threaded

@@ -9,6 +9,7 @@ from wblow.ring import Poly, parse_poly
 from wblow.polyvector import (
     ABELIAN,
     HEISENBERG,
+    OTHER,
     SPLIT_NONABELIAN,
     LieAlgebra3,
     Polyvector,
@@ -200,6 +201,58 @@ def test_jacobi_validation_negative():
         LieAlgebra3(((F(0), F(0), F(1)),
                      (F(1), F(0), F(0)),
                      (F(0), F(0), F(1))))
+
+
+def _small_lie_algebras():
+    """Every Jacobi-valid structure-constant triple with entries in {-1, 0, 1}.
+
+    Integer arithmetic only, independent of LieAlgebra3.  Returns
+    (brackets, expected class) pairs: abelian when every bracket is zero,
+    other when the brackets span two or more dimensions, and otherwise
+    heisenberg exactly when the Killing form tr(ad u ad v) vanishes.
+    """
+    pairs = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+    cases = []
+    for entries in itertools.product((-1, 0, 1), repeat=9):
+        brackets = (entries[0:3], entries[3:6], entries[6:9])
+
+        def bracket(i, j):
+            if i == j:
+                return (0, 0, 0)
+            if i < j:
+                return brackets[pairs[(i, j)]]
+            return tuple(-c for c in brackets[pairs[(j, i)]])
+
+        def bracket_with(i, v):
+            return tuple(sum(v[j] * bracket(i, j)[k] for j in range(3)) for k in range(3))
+
+        cyclic = [bracket_with(0, bracket(1, 2)), bracket_with(1, bracket(2, 0)),
+                  bracket_with(2, bracket(0, 1))]
+        if any(sum(term[k] for term in cyclic) for k in range(3)):
+            continue
+        minors = [a[p] * b[q] - a[q] * b[p] for a, b in itertools.combinations(brackets, 2)
+                  for p, q in itertools.combinations(range(3), 2)]
+        if not any(any(b) for b in brackets):
+            expected = ABELIAN
+        elif any(minors):
+            expected = OTHER
+        else:
+            # ad[i][k][j]: e_k-component of [e_i, e_j]
+            ad = [[[bracket(i, j)[k] for j in range(3)] for k in range(3)] for i in range(3)]
+            killing = [sum(ad[i][r][s] * ad[j][s][r] for r in range(3) for s in range(3))
+                       for i in range(3) for j in range(3)]
+            expected = SPLIT_NONABELIAN if any(killing) else HEISENBERG
+        cases.append((brackets, expected))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "brackets, expected", _small_lie_algebras(),
+    ids=lambda value: "".join("-0+"[c + 1] for b in value for c in b)
+    if isinstance(value, tuple) else value)
+def test_lie_class_matches_independent_criteria(brackets, expected):
+    algebra = LieAlgebra3(tuple(tuple(F(c) for c in b) for b in brackets))
+    assert algebra.classify() == expected
 
 
 def _random_linear_change(rng):

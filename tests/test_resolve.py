@@ -91,16 +91,20 @@ def test_deterministic_node_ids():
 # --- centre selection: curves in threefolds ---------------------------------------------
 
 def test_select_31_heisenberg_curve_vanishing():
-    f = parse_poly("y^2 + z^2", V3)
-    sigma = (Polyvector(2, V3, {(1, 2): parse_poly("x", V3) + f})
-             + jacobian_poisson(f * f))
-    generators = [parse_poly("x", V3) + f, f]
-    selections = select_centre_31(sigma, generators)
-    assert len(selections) == 1
-    choice = selections[0]
-    assert choice.case == "heis_curve_vanishing"
-    assert choice.report.conilpotent
-    assert choice.centre.exponent_of("x") == 1
+    # Heisenberg variable x: frame (x, y, z); Heisenberg variable y: the odd
+    # frame (y, x, z), whose volume is minus the chart's
+    for heis, slot, rest, sign in (("x", (1, 2), "y^2 + z^2", 1),
+                                   ("y", (0, 2), "x^2 + z^2", -1)):
+        f = parse_poly(rest, V3)
+        sigma = (Polyvector(2, V3, {slot: parse_poly(heis, V3) + f})
+                 + jacobian_poisson(f * f).scale(sign))
+        generators = [parse_poly(heis, V3) + f, f]
+        selections = select_centre_31(sigma, generators)
+        assert len(selections) == 1
+        choice = selections[0]
+        assert choice.case == "heis_curve_vanishing"
+        assert choice.report.conilpotent
+        assert choice.centre.exponent_of(heis) == 1
 
 
 def test_select_31_heisenberg_surface_vanishing():
