@@ -12,6 +12,14 @@ from wblow.resolve import certify_blowup_step, select_centre_31, select_centre_3
 
 V = ("x", "y", "z")
 
+
+def describe(selection):
+    # terminal points admit no codegenerate centre
+    if selection.centre is None:
+        return f"case {selection.case}, no centre"
+    return f"case {selection.case}, centre [{selection.centre}]"
+
+
 print("== curves in threefolds ==")
 f = parse_poly("y^2 + z^2", V)
 curve_cases = [
@@ -34,7 +42,7 @@ curve_cases = [
 for name, sigma, generators in curve_cases:
     selection = select_centre_31(sigma, generators)[0]
     print(f"{name}:")
-    print(f"   case {selection.case}, centre [{selection.centre}]")
+    print(f"   {describe(selection)}")
     print(f"   {selection.rationale}")
 
 print()
@@ -53,7 +61,7 @@ surface_cases = [
 ]
 for name, sigma, equation in surface_cases:
     selection = select_centre_32(sigma, equation)[0]
-    print(f"{name}: case {selection.case}, centre [{selection.centre}]")
+    print(f"{name}: {describe(selection)}")
 
 print()
 print("== one fully certified blowup step ==")

@@ -4,7 +4,7 @@ Milnor numbers and isolatedness are decided by exact linear algebra on
 degree-truncated local algebras: the dimension of O/(ideal + m^D) is computed
 for increasing D, and two consecutive equal dimensions certify m^D lands in
 the ideal (Nakayama), so the dimension has stabilised.  Non-isolated loci are
-certified by coordinate axes contained in the singular locus; anything
+certified by rational lines contained in the singular locus; anything
 neither certified finite nor certified infinite is reported indeterminate,
 never guessed.
 
@@ -116,13 +116,27 @@ def line_in_zero_locus(generators: Sequence[Poly]) -> Optional[Tuple[int, ...]]:
     if not generators:
         return None
     variables = generators[0].variables
-    parameter = ("s",)
-    s = Poly.var(parameter, "s")
     for direction in _rational_line_directions(len(variables)):
-        images = {v: s.scale(d) for v, d in zip(variables, direction)}
-        if all(g.substitute(images).is_zero() for g in generators):
+        if all(_vanishes_on_line(g, direction) for g in generators):
             return direction
     return None
+
+
+def _vanishes_on_line(g: Poly, direction: Tuple[int, ...]) -> bool:
+    """Whether g vanishes on the line through ``direction``.
+
+    g(s*d) is the sum of s^k g_k(d) over the homogeneous parts g_k of g, so
+    it is zero exactly when every homogeneous part vanishes at d.
+    """
+    parts: Dict[int, Fraction] = {}
+    for exponent, coeff in g.terms.items():
+        value = coeff
+        for d, k in zip(direction, exponent):
+            if k:
+                value *= d ** k
+        degree = sum(exponent)
+        parts[degree] = parts.get(degree, 0) + value
+    return all(value == 0 for value in parts.values())
 
 
 def local_dimension_is_zero(generators: Sequence[Poly],

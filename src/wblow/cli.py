@@ -103,7 +103,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             expr: Optional[str] = None, cap: bool = False, vars_flag: bool = True):
         sub = subs.add_parser(name)
         if centre:
-            sub.add_argument("--centre", required=name not in ("classify", "invariant"),
+            sub.add_argument("--centre", required=True,
                              help="centre syntax: 'x:2 y:3 z:inf [@ (p1,p2,p3)]'")
         if sigma:
             sub.add_argument("--sigma", required=True,
@@ -135,7 +135,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     milnor_parser.add_argument("--bound", type=int, default=12)
     resolve_parser = add("resolve-curve", expr="squarefree plane-curve equation")
     resolve_parser.add_argument("--max-steps", type=int, default=6)
-    select_parser = add("select-centre", sigma=True, cap=True)
+    select_parser = add("select-centre", sigma=True)
     select_parser.add_argument("--curve", action="append", default=[],
                                help="curve generator (repeat for a pair); "
                                     "selects the (3,1) driver")
@@ -358,12 +358,15 @@ def _dispatch(args) -> int:
             sigma = parse_polyvector(args.sigma, variables)
             generators = [parse_poly(g, variables) for g in args.curve]
             selections = select_centre_31(sigma, generators)
+        # a terminal point has no centre, hence no conilpotency verdict
         report = {"command": "select-centre",
                   "selections": [{
-                      "case": s.case, "centre": str(s.centre),
-                      "conilpotent": s.report.conilpotent,
+                      "case": s.case,
+                      "centre": None if s.centre is None else str(s.centre),
+                      "conilpotent": None if s.report is None else s.report.conilpotent,
                       "rationale": s.rationale} for s in selections]}
-        lines = [f"{s.case}: centre[{s.centre}]  conilpotent={s.report.conilpotent}"
+        lines = [f"{s.case}: no centre" if s.centre is None
+                 else f"{s.case}: centre[{s.centre}]  conilpotent={s.report.conilpotent}"
                  for s in selections]
         _emit(report, lines, machine)
         return EXIT_OK

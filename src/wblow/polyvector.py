@@ -77,15 +77,8 @@ class Polyvector:
                 raise ValueError(f"index tuple {indices} is not strictly increasing")
             if coeff.variables != variables:
                 raise ValueError("coefficient chart does not match polyvector chart")
-            if coeff.is_zero():
-                continue
-            if indices in clean:
-                clean[indices] = clean[indices] + coeff
-            else:
+            if not coeff.is_zero():
                 clean[indices] = coeff
-        clean = {i: c for i, c in clean.items() if not c.is_zero()}
-        if degree > n:
-            clean = {}
         self.degree = degree
         self.variables = variables
         self.terms = clean

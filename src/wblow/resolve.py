@@ -59,12 +59,12 @@ from .classify import (
     DEFAULT_DEGREE_BOUND,
     detect_duval_point,
     detect_nonnilpotent_point,
+    line_in_zero_locus,
     sigma_tangent_to_ideal,
 )
 
 SMOOTH_LEAF = "smooth"
 SINGULAR = "singular"
-EXCLUDED = "excluded"
 INDETERMINATE_STATUS = "indeterminate"
 TERMINAL_NON_NILPOTENT = "terminal_non_nilpotent"
 TERMINAL_DUVAL = "terminal_duval"
@@ -259,20 +259,21 @@ GENERIC_ASSOC = "generic_assoc"
 
 @dataclass
 class CentreSelection:
-    """A selected blowup centre with its case tag and certificates."""
+    """A selected blowup centre with its case tag and certificate.
+
+    A terminal point has no codegenerate centre: its selection carries no
+    centre, no report and no certificate.  Otherwise ``report`` is the
+    certificate's centre report.
+    """
 
     case: str
-    centre: Centre
+    centre: Optional[Centre]
     point: Optional[Point]
-    report: CentreReport
+    report: Optional[CentreReport]
     rationale: str
     coordinate_change: Optional[Tuple[str, Poly]] = None  # shear applied first
     sigma: Optional[Polyvector] = None                    # in the working coordinates
     certificate: Optional["StepCertificate"] = None       # full blowup-step run
-
-    def __post_init__(self):
-        assert self.report.conilpotent, \
-            f"selected centre {self.centre} is not conilpotent"
 
 
 class RefusalError(ValueError):
@@ -317,13 +318,8 @@ def _recognise_heisenberg_form(sigma: Polyvector
         raise RefusalError("the pencil part A depends on the Heisenberg variable")
     if not A.is_zero() and A.min_total_degree() < 2:
         raise RefusalError("the pencil part A does not vanish to order two")
-    # remaining components must be an exact Jacobian pair in (y, z)
-    by = sigma.bracket_of_coordinates(k, j)   # {x, z} = -dB/dy with our volume
-    bz = sigma.bracket_of_coordinates(i, k)   # {y, x}
-    for name, coeff in ((y_name, by), (z_name, bz)):
-        if coeff.degree_in(x_name) > 0:
-            raise RefusalError("the divergence part depends on the Heisenberg variable")
-    # integrate: sigma - (x+A) dy^dz should equal jacobian of some B(y,z)
+    # the remaining components must be an exact Jacobian pair in (y, z):
+    # sigma - (x+A) dy^dz should equal the Jacobian bivector of some B(y,z)
     residual = sigma - Polyvector(2, variables, {(i, j): main})
     B = _integrate_jacobian(residual, x_name, y_name, z_name)
     return x_name, A, B, (y_name, z_name)
@@ -335,16 +331,14 @@ def _integrate_jacobian(residual: Polyvector, x_name: str, y_name: str,
     variables = residual.variables
     if residual.is_zero():
         return Poly.zero(variables)
-    # residual should have components only in the (x,y) and (x,z) slots
+    # the residual is sigma minus its (y,z) slot, so only the (x,y) and
+    # (x,z) slots remain
     ix, iy, iz = (variables.index(x_name), variables.index(y_name),
                   variables.index(z_name))
     b_y = residual.coefficient((iz, ix))   # [mu, B] has B_y @z^@x
     b_z = residual.coefficient((ix, iy))   # and B_z @x^@y
-    for (a, b), coeff in residual.terms.items():
-        if {a, b} == {iy, iz} and not coeff.is_zero():
-            raise RefusalError("residual bivector has a @y^@z component")
     if b_y.degree_in(x_name) > 0 or b_z.degree_in(x_name) > 0:
-        raise RefusalError("divergence part depends on the Heisenberg variable")
+        raise RefusalError("the divergence part depends on the Heisenberg variable")
     # exactness: d/dz b_y == d/dy b_z
     if b_y.diff(z_name) != b_z.diff(y_name):
         raise RefusalError("residual is not an exact Jacobian bivector")
@@ -372,20 +366,31 @@ def _antiderivative(f: Poly, name: str) -> Poly:
     return Poly(f.variables, terms, f.cap)
 
 
+def _certified_selection(case: str, sigma: Polyvector, equations: Sequence[Poly],
+                         centre: Centre, point: Point, rationale: str,
+                         coordinate_change: Optional[Tuple[str, Poly]] = None
+                         ) -> CentreSelection:
+    """Certify one blowup step at ``centre``; StepAbort if any check fails."""
+    certificate = certify_blowup_step(sigma, equations, centre)
+    return CentreSelection(case, centre, point, certificate.centre_report, rationale,
+                           coordinate_change=coordinate_change, sigma=sigma,
+                           certificate=certificate)
+
+
 def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
-                     points: Optional[Sequence[Point]] = None,
-                     degree_bound: int = DEFAULT_DEGREE_BOUND
+                     points: Optional[Sequence[Point]] = None
                      ) -> List[CentreSelection]:
     """Centre selection for a curve in a threefold, in normal-form coordinates.
 
     For each supplied singular point (default: the origin): non-nilpotent
-    points are excluded (they admit no codegenerate centre); when the curve
+    points are terminal (they admit no codegenerate centre); when the curve
     invariant starts above one the associated monomial centre is selected;
     otherwise the linearization decides between the unweighted point centre
     (abelian) and the Heisenberg cases, where the vanishing locus of the
     bivector being a curve selects the associated centre and a smooth surface
     selects the b-completion of its unweighted centre with b the second
-    invariant entry.  Conilpotence of every selection is certified.
+    invariant entry.  Every selected centre passes the full blowup-step
+    certificate.
     """
     variables = sigma.variables
     if len(variables) != 3:
@@ -401,30 +406,25 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
         generators_p = [g.translate(point) for g in y_generators]
         result = max_monomial_centre(generators_p)
         if result.invariant.entries[0] > 1:
-            report = check_centre(sigma_p, result.centre)
-            selections.append(CentreSelection(
-                A1_GT_1, result.centre, point, report,
+            selections.append(_certified_selection(
+                A1_GT_1, sigma_p, generators_p, result.centre, point,
                 "curve not contained in a smooth surface: associated centre "
-                "of the pair is conilpotent because kappa_2 <= 1",
-                sigma=sigma_p,
-                certificate=certify_blowup_step(sigma_p, generators_p,
-                                                result.centre)))
+                "of the pair is conilpotent because kappa_2 <= 1"))
             continue
 
         triple = detect_nonnilpotent_point(sigma_p, generators_p,
                                            tuple(Fraction(0) for _ in variables))
         if triple.lie_class == SPLIT_NONABELIAN:
-            selections.append(_excluded_selection(point, variables))
+            selections.append(CentreSelection(
+                TERMINAL_NON_NILPOTENT, None, point, None,
+                "non-nilpotent point: no codegenerate centre exists; "
+                "the point is a terminal singularity of the triple"))
             continue
         if triple.lie_class == ABELIAN:
-            centre = Centre.unweighted(variables)
-            report = check_centre(sigma_p, centre)
-            selections.append(CentreSelection(
-                AB_POINT, centre, point, report,
+            selections.append(_certified_selection(
+                AB_POINT, sigma_p, generators_p, Centre.unweighted(variables), point,
                 "abelian linearization: the unweighted point centre is "
-                "conilpotent (conormal bracket is abelian)",
-                sigma=sigma_p,
-                certificate=certify_blowup_step(sigma_p, generators_p, centre)))
+                "conilpotent (conormal bracket is abelian)"))
             continue
         if triple.lie_class != HEISENBERG:
             raise RefusalError(f"unexpected linearization class {triple.lie_class}")
@@ -435,15 +435,11 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
                 raise RefusalError(
                     "expected the Heisenberg variable to carry exponent one in "
                     f"the associated centre, got {result.centre}")
-            report = check_centre(sigma_p, result.centre)
-            selections.append(CentreSelection(
-                HEIS_CURVE_VANISHING, result.centre, point, report,
+            selections.append(_certified_selection(
+                HEIS_CURVE_VANISHING, sigma_p, generators_p, result.centre, point,
                 "Heisenberg point with one-dimensional bivector vanishing "
                 "locus: associated centre (x carries exponent one; every term "
-                "has order at least 1 - 1/b - 1/c >= 0)",
-                sigma=sigma_p,
-                certificate=certify_blowup_step(sigma_p, generators_p,
-                                                result.centre)))
+                "has order at least 1 - 1/b - 1/c >= 0)"))
             continue
 
         # vanishing locus is the smooth surface x + A = 0: shear it straight
@@ -463,36 +459,12 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
         if b < 1:
             raise RefusalError("curve multiplicity below one after shearing")
         centre = Centre.unweighted(variables, [x_name]).b_completion(b)
-        report = check_centre(sheared, centre)
-        selections.append(CentreSelection(
-            HEIS_SURFACE_VANISHING, centre, point, report,
+        selections.append(_certified_selection(
+            HEIS_SURFACE_VANISHING, sheared, sheared_generators, centre, point,
             f"Heisenberg point with smooth surface vanishing locus: "
             f"b-completion of the unweighted surface centre at b = {b}",
-            coordinate_change=(x_name, A),
-            sigma=sheared,
-            certificate=certify_blowup_step(sheared, sheared_generators, centre)))
+            coordinate_change=(x_name, A)))
     return selections
-
-
-def _excluded_selection(point: Point, variables: Tuple[str, ...]) -> CentreSelection:
-    # terminal: no codegenerate centre exists at a non-nilpotent point
-    return CentreSelection(
-        TERMINAL_NON_NILPOTENT, Centre.unweighted(variables), point,
-        CentreReport(conilpotent=True),
-        "non-nilpotent point: no codegenerate centre exists; "
-        "the point is a terminal singularity of the triple")
-
-
-def _axis_in_singular_locus(f: Poly) -> List[str]:
-    axes = []
-    variables = f.variables
-    system = [f] + [f.diff(v) for v in variables]
-    for index, axis in enumerate(variables):
-        images = {v: Poly.zero(variables) for i, v in enumerate(variables)
-                  if i != index}
-        if all(g.substitute(images).is_zero() for g in system):
-            axes.append(axis)
-    return axes
 
 
 def select_centre_32(sigma: Polyvector, f: Poly,
@@ -501,12 +473,13 @@ def select_centre_32(sigma: Polyvector, f: Poly,
                      ) -> List[CentreSelection]:
     """Centre selection for a surface in a threefold, in normal-form coordinates.
 
-    Du Val points of the triple are excluded (terminal).  Away from them, the
-    associated monomial centre is selected unless the invariant is (2,3,3),
-    where the singular locus splits into isolated type-D points (associated
-    centre) and one-dimensional components (unweighted centre on the curve,
-    certified through the logarithmic tangency argument).  Conilpotence of
-    every selection is certified by the coordinate conditions.
+    Du Val points of the triple are terminal.  Away from them, the associated
+    monomial centre is selected unless the invariant is (2,3,3), where the
+    singular locus splits into isolated type-D points (associated centre) and
+    one-dimensional components (unweighted centre on the curve, certified
+    through the logarithmic tangency argument).  A singular line off the
+    coordinate axes is refused.  Every selected centre passes the full
+    blowup-step certificate.
     """
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
@@ -524,8 +497,7 @@ def select_centre_32(sigma: Polyvector, f: Poly,
                                    degree_bound)
         if duval.duval:
             selections.append(CentreSelection(
-                TERMINAL_DUVAL, Centre.unweighted(variables), point,
-                CentreReport(conilpotent=True),
+                TERMINAL_DUVAL, None, point, None,
                 "Du Val point of the triple: no codegenerate centre exists "
                 "(weight sums exceed one)"))
             continue
@@ -537,36 +509,32 @@ def select_centre_32(sigma: Polyvector, f: Poly,
             reduced = centre.reduced()
             if all(a == 1 for a in reduced.exponents if not is_infinite(a)):
                 centre = reduced  # unweighted up to rescaling: report the reduction
-            report = check_centre(sigma_p, centre)
-            selections.append(CentreSelection(
-                GENERIC_ASSOC, centre, point, report,
+            selections.append(_certified_selection(
+                GENERIC_ASSOC, sigma_p, [f_p], centre, point,
                 "invariant differs from (2,3,3): the associated centre is "
-                "conilpotent away from Du Val and Whitney points",
-                sigma=sigma_p,
-                certificate=certify_blowup_step(sigma_p, [f_p], centre)))
+                "conilpotent away from Du Val and Whitney points"))
             continue
 
-        axes = _axis_in_singular_locus(f_p)
-        if axes:
-            # one-dimensional singular locus: unweighted centre on the curve
-            support = [v for v in variables if v not in axes]
-            centre = Centre.unweighted(variables, support)
-            report = check_centre(sigma_p, centre)
-            selections.append(CentreSelection(
-                INV_233_SURFACE, centre, point, report,
-                "invariant (2,3,3) with a one-dimensional singular locus: "
-                "unweighted centre on the curve (logarithmic tangency keeps "
-                "every bracket at non-negative order)",
-                sigma=sigma_p,
-                certificate=certify_blowup_step(sigma_p, [f_p], centre)))
+        line = line_in_zero_locus([f_p] + [f_p.diff(v) for v in variables])
+        if line is None:
+            selections.append(_certified_selection(
+                INV_233_SURFACE, sigma_p, [f_p], result.centre, point,
+                "invariant (2,3,3) at an isolated type-D point that is not a Du "
+                "Val point of the triple: associated centre"))
             continue
-        report = check_centre(sigma_p, result.centre)
-        selections.append(CentreSelection(
-            INV_233_SURFACE, result.centre, point, report,
-            "invariant (2,3,3) at an isolated type-D point that is not a Du "
-            "Val point of the triple: associated centre",
-            sigma=sigma_p,
-            certificate=certify_blowup_step(sigma_p, [f_p], result.centre)))
+        axis = [v for v, d in zip(variables, line) if d != 0]
+        if len(axis) != 1:
+            raise RefusalError(
+                f"singular line in direction {line} is not a coordinate axis; "
+                "straighten it to an axis first")
+        # one-dimensional singular locus: unweighted centre on the curve
+        support = [v for v in variables if v not in axis]
+        selections.append(_certified_selection(
+            INV_233_SURFACE, sigma_p, [f_p], Centre.unweighted(variables, support),
+            point,
+            "invariant (2,3,3) with a one-dimensional singular locus: "
+            "unweighted centre on the curve (logarithmic tangency keeps "
+            "every bracket at non-negative order)"))
     return selections
 
 
@@ -577,7 +545,7 @@ def select_centre_32(sigma: Polyvector, f: Poly,
 @dataclass
 class StepCertificate:
     centre: Centre
-    centre_report: CentreReport
+    centre_report: Optional[CentreReport]   # None without a bivector
     lift_regular: bool
     exceptional_tangent: Optional[bool]
     sigma_proper_poisson: Optional[bool]
@@ -588,7 +556,9 @@ class StepCertificate:
     notes: List[str] = field(default_factory=list)
 
     def ok(self) -> bool:
-        checks = [self.centre_report.conilpotent, self.lift_regular]
+        checks = [self.lift_regular]
+        if self.centre_report is not None:
+            checks.append(self.centre_report.conilpotent)
         if self.sigma_proper_poisson is not None:
             checks.append(self.sigma_proper_poisson)
         if self.sigma_tangent_to_transforms is not None:
@@ -619,7 +589,7 @@ def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
     equations = list(equations)
     before = max_monomial_centre(equations).invariant
 
-    centre_report = CentreReport(conilpotent=True)
+    centre_report = None
     lift_regular = True
     tangent = None
     proper_poisson = None

@@ -1,5 +1,6 @@
 """Milnor numbers, isolatedness, surface classes, triple detectors, normal forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,16 @@ from wblow.classify import (
     class_exponents,
     detect_duval_point,
     detect_nonnilpotent_point,
+    _rational_line_directions,
+    _vanishes_on_line,
     is_isolated_singularity,
+    line_in_zero_locus,
     local_quotient_dimension,
     milnor_number,
     verify_normal_form,
 )
 
-from conftest import V3
+from conftest import V2, V3, random_poly
 
 F = Fraction
 ORIGIN = (F(0),) * 3
@@ -256,3 +260,29 @@ def test_duval_family_normal_forms():
         report = verify_normal_form("duval_family", cap=9, family=family,
                                     n=n, unit=unit)
         assert report.ok, (family, n, report.checks)
+
+
+@pytest.mark.parametrize("variables", [V2, V3], ids=["2 vars", "3 vars"])
+@pytest.mark.parametrize("seed", range(8))
+def test_line_restriction_matches_substitution(variables, seed):
+    # oracle: restrict g to the line by substituting v -> s*d_v
+    rng = random.Random(seed)
+    s = Poly.var(("s",), "s")
+    directions = list(_rational_line_directions(len(variables)))
+    g = random_poly(rng, variables)
+    # g times a linear form vanishing on a chosen catalogue direction, so
+    # that some directions give a hit
+    d = rng.choice(directions)
+    x = [Poly.var(variables, v) for v in variables]
+    form = sum((x[i].scale(d[j]) - x[j].scale(d[i])).scale(rng.randint(1, 3))
+               for i in range(len(variables)) for j in range(i + 1, len(variables)))
+    for h in (g, g * form):
+        on_lines = []
+        for direction in directions:
+            images = {v: s.scale(e) for v, e in zip(variables, direction)}
+            on_line = h.substitute(images).is_zero()
+            assert _vanishes_on_line(h, direction) == on_line
+            if on_line:
+                on_lines.append(direction)
+        expected = on_lines[0] if on_lines and not h.is_zero() else None
+        assert line_in_zero_locus([h]) == expected

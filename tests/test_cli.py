@@ -115,6 +115,27 @@ def test_select_centre_refusal_exit(capsys):
     assert "refused" in err
 
 
+def test_select_centre_terminal_prints_no_verdict(capsys):
+    # the A1 triple is a Du Val point: terminal, no centre was certified
+    code, out, _ = run(capsys, "--machine", "select-centre",
+                       "--sigma", "2*z*@x^@y - 2*y*@x^@z + 2*x*@y^@z",
+                       "--surface", "x^2 + y^2 + z^2")
+    assert code == 0
+    selection = json.loads(out)["selections"][0]
+    assert selection["case"] == "terminal_duval"
+    assert selection["centre"] is None and selection["conilpotent"] is None
+    assert '"conilpotent":null' in out
+
+
+def test_select_centre_sheared_whitney_refused(capsys):
+    code, _, err = run(capsys, "select-centre",
+                       "--sigma", "(-y^2 - 4*y*z - 3*z^2)*@x^@y"
+                                  " + (2*y*z + 2*z^2)*@x^@z + 2*x*@y^@z",
+                       "--surface", "x^2 - (y + z)^2*z")
+    assert code == 3
+    assert "refused" in err
+
+
 def test_blowup_slice_chart_cli(capsys):
     code, out, _ = run(capsys, "blowup", "--centre", "x:3 y:2", "--slice", "x",
                        "y^2 - x^3")

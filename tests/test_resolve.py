@@ -104,6 +104,7 @@ def test_select_31_heisenberg_curve_vanishing():
         choice = selections[0]
         assert choice.case == "heis_curve_vanishing"
         assert choice.report.conilpotent
+        assert choice.report is choice.certificate.centre_report
         assert choice.centre.exponent_of(heis) == 1
 
 
@@ -116,6 +117,7 @@ def test_select_31_heisenberg_surface_vanishing():
     choice = selections[0]
     assert choice.case == "heis_surface_vanishing"
     assert choice.report.conilpotent
+    assert choice.report is choice.certificate.centre_report
     # b = multiplicity of the plane curve = 2
     assert str(choice.centre) == "x:1 y:2 z:2"
     assert choice.coordinate_change is not None
@@ -131,6 +133,7 @@ def test_select_31_multiplicity_above_one():
     assert selections[0].case == "a1_gt_1"
     assert str(selections[0].centre) == "x:2 y:2 z:2"
     assert selections[0].report.conilpotent
+    assert selections[0].report is selections[0].certificate.centre_report
 
 
 def test_select_31_abelian_point():
@@ -140,6 +143,7 @@ def test_select_31_abelian_point():
     assert selections[0].case == "ab_point"
     assert str(selections[0].centre) == "x:1 y:1 z:1"
     assert selections[0].report.conilpotent
+    assert selections[0].report is selections[0].certificate.centre_report
 
 
 def test_select_31_nonnilpotent_terminal():
@@ -147,6 +151,10 @@ def test_select_31_nonnilpotent_terminal():
     generators = [parse_poly("x", V3), parse_poly("y^2 - z^3", V3)]
     selections = select_centre_31(sigma, generators)
     assert selections[0].case == "terminal_non_nilpotent"
+    # no codegenerate centre exists, so there is nothing to certify
+    assert selections[0].centre is None
+    assert selections[0].report is None
+    assert selections[0].certificate is None
 
 
 def test_select_31_refuses_unrecognised():
@@ -167,6 +175,14 @@ def test_select_32_whitney():
     assert choice.case == "inv_233_surface"
     assert str(choice.centre) == "x:1 y:1 z:inf"
     assert choice.report.conilpotent
+    assert choice.report is choice.certificate.centre_report
+
+
+def test_select_32_sheared_whitney_refused():
+    # singular line x = 0, y = -z: found by the line test, but off the axes
+    f = parse_poly("x^2 - (y + z)^2*z", V3)
+    with pytest.raises(RefusalError, match=r"\(0, 1, -1\)"):
+        select_centre_32(jacobian_poisson(f), f)
 
 
 def test_select_32_normal_crossings():
@@ -177,6 +193,7 @@ def test_select_32_normal_crossings():
     assert choice.case == "generic_assoc"
     assert str(choice.centre) == "x:1 y:1 z:inf"
     assert choice.report.conilpotent
+    assert choice.report is choice.certificate.centre_report
 
 
 def test_select_32_deep_zero_at_ade_point():
@@ -186,6 +203,7 @@ def test_select_32_deep_zero_at_ade_point():
     choice = selections[0]
     assert choice.case == "generic_assoc"
     assert choice.report.conilpotent
+    assert choice.report is choice.certificate.centre_report
     assert choice.centre.exponents == (F(2), F(2), F(3))
 
 
@@ -193,6 +211,9 @@ def test_select_32_duval_terminal():
     f = parse_poly("x^2 + y^3 + z^5", V3)
     selections = select_centre_32(jacobian_poisson(f), f)
     assert selections[0].case == "terminal_duval"
+    assert selections[0].centre is None
+    assert selections[0].report is None
+    assert selections[0].certificate is None
 
 
 # --- step certification -------------------------------------------------------------------------
@@ -220,6 +241,7 @@ def test_certify_degenerate_mode_without_bivector():
                                       Centre.from_exponents(V2, (3, 2)))
     assert certificate.ok()
     assert certificate.sigma_proper_poisson is None
+    assert certificate.centre_report is None
 
 
 def test_certified_selected_centres_for_corpus_triples():
