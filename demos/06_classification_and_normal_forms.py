@@ -1,9 +1,10 @@
 """Surface classification, triple detectors, and normal-form verification.
 
 Milnor numbers come from exact linear algebra on truncated local algebras;
-the classifier combines the invariant with isolatedness; and the stated local
-normal forms for Poisson structures are verified symbolically (to a stated
-order where a truncation is involved).
+the classifier is Arnold's determinator (the Hessian rank, the cubic on the
+Hessian kernel and the Milnor number); and the stated local normal forms for
+Poisson structures are verified symbolically (to a stated order where a
+truncation is involved).
 """
 
 from fractions import Fraction
@@ -40,9 +41,9 @@ for text in ("x^2 + y^2 + z^5", "x^2 + y^2*z + z^4", "x^2 + y^3 + y*z^3",
 
 print()
 print("== a hidden coordinate change ==")
-sheared = parse_poly("x^2 + y^3 + z^4", V).substitute(
-    {"y": parse_poly("y + 2*z", V)})
-print("sheared E6 equation:", sheared)
+sheared = parse_poly("x^2 + y^3 + z^5", V).substitute(
+    {"y": parse_poly("y + 7*z", V)})
+print("sheared E8 equation:", sheared)
 print("still classified as:", classify_surface(sheared).label())
 
 print()

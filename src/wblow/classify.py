@@ -8,11 +8,15 @@ certified by rational lines contained in the singular locus; anything
 neither certified finite nor certified infinite is reported indeterminate,
 never guessed.
 
-Surface classification runs the invariant machinery over a small preparation
-catalogue (translations, integer shears, completing the square in a
-multiplicity-two direction) and takes the lexicographically largest invariant
-found.  Inputs outside the catalogue's reach fall into ``other`` rather than
-a wrong class.
+Surface germs are classified by Arnold's determinator (Funct. Anal. Appl. 6,
+1972; Arnold, Gusein-Zade and Varchenko, Singularities of Differentiable
+Maps I, section 16), which needs no search over coordinates: the rank of the
+Hessian over Q, the root type of the cubic part on the Hessian kernel and the
+Milnor number decide between A, D, E, normal crossings, the Whitney umbrella
+and ``other``.  The class fixes the invariant exactly.  One exact linear
+change of coordinates, logged as shears, and one completion of the square
+prepare the germ so that the centre of its class sees the normal form; the
+monomial centre of the prepared form witnesses the invariant.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ from .polyvector import (
 )
 from .centre import Centre
 from .invariant import (
-    SHEAR_COEFFICIENTS,
     InvariantSeq,
     MonomialCentreResult,
-    lex_compare,
     max_monomial_centre,
     subleading_shift,
+    validate_invariant,
 )
 
 DEFAULT_DEGREE_BOUND = 12
@@ -67,8 +70,14 @@ def _monomials_below(variables: Tuple[str, ...], degree: int):
 
 
 def local_quotient_dimension(generators: Sequence[Poly], degree: int) -> int:
-    """dim of O/(ideal + m^degree) by sparse row reduction over monomials."""
-    generators = [g for g in generators if not g.is_zero()]
+    """dim of O/(ideal + m^degree) by sparse row reduction over monomials.
+
+    The rank does not depend on the order of the rows; sparsest generators
+    first keeps the fill-in low (on dense germs a Morse-variable derivative
+    reduced first costs up to seven times as much).
+    """
+    generators = sorted((g for g in generators if not g.is_zero()),
+                        key=lambda g: len(g.terms))
     if not generators:
         raise ValueError("no nonzero generators")
     variables = generators[0].variables
@@ -247,6 +256,15 @@ class SingularityClass:
         return self.kind in (A_CLASS, D_CLASS, E6, E7, E8)
 
 
+def _homogeneous_part(f: Poly, degree: int) -> Poly:
+    return Poly(f.variables, {e: c for e, c in f.terms.items() if sum(e) == degree})
+
+
+def _shear(f: Poly, step: Tuple[str, Poly]) -> Poly:
+    name, shift = step
+    return f.substitute({name: Poly.var(f.variables, name) + shift})
+
+
 def _complete_square(f: Poly) -> Optional[Tuple[Poly, Tuple[str, Poly]]]:
     """One exact Morse step: kill the linear-in-u part when f is quadratic in u."""
     if f.min_total_degree() != 2:
@@ -256,39 +274,142 @@ def _complete_square(f: Poly) -> Optional[Tuple[Poly, Tuple[str, Poly]]]:
             continue
         found = subleading_shift(f, name)
         if found is not None:
-            shift = found[0]
-            return f.substitute({name: Poly.var(f.variables, name) + shift}), (name, shift)
+            step = (name, found[0])
+            return _shear(f, step), step
     return None
 
 
-def _preparation_candidates(f: Poly):
-    """Candidate prepared forms: identity, single integer shears, and each
-    optionally followed by completing the square.  Yields (form, steps)."""
-    base: List[Tuple[Poly, List[Tuple[str, Poly]]]] = [(f, [])]
-    for target in f.variables:
-        for source in f.variables:
-            if source == target:
-                continue
-            for c in SHEAR_COEFFICIENTS:
-                shift = Poly.var(f.variables, target).scale(c)
-                form = f.substitute({source: Poly.var(f.variables, source) + shift})
-                base.append((form, [(source, shift)]))
-    for form, steps in base:
-        yield form, steps
-        completed = _complete_square(form)
-        if completed is not None:
-            completed_form, step = completed
-            yield completed_form, steps + [step]
+def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
+    """Shears taking the quadratic form q to a diagonal form (Lagrange).
+
+    Each round takes the first variable u whose square occurs and removes
+    the cross terms u*w by u -> u + shift; when no square occurs, a cross
+    term v*w is turned into a square by v -> v + w first.  Returns the steps
+    in order and the pivots, the Morse coordinates: their number is the rank
+    of q over Q.  A diagonal q gives no steps.
+    """
+    variables = q.variables
+    steps: List[Tuple[str, Poly]] = []
+    morse: List[str] = []
+    while not q.is_zero():
+        squares = [v for v in variables
+                   if tuple(2 if w == v else 0 for w in variables) in q.terms]
+        if squares:
+            pivot = squares[0]
+        else:
+            exponent = min(q.terms)
+            source, pivot = [v for v, e in zip(variables, exponent) if e]
+            steps.append((source, Poly.var(variables, pivot)))
+            q = _shear(q, steps[-1])
+        found = subleading_shift(q, pivot)
+        if found is not None:
+            steps.append((pivot, found[0]))
+            q = _shear(q, steps[-1])
+        morse.append(pivot)
+        q = Poly(variables, {e: c for e, c in q.terms.items()
+                             if e[variables.index(pivot)] == 0})
+    return steps, morse
+
+
+ZERO_CUBIC = "zero"
+DISTINCT_ROOTS = "distinct"
+DOUBLE_ROOT = "double"
+TRIPLE_ROOT = "triple"
+
+
+def binary_cubic_type(cubic: Poly) -> Tuple[str, Optional[Tuple[Fraction, Fraction]]]:
+    """Root type of a binary cubic form and its multiple linear factor.
+
+    For a v^3 + b v^2 w + c v w^2 + d w^3 in the chart (v, w): ``zero``;
+    ``distinct`` when the discriminant is nonzero; ``triple`` when the
+    Hessian covariant (b^2 - 3ac) v^2 + (bc - 9ad) v w + (c^2 - 3bd) w^2
+    vanishes, the cubic being a cube L^3; ``double`` otherwise, the cubic
+    being L^2 M and the covariant a multiple of L^2.  The second entry holds
+    the coefficients (l_v, l_w) of L, None when there is no multiple root.
+    """
+    if len(cubic.variables) != 2:
+        raise ValueError("a binary cubic lives in a two-variable chart")
+    a, b, c, d = (cubic.terms.get((3 - i, i), Fraction(0)) for i in range(4))
+    if a == b == c == d == 0:
+        return ZERO_CUBIC, None
+    if b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d - 27 * a * a * d * d \
+            + 18 * a * b * c * d != 0:
+        return DISTINCT_ROOTS, None
+    p, q, r = b * b - 3 * a * c, b * c - 9 * a * d, c * c - 3 * b * d
+    if p == q == r == 0:
+        factor = (3 * a, b) if a else (Fraction(0), Fraction(1))
+        return TRIPLE_ROOT, factor
+    factor = (2 * p, q) if p else (Fraction(0), Fraction(1))
+    return DOUBLE_ROOT, factor
+
+
+def _class_invariant(kind: str, index: Optional[int]) -> InvariantSeq:
+    """The exact invariant of a class; for D(n), n >= 5, it is not
+    class_exponents (D5 would sort to (2,8/3,4), lex below (2,3,3))."""
+    if kind == NORMAL_CROSSINGS_2:
+        entries: Tuple[Fraction, ...] = (Fraction(2), Fraction(2))
+    elif kind in (D_CLASS, WHITNEY_UMBRELLA):
+        entries = (Fraction(2), Fraction(3), Fraction(3))
+    else:
+        entries = class_exponents(kind, index)
+    return validate_invariant(InvariantSeq(entries))
+
+
+def _prepare(f: Poly) -> Tuple[Poly, List[Tuple[str, Poly]], List[str], Optional[str]]:
+    """One exact linear change, logged as shears, then one square completion.
+
+    The change diagonalises the Hessian, its pivots becoming the Morse
+    coordinates.  With one Morse coordinate it also puts the multiple linear
+    factor of the cubic on the Hessian kernel onto a kernel coordinate.
+    Returns the prepared form, the steps, the Morse coordinates and the root
+    type of that cubic (None unless the Hessian has rank one).
+    """
+    variables = f.variables
+    steps, morse = _diagonalise(_homogeneous_part(f, 2))
+    root_type = None
+    if len(morse) == 1:
+        cubic = _homogeneous_part(f, 3)
+        for step in steps:
+            cubic = _shear(cubic, step)
+        pivot = variables.index(morse[0])
+        kernel = tuple(v for v in variables if v != morse[0])
+        on_kernel = Poly(kernel, {e[:pivot] + e[pivot + 1:]: c
+                                  for e, c in cubic.terms.items() if e[pivot] == 0})
+        root_type, factor = binary_cubic_type(on_kernel)
+        if factor is not None and factor[0] != 0 and factor[1] != 0:
+            # v -> v - (l_w/l_v) w turns the factor l_v v + l_w w into l_v v
+            steps.append((kernel[0],
+                          Poly.var(variables, kernel[1]).scale(-factor[1] / factor[0])))
+    prepared = f
+    for step in steps:
+        prepared = _shear(prepared, step)
+    completed = _complete_square(prepared)
+    if completed is not None:
+        prepared, step = completed
+        steps.append(step)
+    return prepared, steps, morse, root_type
 
 
 def classify_surface(f: Poly,
                      degree_bound: int = DEFAULT_DEGREE_BOUND) -> SingularityClass:
     """Classify a surface germ in three variables at the origin.
 
-    Pipeline: smooth test; invariant lower bound maximised over the
-    preparation catalogue; disambiguation of the invariant, with isolatedness
-    separating the type-D series from the Whitney umbrella and the Milnor
-    number choosing the index n of A(n) and D(n).
+    Arnold's determinator, from the rank of the Hessian over Q, the cubic
+    part of f on the Hessian kernel and the Milnor number mu:
+
+    * rank 3: A1;
+    * rank 2: A(mu), or normal crossings when mu is unbounded;
+    * rank 1: D4 when the cubic has three distinct roots, D(mu) or the
+      Whitney umbrella (mu unbounded) for a double root, E6, E7 or E8 for a
+      triple root with mu 6, 7 or 8;
+    * anything else (rank 0, a vanishing cubic, another mu) is ``other``.
+
+    mu is computed on the prepared form (see ``_prepare``), which is f in
+    coordinates related by shears and one square completion, automorphisms
+    that leave mu unchanged; a singular line the preparation straightens
+    onto an axis is found there.  The monomial centre of the prepared form
+    is the witness when it reaches the exact invariant of the class; for
+    ``other`` its lower bound is reported.
     """
     if len(f.variables) != 3:
         raise ValueError("classify_surface expects a three-variable chart")
@@ -299,64 +420,55 @@ def classify_surface(f: Poly,
     if f.min_total_degree() == 1:
         return SingularityClass(SMOOTH)
 
-    best: Optional[MonomialCentreResult] = None
-    best_steps: List[Tuple[str, Poly]] = []
-    for form, steps in _preparation_candidates(f):
-        try:
-            candidate = max_monomial_centre(form)
-        except ValueError:
-            continue
-        if best is None or lex_compare(candidate.invariant, best.invariant) > 0:
-            best, best_steps = candidate, steps
-    if best is None:
-        return SingularityClass(OTHER_CLASS, diagnostics=["no admissible monomial centre"])
-
-    invariant = best.invariant
-    finite = invariant.finite_entries()
-    report = SingularityClass(OTHER_CLASS, invariant=invariant,
-                              witness_centre=best.centre,
-                              certification_bound=degree_bound,
-                              preparation=best_steps)
-
-    if finite == (Fraction(2), Fraction(2)):
-        report.kind = NORMAL_CROSSINGS_2
-        return report
-    if len(finite) == 3 and finite[:2] == (Fraction(2), Fraction(2)) \
-            and finite[2].denominator == 1:
-        report.kind = A_CLASS
-        report.index = int(finite[2]) - 1
-        report.milnor = milnor_number(f, degree_bound)
-        if report.milnor != report.index:
-            report.kind = OTHER_CLASS
-            report.diagnostics.append(
-                f"invariant says A({int(finite[2]) - 1}) but Milnor number is {report.milnor}")
-            report.index = None
-        return report
-    if finite == (Fraction(2), Fraction(3), Fraction(3)):
-        # a finite Milnor number certifies isolatedness, an unbounded one a
-        # line in the singular locus (see is_isolated_singularity)
-        report.milnor = milnor_number(f, degree_bound)
-        if isinstance(report.milnor, int):
-            if report.milnor >= 4:
-                report.kind = D_CLASS
-                report.index = report.milnor
-            else:
-                report.diagnostics.append(
-                    f"isolated with invariant (2,3,3) but Milnor number {report.milnor}")
-            return report
-        if report.milnor == UNBOUNDED:
+    prepared, steps, morse, root_type = _prepare(f)
+    report = SingularityClass(OTHER_CLASS, certification_bound=degree_bound,
+                              preparation=steps)
+    if len(morse) == 3:
+        report.kind, report.index, report.milnor = A_CLASS, 1, 1
+    elif len(morse) == 2:
+        mu = report.milnor = milnor_number(prepared, degree_bound)
+        if isinstance(mu, int):
+            report.kind, report.index = A_CLASS, mu
+        elif mu == UNBOUNDED:
+            report.kind = NORMAL_CROSSINGS_2
+        else:
+            report.diagnostics.append(f"Hessian rank 2 but Milnor number {mu}")
+    elif root_type == ZERO_CUBIC:
+        report.diagnostics.append(
+            "the cubic vanishes on the Hessian kernel: not a simple singularity")
+    elif root_type is not None:
+        mu = report.milnor = milnor_number(prepared, degree_bound)
+        if root_type == DISTINCT_ROOTS:
+            report.kind, report.index = D_CLASS, 4
+        elif root_type == DOUBLE_ROOT and isinstance(mu, int) and mu >= 4:
+            report.kind, report.index = D_CLASS, mu
+        elif root_type == DOUBLE_ROOT and mu == UNBOUNDED:
             report.kind = WHITNEY_UMBRELLA
-            return report
-        report.diagnostics.append("isolatedness indeterminate at the degree bound")
+        elif root_type == TRIPLE_ROOT and mu in (6, 7, 8):
+            report.kind = {6: E6, 7: E7, 8: E8}[mu]
+        else:
+            report.diagnostics.append(f"cubic with a {root_type} root but Milnor number {mu}")
+    else:
+        report.diagnostics.append("the 2-jet vanishes: not a simple singularity")
+
+    try:
+        found: Optional[MonomialCentreResult] = max_monomial_centre(prepared)
+    except ValueError:
+        found = None
+    if report.kind == OTHER_CLASS:
+        if found is None:
+            report.diagnostics.append("no admissible monomial centre")
+        else:
+            report.invariant, report.witness_centre = found.invariant, found.centre
         return report
-    table = {(Fraction(2), Fraction(3), Fraction(4)): E6,
-             (Fraction(2), Fraction(3), Fraction(9, 2)): E7,
-             (Fraction(2), Fraction(3), Fraction(5)): E8}
-    if finite in table:
-        report.kind = table[finite]
-        report.milnor = milnor_number(f, degree_bound)
-        return report
-    report.diagnostics.append("invariant not below (2,3,6)")
+    report.invariant = _class_invariant(report.kind, report.index)
+    if found is not None and found.invariant.entries == report.invariant.entries:
+        report.witness_centre = found.centre
+    else:
+        reached = "none" if found is None else f"({found.invariant})"
+        report.diagnostics.append(
+            f"no monomial centre of the prepared form reaches ({report.invariant}): "
+            f"best {reached}")
     return report
 
 
@@ -488,8 +600,17 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point,
     sigma0 = sigma.translate(point)
     f0 = f.translate(point)
     report = TripleReport(point=point)
+    surface = classify_surface(f0, degree_bound)
+    report.surface_class = surface
+    prepared_f = f0
+    prepared_sigma = sigma0
+    for name, shift in surface.preparation:
+        prepared_f = _shear(prepared_f, (name, shift))
+        prepared_sigma = shear_polyvector(prepared_sigma, name, -shift)
 
-    coefficients = list(sigma0.terms.values())
+    # isolatedness does not depend on the coordinates; in the prepared ones
+    # a zero line straightened onto an axis is found
+    coefficients = list(prepared_sigma.terms.values())
     isolated, _ = local_dimension_is_zero(coefficients, degree_bound) \
         if coefficients else (False, None)
     report.isolated_sigma_zero = bool(isolated)
@@ -497,19 +618,9 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point,
         report.diagnostics.append("isolatedness of the bivector zero is indeterminate")
         report.duval = None
         return report
-
-    surface = classify_surface(f0, degree_bound)
-    report.surface_class = surface
     if not (isolated and surface.is_du_val()):
         report.duval = False
         return report
-
-    prepared_f = f0
-    prepared_sigma = sigma0
-    for name, shift in surface.preparation:
-        prepared_f = prepared_f.substitute(
-            {name: Poly.var(f0.variables, name) + shift})
-        prepared_sigma = shear_polyvector(prepared_sigma, name, -shift)
 
     exponents = class_exponents(surface.kind, surface.index)
     variables = f0.variables

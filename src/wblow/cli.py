@@ -50,6 +50,11 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
+# upper limits of the work flags: `milnor --bound 40` takes about 2 s on a
+# germ that has not stabilised by then
+MAX_DEGREE_BOUND = 40
+MAX_RESOLVE_STEPS = 64
+
 
 def _emit(report: dict, human_lines: Sequence[str], machine: bool) -> None:
     if machine:
@@ -88,6 +93,16 @@ def _with_cap(value, cap: Optional[int]):
     if isinstance(value, Poly):
         return value.with_cap(cap)
     return value.map_coefficients(lambda c: c.with_cap(cap))
+
+
+def _count_up_to(limit: int):
+    """An argparse type: an integer from 0 to ``limit``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if not 0 <= value <= limit:
+            raise argparse.ArgumentTypeError(f"{value} is not between 0 and {limit}")
+        return value
+    return count
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -132,9 +147,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add("validate-invariant", expr="comma list, e.g. '2,3,4.5'", vars_flag=False)
     add("classify", expr="surface equation in three variables")
     milnor_parser = add("milnor", expr="polynomial vanishing at the origin")
-    milnor_parser.add_argument("--bound", type=int, default=12)
+    milnor_parser.add_argument("--bound", type=_count_up_to(MAX_DEGREE_BOUND),
+                               default=12)
     resolve_parser = add("resolve-curve", expr="squarefree plane-curve equation")
-    resolve_parser.add_argument("--max-steps", type=int, default=6)
+    resolve_parser.add_argument("--max-steps", type=_count_up_to(MAX_RESOLVE_STEPS),
+                                default=6)
     select_parser = add("select-centre", sigma=True)
     select_parser.add_argument("--curve", action="append", default=[],
                                help="curve generator (repeat for a pair); "

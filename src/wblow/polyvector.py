@@ -345,7 +345,7 @@ def shear_polyvector(sigma: Polyvector, name: str, shift: Poly) -> Polyvector:
     ``shift`` must not involve ``name``.  Functions transport by substituting
     ``name`` -> u - shift; brackets of the new coordinates are computed from
     the old ones, so the transport matches the substitution
-    f -> f.substitute({name: name + shift}) applied to functions:
+    f -> f.substitute({name: name - shift}) applied to functions:
     transporting x @y^@z through u = x + A turns (x + A) @y^@z into u @y^@z.
     """
     if shift.variables != sigma.variables:

@@ -36,6 +36,8 @@ from math import gcd as _int_gcd
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 MAX_VARIABLES = 8
+# largest power the parser expands: (x + y + z)^64 already has 2145 terms
+MAX_EXPONENT = 64
 
 Exponent = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -823,7 +825,11 @@ class _ExprParser:
         if self.peek()[0] == "^":
             self.advance()
             power_token = self.expect("int")
-            base = base ** int(power_token[1])
+            exponent = int(power_token[1])
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
+                                 power_token[2])
+            base = base ** exponent
         return base, []
 
     def parse_wedge(self) -> Tuple[Poly, List[int]]:

@@ -15,7 +15,13 @@ from wblow.polyvector import (
 )
 from wblow.centre import Centre
 from wblow.classify import (
+    DOUBLE_ROOT,
+    DISTINCT_ROOTS,
     DUVAL_EQUATIONS,
+    TRIPLE_ROOT,
+    ZERO_CUBIC,
+    _prepare,
+    binary_cubic_type,
     classify_surface,
     class_exponents,
     detect_duval_point,
@@ -127,8 +133,7 @@ def test_classify_table():
 
 
 def test_classify_stable_under_catalogue_shears(rng):
-    # a single random integer shear from the preparation catalogue must not
-    # change the class (A and E rows; D rows recovered via the Milnor number)
+    # a single random integer shear must not change the class
     targets = [("x^2 + y^2 + z^4", "A3"), ("x^2 + y^3 + z^4", "E6"),
                ("x^2 + y^3 + z^5", "E8"), ("x^2 + y^2*z + z^4", "D5"),
                ("x^2 - y^2*z", "whitney_umbrella")]
@@ -146,6 +151,135 @@ def test_classify_hidden_square():
     # (x + y^2)^2 + z^3 is a cuspidal edge, not in the small list
     f = parse_poly("(x + y^2)^2 + z^3", V3)
     assert classify_surface(f).label() == "other"
+
+
+def test_classify_exact_invariants():
+    # the invariant comes from the class, not from a monomial lower bound;
+    # D5 keeps (2,3,3) although its exponents (2,8/3,4) sort lex below it
+    for text, invariant, witness in [
+            ("x*y", "2,2", "x:2 y:2 z:inf"),
+            ("x^2 + y^2 + z^2", "2,2,2", "x:2 y:2 z:2"),
+            ("x^2 + y^2 + z^4", "2,2,4", "x:2 y:2 z:4"),
+            ("x^2 + y^2*z + z^4", "2,3,3", "x:2 y:3 z:3"),
+            ("x^2 - y^2*z", "2,3,3", "x:2 y:3 z:3"),
+            ("x^2 + y^3 + y*z^3", "2,3,9/2", "x:2 y:3 z:9/2")]:
+        result = classify_surface(parse_poly(text, V3))
+        assert str(result.invariant) == invariant, text
+        assert str(result.witness_centre) == witness, text
+
+
+def test_classify_prepares_normal_forms_by_the_identity():
+    forms = [DUVAL_EQUATIONS["A"](n, V3) for n in (1, 2, 5)] \
+        + [DUVAL_EQUATIONS["D"](n, V3) for n in (4, 5, 9)] \
+        + [DUVAL_EQUATIONS[e](None, V3) for e in ("E6", "E7", "E8")] \
+        + [parse_poly("x^2 - y^2*z", V3)]
+    for f in forms:
+        assert classify_surface(f).preparation == [], f
+
+
+def test_classify_witness_withheld_below_exact_invariant():
+    # an A5 germ whose square cannot be completed in one step (the x^3 term):
+    # the monomial centre of the prepared form only reaches (2,2,4)
+    result = classify_surface(parse_poly("(x + z^2)^2 + y^2 + z^10 + x^3", V3))
+    assert result.label() == "A5" and str(result.invariant) == "2,2,6"
+    assert result.witness_centre is None
+    assert result.diagnostics == [
+        "no monomial centre of the prepared form reaches (2,2,6): best (2,2,4)"]
+
+
+@pytest.mark.parametrize("text, label", [
+    ("x^2 + (y + 7*z)^3 + z^5", "E8"),
+    ("x^2 + (2*y + 3*z)^3 + z^5", "E8"),
+    ("x^2 + (y + 7*z)^3 + z^4", "E6"),
+    ("x^2 + (y + 7*z)^3 + (y + 7*z)*z^3", "E7"),
+])
+def test_classify_off_catalogue_e_germs(text, label):
+    # linear changes outside the integer shears -3..3 once read as type D
+    f = parse_poly(text, V3)
+    report = detect_duval_point(jacobian_poisson(f), f, ORIGIN)
+    assert report.surface_class.label() == label
+    assert report.surface_class.invariant.entries == class_exponents(label)
+    assert report.duval is True
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _random_gl3(rng):
+    """An invertible rational matrix with some entry outside -3..3."""
+    entries = (-5, -4, 4, 5, F(-1, 2), -1, 0, 0, 1, 1, 2)
+    while True:
+        m = [[F(rng.choice(entries)) for _ in range(3)] for _ in range(3)]
+        if _det3(m) != 0 and any(abs(e) > 3 for row in m for e in row):
+            return m
+
+
+def _linear_change(f, m):
+    images = {V3[i]: sum((Poly.var(V3, V3[j]).scale(m[i][j]) for j in range(3)),
+                         Poly.zero(V3))
+              for i in range(3)}
+    return f.substitute(images)
+
+
+ADE_FORMS = ([("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
+             + [(e, None) for e in ("E6", "E7", "E8")])
+
+
+@pytest.mark.parametrize("family, n", ADE_FORMS,
+                         ids=[f"{family}{n or ''}" for family, n in ADE_FORMS])
+def test_duval_forms_under_random_linear_change(family, n):
+    label = f"{family}{n or ''}"
+    g = _linear_change(DUVAL_EQUATIONS[family](n, V3), _random_gl3(random.Random(label)))
+    report = detect_duval_point(jacobian_poisson(g), g, ORIGIN)
+    assert report.surface_class.label() == label
+    assert report.duval is True
+
+
+@pytest.mark.parametrize("text, label", [("x^2 - y^2*z", "whitney_umbrella"),
+                                         ("x*y", "normal_crossings_2")])
+@pytest.mark.parametrize("seed", range(3))
+def test_non_isolated_forms_under_random_linear_change(text, label, seed):
+    # the singular line moves off the integer directions; the preparation
+    # straightens it onto an axis, where the line certificate finds it
+    g = _linear_change(parse_poly(text, V3), _random_gl3(random.Random(f"{label}{seed}")))
+    result = classify_surface(g)
+    assert result.label() == label
+    assert result.milnor == "unbounded"
+
+
+def _quasi_homogeneous_weights(f):
+    """Weights w with sum w_i e_i = 1 on the three support monomials (Cramer)."""
+    rows = [list(map(F, e)) for e in sorted(f.terms)]
+    return [_det3([row[:i] + [F(1)] + row[i + 1:] for row in rows]) / _det3(rows)
+            for i in range(3)]
+
+
+@pytest.mark.parametrize("family, n", ADE_FORMS,
+                         ids=[f"{family}{n or ''}" for family, n in ADE_FORMS])
+def test_milnor_orlik_formula(family, n):
+    # Milnor-Orlik: a quasi-homogeneous isolated germ of weights w has
+    # mu = prod(1/w_i - 1)
+    f = DUVAL_EQUATIONS[family](n, V3)
+    mu = 1
+    for w in _quasi_homogeneous_weights(f):
+        mu *= 1 / w - 1
+    assert milnor_number(f) == mu
+    result = classify_surface(f)
+    assert result.milnor == mu
+    assert result.label() == f"{family}{n or ''}"
+    assert (result.index or int(family[1])) == mu
+
+
+def test_binary_cubic_types():
+    V = ("v", "w")
+    for text, kind, factor in [("0", ZERO_CUBIC, None), ("v^3 - v*w^2", DISTINCT_ROOTS, None),
+                               ("v^2*w", DOUBLE_ROOT, (2, 0)), ("v*w^2", DOUBLE_ROOT, (0, 1)),
+                               ("(v + 2*w)^3", TRIPLE_ROOT, (3, 6)), ("w^3", TRIPLE_ROOT, (0, 1)),
+                               ("v^3 + w^3", DISTINCT_ROOTS, None)]:
+        assert binary_cubic_type(parse_poly(text, V)) == (kind, factor), text
 
 
 def test_classify_requires_vanishing():
@@ -286,3 +420,81 @@ def test_line_restriction_matches_substitution(variables, seed):
                 on_lines.append(direction)
         expected = on_lines[0] if on_lines and not h.is_zero() else None
         assert line_in_zero_locus([h]) == expected
+
+
+# --- the determinator's jets against sympy ---------------------------------------------------
+
+def _random_linear(rng):
+    return sum((Poly.var(V3, v).scale(rng.randint(-3, 3)) for v in V3), Poly.zero(V3))
+
+
+def _random_cubic(rng, kind):
+    L, M, N = _random_linear(rng), _random_linear(rng), _random_linear(rng)
+    return {"product": L * M * N, "double": L * L * M, "triple": L ** 3, "zero": Poly.zero(V3),
+            "random": Poly(V3, {e: c for e, c in random_poly(rng, V3, 3, 12).terms.items()
+                                if sum(e) == 3})}[kind]
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("kind", ["product", "double", "triple", "zero", "random"])
+@pytest.mark.parametrize("rank", range(4))
+def test_determinator_jets_against_sympy(rank, kind, seed):
+    # a 2-jet of at most the given rank, a cubic of the given shape, and
+    # random higher terms
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"{rank}{kind}{seed}")
+    quadratic = sum((_random_linear(rng) ** 2).scale(rng.choice((1, -1, 2)))
+                    for _ in range(rank))
+    cubic = _random_cubic(rng, kind)
+    higher = Poly(V3, {e: c for e, c in random_poly(rng, V3, 5, 6).terms.items()
+                       if sum(e) >= 4})
+    f = quadratic + cubic + higher
+    if f.is_zero() or f.min_total_degree() < 2:
+        return
+    _, _, morse, root_type = _prepare(f)
+
+    symbols = sympy.symbols("x y z")
+    expression = sympy.sympify(str(f).replace("^", "**"), locals=dict(zip(V3, symbols)))
+    hessian = sympy.hessian(expression, symbols).subs(dict.fromkeys(symbols, 0))
+    assert len(morse) == hessian.rank()
+    if hessian.rank() != 1:
+        assert root_type is None
+        return
+    # restrict the cubic part to the kernel, parametrised by s*k1 + t*k2
+    s, t = sympy.symbols("s t")
+    k1, k2 = hessian.nullspace()
+    point = dict(zip(symbols, [s * a + t * b for a, b in zip(k1, k2)]))
+    cubic_part = sympy.Add(*[c * sympy.prod(v ** e for v, e in zip(symbols, m))
+                             for m, c in sympy.Poly(expression, *symbols).terms()
+                             if sum(m) == 3])
+    binary = sympy.expand(cubic_part.subs(point, simultaneous=True))
+    if binary == 0:
+        assert root_type == ZERO_CUBIC
+        return
+    multiplicity = max(m for _, m in sympy.factor_list(binary, s, t)[1])
+    assert root_type == {1: DISTINCT_ROOTS, 2: DOUBLE_ROOT, 3: TRIPLE_ROOT}[multiplicity]
+    for u, v in ((s, t), (t, s)):
+        dehomogenised = sympy.Poly(binary.subs(v, 1), u)
+        if dehomogenised.degree() == 3:
+            assert (sympy.discriminant(dehomogenised) != 0) == (root_type == DISTINCT_ROOTS)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_binary_cubic_factor_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    V = ("v", "w")
+    L = Poly(V, {(1, 0): rng.randint(-4, 4), (0, 1): rng.randint(-4, 4)})
+    M = Poly(V, {(1, 0): rng.randint(-4, 4), (0, 1): rng.randint(-4, 4)})
+    N = Poly(V, {(1, 0): rng.randint(-4, 4), (0, 1): rng.randint(-4, 4)})
+    cubic = (L * M * N, L * L * M, L ** 3)[seed % 3]
+    if cubic.is_zero():
+        return
+    kind, factor = binary_cubic_type(cubic)
+    v, w = sympy.symbols("v w")
+    expression = sympy.sympify(str(cubic).replace("^", "**"), locals={"v": v, "w": w})
+    multiplicity = max(m for _, m in sympy.factor_list(expression, v, w)[1])
+    assert kind == {1: DISTINCT_ROOTS, 2: DOUBLE_ROOT, 3: TRIPLE_ROOT}[multiplicity]
+    if factor is not None:
+        linear = factor[0] * v + factor[1] * w
+        assert sympy.rem(expression, linear ** multiplicity, v) == 0

@@ -1,8 +1,11 @@
 """Command-line interface: examples, exit codes, machine output."""
 
 import json
+import time
 
-from wblow.cli import main
+import pytest
+
+from wblow.cli import MAX_DEGREE_BOUND, MAX_RESOLVE_STEPS, main
 
 
 def run(capsys, *argv):
@@ -31,6 +34,19 @@ def test_check_centre_negative_verdict(capsys):
     assert "codegenerate: False" in out
 
 
+@pytest.mark.parametrize("text, label", [
+    ("x^2 + (y + 7*z)^3 + z^5", "E8"),
+    ("x^2 + (2*y + 3*z)^3 + z^5", "E8"),
+    ("x^2 + (y + 7*z)^3 + z^4", "E6"),
+    ("x^2 + (y + 7*z)^3 + (y + 7*z)*z^3", "E7"),
+])
+def test_classify_off_catalogue_e_germs(capsys, text, label):
+    # E-type germs under a linear change outside the integer shears -3..3
+    code, out, _ = run(capsys, "--machine", "classify", text)
+    assert code == 0
+    assert json.loads(out)["class"] == label
+
+
 def test_classify_example(capsys):
     code, out, _ = run(capsys, "classify", "x^2 + y^3 + y*z^3")
     assert code == 0
@@ -41,6 +57,26 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "order", "--centre", "x:2 y:3", "2x")
     assert code == 2
     assert "implicit multiplication" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "x^99999999999 + y^2"),
+    ("classify", "z^2 + (x + y)^99"),
+    ("milnor", "--bound", str(MAX_DEGREE_BOUND + 1), "x^2 + y^2 + z^2"),
+    ("milnor", "--bound", "99999999999", "x^2 + y^2 + z^2"),
+    ("resolve-curve", "--max-steps", str(MAX_RESOLVE_STEPS + 1), "y^2 - x^3"),
+    ("resolve-curve", "--max-steps", "-1", "y^2 - x^3"),
+], ids=["huge exponent", "exponent 99", "bound", "huge bound", "steps", "negative steps"])
+def test_input_limits_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, _, _ = run(capsys, *argv)
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+
+
+def test_input_limits_accepted():
+    assert main(["milnor", "--bound", str(MAX_DEGREE_BOUND), "x^2 + y^2 + z^2"]) == 0
+    assert main(["resolve-curve", "--max-steps", "0", "y^2 - x^3"]) == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -108,11 +144,20 @@ def test_select_centre_cli(capsys):
 
 
 def test_select_centre_refusal_exit(capsys):
+    # refused at the tangency check: the bivector is not tangent to the curve
     code, _, err = run(capsys, "select-centre",
                        "--sigma", "x*@y^@z + y*@x^@z",
                        "--curve", "x", "--curve", "y^2 - z^3")
     assert code == 3
     assert "refused" in err
+
+
+def test_select_centre_heisenberg_refusal_exit(capsys):
+    # tangent, but not in the Heisenberg normal form (x + A) @y^@z + ...
+    code, _, err = run(capsys, "select-centre", "--sigma", "2*x*@y^@z",
+                       "--curve", "x", "--curve", "y^2 - z^3")
+    assert code == 3
+    assert "Heisenberg slot has coefficient 2" in err
 
 
 def test_select_centre_terminal_prints_no_verdict(capsys):

@@ -158,10 +158,19 @@ def test_select_31_nonnilpotent_terminal():
 
 
 def test_select_31_refuses_unrecognised():
-    # two independent linear slots: not a Heisenberg normal form
+    # not tangent to the curve: refused at the tangency check, before any
+    # attempt to recognise a normal form
     sigma = parse_polyvector("x*@y^@z + y*@x^@z", V3)
     generators = [parse_poly("x", V3), parse_poly("y^2 - z^3", V3)]
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match="not tangent"):
+        select_centre_31(sigma, generators)
+
+
+def test_select_31_refuses_scaled_heisenberg_slot():
+    # tangent to the curve, but the Heisenberg slot carries 2*x, not x
+    sigma = parse_polyvector("2*x*@y^@z", V3)
+    generators = [parse_poly("x", V3), parse_poly("y^2 - z^3", V3)]
+    with pytest.raises(RefusalError, match="Heisenberg slot has coefficient 2"):
         select_centre_31(sigma, generators)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wblow.ring import (
     INF,
+    MAX_EXPONENT,
     ParseError,
     Poly,
     divides,
@@ -74,6 +75,13 @@ def test_parse_unknown_variable_offset():
     with pytest.raises(ParseError) as err:
         parse_poly("x + w", V2)
     assert err.value.offset == 4
+
+
+def test_parse_exponent_limit():
+    assert parse_poly(f"x^{MAX_EXPONENT}", V2).degree_in("x") == MAX_EXPONENT
+    with pytest.raises(ParseError, match="exceeds the limit") as err:
+        parse_poly(f"y + x^{MAX_EXPONENT + 1}", V2)
+    assert err.value.offset == 6
 
 
 def test_parse_rationals_and_unary_minus():
