@@ -31,7 +31,7 @@ from .polyvector import (
     linearize,
     parse_polyvector,
     schouten,
-    shear_polyvector,
+    shear,
     wedge,
 )
 from .centre import Centre, WeightData, parse_centre

@@ -37,7 +37,7 @@ from .polyvector import (
     is_tangent,
     jacobian_poisson,
     linearize,
-    shear_polyvector,
+    shear,
     wedge,
 )
 from .centre import Centre
@@ -260,11 +260,6 @@ def _homogeneous_part(f: Poly, degree: int) -> Poly:
     return Poly(f.variables, {e: c for e, c in f.terms.items() if sum(e) == degree})
 
 
-def _shear(f: Poly, step: Tuple[str, Poly]) -> Poly:
-    name, shift = step
-    return f.substitute({name: Poly.var(f.variables, name) + shift})
-
-
 def _complete_square(f: Poly) -> Optional[Tuple[Poly, Tuple[str, Poly]]]:
     """One exact Morse step: kill the linear-in-u part when f is quadratic in u."""
     if f.min_total_degree() != 2:
@@ -275,7 +270,7 @@ def _complete_square(f: Poly) -> Optional[Tuple[Poly, Tuple[str, Poly]]]:
         found = subleading_shift(f, name)
         if found is not None:
             step = (name, found[0])
-            return _shear(f, step), step
+            return shear(f, *step), step
     return None
 
 
@@ -300,11 +295,11 @@ def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
             exponent = min(q.terms)
             source, pivot = [v for v, e in zip(variables, exponent) if e]
             steps.append((source, Poly.var(variables, pivot)))
-            q = _shear(q, steps[-1])
+            q = shear(q, *steps[-1])
         found = subleading_shift(q, pivot)
         if found is not None:
             steps.append((pivot, found[0]))
-            q = _shear(q, steps[-1])
+            q = shear(q, *steps[-1])
         morse.append(pivot)
         q = Poly(variables, {e: c for e, c in q.terms.items()
                              if e[variables.index(pivot)] == 0})
@@ -370,7 +365,7 @@ def _prepare(f: Poly) -> Tuple[Poly, List[Tuple[str, Poly]], List[str], Optional
     if len(morse) == 1:
         cubic = _homogeneous_part(f, 3)
         for step in steps:
-            cubic = _shear(cubic, step)
+            cubic = shear(cubic, *step)
         pivot = variables.index(morse[0])
         kernel = tuple(v for v in variables if v != morse[0])
         on_kernel = Poly(kernel, {e[:pivot] + e[pivot + 1:]: c
@@ -382,7 +377,7 @@ def _prepare(f: Poly) -> Tuple[Poly, List[Tuple[str, Poly]], List[str], Optional
                           Poly.var(variables, kernel[1]).scale(-factor[1] / factor[0])))
     prepared = f
     for step in steps:
-        prepared = _shear(prepared, step)
+        prepared = shear(prepared, *step)
     completed = _complete_square(prepared)
     if completed is not None:
         prepared, step = completed
@@ -605,8 +600,8 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point,
     prepared_f = f0
     prepared_sigma = sigma0
     for name, shift in surface.preparation:
-        prepared_f = _shear(prepared_f, (name, shift))
-        prepared_sigma = shear_polyvector(prepared_sigma, name, -shift)
+        prepared_f = shear(prepared_f, name, shift)
+        prepared_sigma = shear(prepared_sigma, name, shift)
 
     # isolatedness does not depend on the coordinates; in the prepared ones
     # a zero line straightened onto an axis is found

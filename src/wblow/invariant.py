@@ -12,10 +12,11 @@ Two computable lower bounds for the invariant of an ideal are provided:
 * :func:`max_monomial_centre` maximises over centres that are monomial in the
   given coordinates (exact maximum over that restricted family, a lex lower
   bound for the true coordinate-free invariant);
-* :func:`plane_curve_invariant` prepares a plane-curve germ (linear change to
-  expose the multiplicity, then a shift killing the subleading coefficient)
-  and reads the second exponent off the Newton polygon.  Exact for
-  multiplicity two; a certified lower bound beyond that.
+* :func:`plane_curve_invariant` prepares a plane-curve germ (a shear that
+  exposes the pure power of the multiplicity, then a shift killing the
+  subleading coefficient) and takes the maximal monomial centre of the
+  prepared germ.  Exact for multiplicity two; a certified lower bound beyond
+  that.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ring import INF, ExtRational, Poly, format_ext, is_infinite, parse_ext
 from .centre import Centre
+from .polyvector import shear
 
 VALID = "valid"
 INVALID = "invalid"
@@ -293,14 +295,10 @@ def max_monomial_centre(f: Union[Poly, Sequence[Poly]]) -> MonomialCentreResult:
 @dataclass
 class PlaneCurveInvariant:
     invariant: InvariantSeq
-    main_variable: str            # the prepared multiplicity direction
+    centre: Centre                # the maximal monomial centre of the prepared germ
     prepared: Poly                # the germ after preparation
     preparation_log: List[str]
     exact: bool                   # exact for multiplicity two, else lower bound
-
-
-# the integer shears v -> v + c*w tried when preparing a germ
-SHEAR_COEFFICIENTS = (1, -1, 2, -2, 3, -3)
 
 
 def subleading_shift(f: Poly, name: str) -> Optional[Tuple[Poly, Poly, Fraction]]:
@@ -323,16 +321,16 @@ def subleading_shift(f: Poly, name: str) -> Optional[Tuple[Poly, Poly, Fraction]
 
 
 def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
-    """Invariant (a_1, a_2) of a plane-curve germ at the origin.
+    """Invariant (a_1, a_2) of a plane-curve germ at the origin, with its centre.
 
-    a_1 is the multiplicity d.  The germ is prepared so that some variable u
-    has u^d in its support (searching a small catalogue of integer shears if
-    necessary); when f is monic of degree d in u, the shift
+    a_1 is the multiplicity d.  The germ is prepared in two steps: a shear
+    v -> v + c*u exposes u^d when neither pure power of degree d occurs, and
+    when the germ is monic of degree d in u the shift
     u -> u - (coefficient of u^(d-1))/d removes the subleading coefficient
-    exactly.  Then a_2 is the largest exponent keeping every remaining
-    monomial u^i v^j (i < d) at weighted order >= 1, namely
-    min j*d/(d-i).  Exact for d = 2 (completing the square); flagged as a
-    certified lower bound for d >= 3.
+    exactly.  The invariant and the centre are then those of
+    :func:`max_monomial_centre` of the prepared germ: with u^d present,
+    a_2 = min j*d/(d-i) over the monomials u^i v^j with i < d.  Exact for
+    d = 2 (completing the square); flagged as a lower bound for d >= 3.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no invariant")
@@ -344,64 +342,31 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
     log: List[str] = []
     d = f.min_total_degree()
     u, v = f.variables
-
-    def pure_power_variable(g: Poly) -> Optional[str]:
-        for name in g.variables:
-            exponent = tuple(d if w == name else 0 for w in g.variables)
-            if exponent in g.terms:
-                return name
-        return None
-
     work = f
-    main = pure_power_variable(work)
+    powers = [name for name in f.variables
+              if tuple(d if w == name else 0 for w in f.variables) in f.terms]
+    # prefer a variable of degree d, in which the subleading shift can apply
+    main = next((name for name in powers if f.degree_in(name) == d),
+                powers[0] if powers else None)
     if main is None:
-        for target, source in ((u, v), (v, u)):
-            for c in SHEAR_COEFFICIENTS:
-                image = Poly.var(f.variables, source) + Poly.var(f.variables, target).scale(c)
-                sheared = work.substitute({source: image})
-                if pure_power_variable(sheared) is not None:
-                    work = sheared
-                    main = pure_power_variable(sheared)
-                    log.append(f"shear {source} -> {source} + {c}*{target}")
-                    break
-            if main is not None:
-                break
-    if main is None:
-        # no catalogue member exposes the multiplicity; fall back to the
-        # monomial bound in the given coordinates
-        result = max_monomial_centre(f)
-        log.append("preparation failed; monomial lower bound returned")
-        return PlaneCurveInvariant(result.invariant, u, f, log, exact=False)
+        # v -> v + c*u gives u^d the coefficient h(1, c), h the tangent cone:
+        # a nonzero polynomial in c of degree at most d with the root c = 0,
+        # so one of the first d nonzero integers 1, -1, 2, -2, ... works
+        cone = [(e[1], a) for e, a in f.terms.items() if sum(e) == d]
+        c = next(c for k in range(1, d + 1) for c in (k, -k)
+                 if sum(a * c ** j for j, a in cone) != 0)
+        work = shear(f, v, Poly.var(f.variables, u).scale(c))
+        main = u
+        log.append(f"shear {v} -> {v} + {c}*{u}")
 
-    other = v if main == u else u
     found = subleading_shift(work, main) if work.degree_in(main) == d else None
     if found is not None:
         shift, sub, divisor = found
-        work = work.substitute({main: Poly.var(work.variables, main) + shift})
+        work = shear(work, main, shift)
         log.append(f"shift {main} -> {main} - ({sub})/{divisor}")
 
-    main_index = work.variables.index(main)
-    other_index = work.variables.index(other)
-    candidates = []
-    for exponent in work.terms:
-        i, j = exponent[main_index], exponent[other_index]
-        if i < d:
-            candidates.append(Fraction(j * d, d - i))
-    if not candidates:
-        sequence = validate_invariant(InvariantSeq((Fraction(d),)))
+    result = max_monomial_centre(work)
+    if result.invariant.length() == 1:
         log.append("no monomial off the pure power; length-one invariant")
-        return PlaneCurveInvariant(sequence, main, work, log, exact=False)
-    a2 = min(candidates)
-    sequence = validate_invariant(InvariantSeq((Fraction(d), a2)))
-    return PlaneCurveInvariant(sequence, main, work, log, exact=(d == 2))
-
-
-def centre_from_plane_invariant(result: PlaneCurveInvariant,
-                                variables: Sequence[str]) -> Centre:
-    """The weighted centre (u^(a_1), v^(a_2)) attached to a prepared invariant."""
-    entries = result.invariant.entries
-    a1 = entries[0]
-    a2 = entries[1] if len(entries) > 1 else INF
-    variables = tuple(variables)
-    exponents = tuple(a1 if name == result.main_variable else a2 for name in variables)
-    return Centre(variables, exponents)
+    exact = d == 2 and result.invariant.length() == 2
+    return PlaneCurveInvariant(result.invariant, result.centre, work, log, exact)

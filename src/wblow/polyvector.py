@@ -339,46 +339,42 @@ def is_tangent(xi: Polyvector, f: Poly) -> bool:
     return all(divides(f, coeff) is not None for coeff in contraction.terms.values())
 
 
-def shear_polyvector(sigma: Polyvector, name: str, shift: Poly) -> Polyvector:
-    """Transport a polyvector to the chart where u = ``name`` + ``shift`` is a coordinate.
+def shear(value: Union[Poly, Polyvector], name: str,
+          shift: Poly) -> Union[Poly, Polyvector]:
+    """The change of coordinates ``name`` -> ``name`` + ``shift``.
 
-    ``shift`` must not involve ``name``.  Functions transport by substituting
-    ``name`` -> u - shift; brackets of the new coordinates are computed from
-    the old ones, so the transport matches the substitution
-    f -> f.substitute({name: name - shift}) applied to functions:
-    transporting x @y^@z through u = x + A turns (x + A) @y^@z into u @y^@z.
+    ``shift`` must not involve ``name``.  A function is substituted; a
+    bivector is transported to the chart of the new coordinate
+    u = ``name`` - ``shift``, its brackets computed from the old ones and
+    then substituted, so that shear(jacobian_poisson(f)) equals
+    jacobian_poisson(shear(f)) (the change has Jacobian one).
     """
-    if shift.variables != sigma.variables:
+    if shift.variables != value.variables:
         raise ValueError("shift chart does not match")
     if shift.degree_in(name) > 0:
         raise ValueError(f"shift may not involve the sheared variable {name!r}")
-    variables = sigma.variables
+    variables = value.variables
+    image = {name: Poly.var(variables, name) + shift}
+    if isinstance(value, Poly):
+        return value.substitute(image)
+    if value.degree != 2:
+        raise ValueError("shear transport is implemented for bivectors")
     index = variables.index(name)
-    back = {name: Poly.var(variables, name) - shift}
+    slopes = [(m, shift.diff(v)) for m, v in enumerate(variables)]
+    slopes = [(m, d) for m, d in slopes if not d.is_zero()]
 
-    # {u_k, u_l} in old coordinates, with u_index = x_index + shift and u_k = x_k
-    def old_bracket(k: int, l: int) -> Poly:
-        total = sigma.bracket_of_coordinates(k, l)
-        if k == index:
-            for m, v in enumerate(variables):
-                d = shift.diff(v)
-                if not d.is_zero():
-                    total = total + d * sigma.bracket_of_coordinates(m, l)
-        if l == index:
-            for m, v in enumerate(variables):
-                d = shift.diff(v)
-                if not d.is_zero():
-                    total = total + d * sigma.bracket_of_coordinates(k, m)
+    def bracket(k: int, l: int) -> Poly:
+        """{u_k, u_l} in the old coordinates; only u_index differs from x_index."""
+        total = value.bracket_of_coordinates(k, l)
+        for m, d in slopes:
+            if k == index:
+                total = total - d * value.bracket_of_coordinates(m, l)
+            if l == index:
+                total = total - d * value.bracket_of_coordinates(k, m)
         return total
 
-    if sigma.degree != 2:
-        raise ValueError("shear transport is implemented for bivectors")
-    terms: Dict[IndexTuple, Poly] = {}
-    for k in range(len(variables)):
-        for l in range(k + 1, len(variables)):
-            coeff = old_bracket(k, l).substitute(back)
-            if not coeff.is_zero():
-                terms[(k, l)] = coeff
+    terms = {(k, l): bracket(k, l).substitute(image)
+             for k in range(len(variables)) for l in range(k + 1, len(variables))}
     return Polyvector(2, variables, terms)
 
 

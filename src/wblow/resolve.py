@@ -1,8 +1,8 @@
 """Resolution drivers.
 
 :func:`resolve_plane_curve` carries out embedded resolution of a plane curve
-germ by weighted blowups: locate rational singular points, read the invariant
-off the prepared Newton polygon, blow up the corresponding weighted centre,
+germ by weighted blowups: locate rational singular points, take the invariant
+and the centre of the prepared germ, blow up that weighted centre,
 pass to the slice charts, and recurse on the strict transforms.  The
 invariant strictly decreases along every edge of the resulting chart tree and
 every leaf is certified smooth (or the step budget is exhausted).
@@ -35,7 +35,7 @@ from .polyvector import (
     is_tangent,
     jacobian_poisson,
     _sort_indices,
-    shear_polyvector,
+    shear,
 )
 from .centre import Centre
 from .blowup import (
@@ -49,7 +49,6 @@ from .blowup import (
 )
 from .invariant import (
     InvariantSeq,
-    centre_from_plane_invariant,
     lex_compare,
     lex_key,
     max_monomial_centre,
@@ -205,7 +204,7 @@ def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
             drop = lex_compare(plane.invariant, parent_invariant)
             assert drop < 0, (
                 f"invariant failed to decrease: {plane.invariant} !< {parent_invariant}")
-        centre = centre_from_plane_invariant(plane, local.variables)
+        centre = plane.centre
         point_node = ResolutionNode(
             chart_id=f"{chart_id}/{index}",
             parent_id=chart_id,
@@ -271,7 +270,8 @@ class CentreSelection:
     point: Optional[Point]
     report: Optional[CentreReport]
     rationale: str
-    coordinate_change: Optional[Tuple[str, Poly]] = None  # shear applied first
+    # the shears (name, shift), name -> name + shift, applied before the centre
+    coordinate_change: List[Tuple[str, Poly]] = field(default_factory=list)
     sigma: Optional[Polyvector] = None                    # in the working coordinates
     certificate: Optional["StepCertificate"] = None       # full blowup-step run
 
@@ -368,12 +368,12 @@ def _antiderivative(f: Poly, name: str) -> Poly:
 
 def _certified_selection(case: str, sigma: Polyvector, equations: Sequence[Poly],
                          centre: Centre, point: Point, rationale: str,
-                         coordinate_change: Optional[Tuple[str, Poly]] = None
+                         coordinate_change: Sequence[Tuple[str, Poly]] = ()
                          ) -> CentreSelection:
     """Certify one blowup step at ``centre``; StepAbort if any check fails."""
     certificate = certify_blowup_step(sigma, equations, centre)
     return CentreSelection(case, centre, point, certificate.centre_report, rationale,
-                           coordinate_change=coordinate_change, sigma=sigma,
+                           coordinate_change=list(coordinate_change), sigma=sigma,
                            certificate=certificate)
 
 
@@ -442,12 +442,11 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
                 "has order at least 1 - 1/b - 1/c >= 0)"))
             continue
 
-        # vanishing locus is the smooth surface x + A = 0: shear it straight
-        sheared = shear_polyvector(sigma_p, x_name, A) if not A.is_zero() else sigma_p
-        sheared_generators = []
-        for g in generators_p:
-            image = {x_name: Poly.var(variables, x_name) - A}
-            sheared_generators.append(g.substitute(image))
+        # vanishing locus is the smooth surface x + A = 0: x -> x - A
+        # makes it x = 0
+        step = (x_name, -A)
+        sheared = shear(sigma_p, *step)
+        sheared_generators = [shear(g, *step) for g in generators_p]
         plane_candidates = [g for g in sheared_generators
                             if g.degree_in(x_name) == 0 and not g.is_zero()]
         if not plane_candidates:
@@ -463,7 +462,7 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
             HEIS_SURFACE_VANISHING, sheared, sheared_generators, centre, point,
             f"Heisenberg point with smooth surface vanishing locus: "
             f"b-completion of the unweighted surface centre at b = {b}",
-            coordinate_change=(x_name, A)))
+            coordinate_change=[] if A.is_zero() else [step]))
     return selections
 
 
@@ -478,8 +477,9 @@ def select_centre_32(sigma: Polyvector, f: Poly,
     singular locus splits into isolated type-D points (associated centre) and
     one-dimensional components (unweighted centre on the curve, certified
     through the logarithmic tangency argument).  A singular line off the
-    coordinate axes is refused.  Every selected centre passes the full
-    blowup-step certificate.
+    coordinate axes is first straightened by the preparation of the surface
+    class, recorded as the selection's coordinate change.  Every selected
+    centre passes the full blowup-step certificate.
     """
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
@@ -522,19 +522,24 @@ def select_centre_32(sigma: Polyvector, f: Poly,
                 "invariant (2,3,3) at an isolated type-D point that is not a Du "
                 "Val point of the triple: associated centre"))
             continue
-        axis = [v for v, d in zip(variables, line) if d != 0]
-        if len(axis) != 1:
-            raise RefusalError(
-                f"singular line in direction {line} is not a coordinate axis; "
-                "straighten it to an axis first")
+        change: List[Tuple[str, Poly]] = []
+        if sum(1 for d in line if d) != 1:
+            # the preparation of the surface class moves the singular line
+            # onto the axis of the Hessian kernel
+            change = duval.surface_class.preparation
+            for step in change:
+                sigma_p, f_p = shear(sigma_p, *step), shear(f_p, *step)
+            line = line_in_zero_locus([f_p] + [f_p.diff(v) for v in variables])
+            assert line is not None and sum(1 for d in line if d) == 1, \
+                f"the preparation {change} leaves the singular line {line} off the axes"
         # one-dimensional singular locus: unweighted centre on the curve
-        support = [v for v in variables if v not in axis]
+        support = [v for v, d in zip(variables, line) if d == 0]
         selections.append(_certified_selection(
             INV_233_SURFACE, sigma_p, [f_p], Centre.unweighted(variables, support),
             point,
             "invariant (2,3,3) with a one-dimensional singular locus: "
             "unweighted centre on the curve (logarithmic tangency keeps "
-            "every bracket at non-negative order)"))
+            "every bracket at non-negative order)", coordinate_change=change))
     return selections
 
 

@@ -172,13 +172,52 @@ def test_select_centre_terminal_prints_no_verdict(capsys):
     assert '"conilpotent":null' in out
 
 
-def test_select_centre_sheared_whitney_refused(capsys):
-    code, _, err = run(capsys, "select-centre",
+def test_select_centre_sheared_whitney_straightened(capsys):
+    # the singular line x = 0, y = -z is moved onto the z-axis by y -> y - z
+    code, out, _ = run(capsys, "--machine", "select-centre",
                        "--sigma", "(-y^2 - 4*y*z - 3*z^2)*@x^@y"
                                   " + (2*y*z + 2*z^2)*@x^@z + 2*x*@y^@z",
                        "--surface", "x^2 - (y + z)^2*z")
-    assert code == 3
-    assert "refused" in err
+    assert code == 0
+    [selection] = json.loads(out)["selections"]
+    assert selection["case"] == "inv_233_surface"
+    assert selection["centre"] == "x:1 y:1 z:inf"
+    assert selection["conilpotent"] is True
+    assert selection["coordinate_change"] == ["y -> y - z"]
+
+
+def test_select_centre_prints_coordinate_change(capsys):
+    # x:1 y:3 z:3 lives in the coordinates where x + y^2 + z^2 is x
+    argv = ["select-centre", "--sigma", "(x + y^2 + z^2)*@y^@z",
+            "--curve", "x + y^2 + z^2", "--curve", "y^3 - z^4"]
+    code, out, _ = run(capsys, "--machine", *argv)
+    assert code == 0
+    [selection] = json.loads(out)["selections"]
+    assert selection["centre"] == "x:1 y:3 z:3"
+    assert selection["coordinate_change"] == ["x -> -y^2 - z^2 + x"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.strip() == ("heis_surface_vanishing: centre[x:1 y:3 z:3]  conilpotent=True"
+                           "  coordinate_change: x -> -y^2 - z^2 + x")
+    # no shear: an empty list, and nothing in human mode
+    argv = ["select-centre", "--sigma", "x^2*@x^@y", "--curve", "x", "--curve", "y"]
+    code, out, _ = run(capsys, "--machine", *argv)
+    assert all(s["coordinate_change"] == [] for s in json.loads(out)["selections"])
+    code, out, _ = run(capsys, *argv)
+    assert "coordinate_change" not in out
+
+
+def test_classify_prints_preparation(capsys):
+    # the witness x:2 y:3 z:5 is a centre in the coordinates after y -> y - 7*z
+    code, out, _ = run(capsys, "--machine", "classify", "x^2 + (y + 7*z)^3 + z^5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["witness_centre"] == "x:2 y:3 z:5"
+    assert report["preparation"] == ["y -> y - 7*z"]
+    code, out, _ = run(capsys, "classify", "x^2 + (y + 7*z)^3 + z^5")
+    assert out.strip() == "E8 invariant=(2,3,5)  preparation: y -> y - 7*z"
+    code, out, _ = run(capsys, "--machine", "classify", "x^2 + y^3 + z^5")
+    assert json.loads(out)["preparation"] == []
 
 
 def test_blowup_slice_chart_cli(capsys):

@@ -1,6 +1,7 @@
 """Invariant constraints, lex order, monomial maxima, plane-curve invariants."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,15 +13,15 @@ from wblow.invariant import (
     InvariantSeq,
     VALID,
     canonical_numerics,
-    centre_from_plane_invariant,
     is_admissible,
     lex_compare,
     max_monomial_centre,
     plane_curve_invariant,
     validate_invariant,
 )
+from wblow.resolve import _is_squarefree, resolve_plane_curve
 
-from conftest import V2, V3
+from conftest import V2, V3, random_poly
 
 F = Fraction
 
@@ -296,7 +297,103 @@ def test_plane_curve_shear_catalogue():
     assert any("shear" in step for step in result.preparation_log)
 
 
-def test_centre_from_plane_invariant():
+def test_plane_curve_shear_beyond_small_slopes():
+    # the tangent cone vanishes at the slopes 0, +-1, +-2, +-3 of y -> y + c*x,
+    # so the first shear exposing x^12 is c = 4
+    f = parse_poly("x*y*(y - x)*(y + x)*(y - 2*x)*(y + 2*x)*(y - 3*x)*(y + 3*x)"
+                   "*(x - 2*y)*(x + 2*y)*(x - 3*y)*(x + 3*y)", V2)
+    result = plane_curve_invariant(f)
+    assert result.preparation_log[0] == "shear y -> y + 4*x"
+    assert result.invariant.finite_entries() == (F(12), F(12))
+    assert str(result.centre) == "x:12 y:12"
+    assert not result.exact
+
+
+def test_plane_curve_prefers_the_variable_that_takes_the_shift():
+    # both pure powers occur; the germ has degree d only in y, where the
+    # subleading shift straightens it: (y + x)^2 - x^5 is an A4 germ
+    for text, expected in (("(y + x)^2 - x^5", (F(2), F(5))),
+                           ("(y - x)^3 + x^7", (F(3), F(7)))):
+        result = plane_curve_invariant(parse_poly(text, V2))
+        assert result.invariant.finite_entries() == expected, text
+        assert result.preparation_log[0].startswith("shift y -> y"), text
+    tree = resolve_plane_curve(parse_poly("(y + x)^2 - x^5", V2))
+    assert tree.children[0].invariant.finite_entries() == (F(2), F(5))
+
+
+def newton_reader(prepared: Poly):
+    """The Newton-polygon reading of a prepared plane-curve germ.
+
+    With u^d in the support, d the multiplicity, a_2 = min j*d/(d-i) over the
+    monomials u^i v^j with i < d (None when there are none); the centre
+    gives u the exponent d and v the exponent a_2.
+    """
+    d = prepared.min_total_degree()
+    main = next(k for k in range(2)
+                if tuple(d if m == k else 0 for m in range(2)) in prepared.terms)
+    a2 = min((F(e[1 - main] * d, d - e[main]) for e in prepared.terms if e[main] < d),
+             default=None)
+    exponents = [INF, INF]
+    exponents[main], exponents[1 - main] = F(d), INF if a2 is None else a2
+    return d, a2, Centre(prepared.variables, tuple(exponents))
+
+
+def assert_reader_agrees(f: Poly):
+    plane = plane_curve_invariant(f)
+    d, a2, centre = newton_reader(plane.prepared)
+    expected = (F(d),) if a2 is None else (F(d), a2)
+    assert plane.invariant.finite_entries() == expected, f
+    assert plane.centre == centre, f
+    assert plane.centre.ord_poly(plane.prepared) == 1, f
+    assert plane.exact == (d == 2 and a2 is not None), f
+    return plane
+
+
+def _walk(node):
+    yield node
+    for child in node.children:
+        yield from _walk(child)
+
+
+# the curves of the `curves` corpus
+CORPUS_CURVES = ("y^2 - x^2", "y^2 - x^3", "y^2 - x^4", "y^2 - x^5", "y^3 - x^5")
+
+
+def test_plane_curve_matches_newton_reader_on_corpus():
+    # every germ blown up while resolving the corpus curves
+    germs = 0
+    for text in CORPUS_CURVES:
+        for node in _walk(resolve_plane_curve(parse_poly(text, V2))):
+            if node.centre is not None:
+                assert_reader_agrees(node.equation)
+                germs += 1
+    assert germs >= len(CORPUS_CURVES)
+
+
+def test_plane_curve_matches_newton_reader_on_random_curves():
+    # random squarefree curves, each also under a random change
+    # y -> y + c*x + e*x^2 that hides the Newton polygon of the germ
+    rng = random.Random(20261018)
+    x, y = Poly.var(V2, "x"), Poly.var(V2, "y")
+    checked = sheared = raised = 0
+    while checked < 100:
+        f = random_poly(rng, V2, max_degree=6, max_terms=5)
+        f = Poly(V2, {e: c for e, c in f.terms.items() if sum(e) >= 2})
+        if f.is_zero() or not _is_squarefree(f):
+            continue
+        change = x.scale(rng.choice((1, -1, 2, -3, 4, -5))) + (x ** 2).scale(rng.randint(-3, 3))
+        for germ in (f, f.substitute({"y": y + change})):
+            plane = assert_reader_agrees(germ)
+            log = plane.preparation_log
+            sheared += bool(log) and log[0].startswith("shear")
+            raised += lex_compare(plane.invariant, max_monomial_centre(germ).invariant) > 0
+        checked += 1
+    # some germs need the first shear, and the preparation raises some
+    # invariants above the monomial bound of the unprepared germ
+    assert sheared > 0 and raised > 0
+
+
+def test_plane_curve_centre():
     result = plane_curve_invariant(parse_poly("y^2 - x^3", V2))
-    centre = centre_from_plane_invariant(result, V2)
+    centre = result.centre
     assert str(centre) == "x:3 y:2"

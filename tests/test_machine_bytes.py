@@ -1,0 +1,171 @@
+"""The bytes of `--machine` stdout, pinned by SHA-256.
+
+Refactors are meant to leave every verdict and every `--machine` byte as it
+was; this module turns that check into a test.  Each call is run in process
+and its exit code and the SHA-256 of its stdout are compared with the
+recorded values.  A change of output that is intended updates the digest
+here and says why in the list below.
+
+Intended changes recorded in these digests, relative to the previous ones:
+
+* `classify` prints the shears of its preparation as ``preparation``, for
+  example ``["y -> y - 7*z"]`` for ``x^2 + (y + 7*z)^3 + z^5``, whose
+  witness centre lives in the prepared coordinates;
+* `select-centre` prints the shears applied before each centre as
+  ``coordinate_change`` (``[]`` when there are none);
+* the sheared Whitney umbrella ``x^2 - (y + z)^2*z`` is straightened by
+  ``y -> y - z`` and exits 0 with the centre ``x:1 y:1 z:inf`` instead of
+  being refused (exit 3);
+* the plane-curve preparation of the degree-12 cone exposes ``x^12`` with
+  ``y -> y + 4*x`` instead of reporting a failed preparation;
+* when both pure powers of the multiplicity occur, the plane-curve
+  preparation shifts the variable of degree d: ``(y + x)^2 - x^5`` has the
+  invariant (2,5), not (2,2), and `resolve-curve` resolves it with one
+  blowup instead of failing an assertion.
+"""
+
+import hashlib
+
+import pytest
+
+from wblow.cli import main
+
+CORPUS_CALLS = [["corpus", name] for name in
+                ("table-ade", "whitney", "lifting", "invariants", "curves", "triples")]
+
+CONE_12 = ("x*y*(y - x)*(y + x)*(y - 2*x)*(y + 2*x)*(y - 3*x)*(y + 3*x)"
+           "*(x - 2*y)*(x + 2*y)*(x - 3*y)*(x + 3*y)")
+SHEARED_WHITNEY_SIGMA = ("(-y^2 - 4*y*z - 3*z^2)*@x^@y + (2*y*z + 2*z^2)*@x^@z"
+                         " + 2*x*@y^@z")
+
+COMMAND_CALLS = [
+    ["classify", "x^2 + y^3 + y*z^3"],
+    ["classify", "x^2 + (y + 7*z)^3 + z^5"],
+    ["classify", "x^2 + (2*y + 3*z)^3 + z^5"],
+    ["classify", "x^2 + (y + 7*z)^3 + z^4"],
+    ["classify", "x^2 + (y + 7*z)^3 + (y + 7*z)*z^3"],
+    ["classify", "x^2 - (y + z)^2*z"],
+    ["classify", "(x + z^2)^2 + y^2 + z^10 + x^3"],
+    ["classify", "x*y"],
+    ["classify", "x^2 + y^3 + z^6"],
+    ["classify", "x^2 + y^2*z + z^15"],
+    ["milnor", "x^2 - y^2*z"],
+    ["milnor", "x^2 + y^3 + z^5"],
+    ["milnor", "x^2 + y^2 + z^20"],
+    ["invariant", "y^2 - x^3"],
+    ["invariant", "(y + x^2)^2 - x^5"],
+    ["invariant", "x*y"],
+    ["invariant", "y^3 - x^5"],
+    ["invariant", CONE_12],
+    ["invariant", "x^2 - y^2*z"],
+    ["invariant", "(y + x)^2 - x^5"],
+    ["resolve-curve", "y^2 - x^3"],
+    ["resolve-curve", "(y + x)^2 - x^5"],
+    ["resolve-curve", "y^3 - x^5"],
+    ["resolve-curve", "y^2 - (x^2 - 2)^2"],
+    ["resolve-curve", "(y - x^2)*(y^3 - 2*x^4)"],
+    ["select-centre", "--sigma", "2*x*@y^@z - 2*y*z*@z^@x - y^2*@x^@y",
+     "--surface", "x^2 - y^2*z"],
+    ["select-centre", "--sigma", SHEARED_WHITNEY_SIGMA, "--surface", "x^2 - (y + z)^2*z"],
+    ["select-centre", "--sigma", "2*z*@x^@y - 2*y*@x^@z + 2*x*@y^@z",
+     "--surface", "x^2 + y^2 + z^2"],
+    ["select-centre", "--sigma", "x*y*@x^@z", "--surface", "x*y"],
+    ["select-centre", "--sigma", "(x + y^2 + z^2)*@y^@z",
+     "--curve", "x + y^2 + z^2", "--curve", "y^3 - z^4"],
+    ["select-centre", "--sigma", "x^2*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"],
+    ["select-centre", "--sigma", "x*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"],
+    ["select-centre", "--sigma", "2*x*@y^@z", "--curve", "x", "--curve", "y^2 - z^3"],
+]
+
+# argv after --machine: (exit code, SHA-256 of stdout)
+EXPECTED = {
+    ("corpus", "table-ade"):
+        (0, "cba82607599015409b21a67021c0466961af6a7ca9b6229236755cd97d0539c8"),
+    ("corpus", "whitney"):
+        (0, "c8679cccaf0b918aafd5e5770bc1f9af485f67c6dbc104842412027acb9fbfee"),
+    ("corpus", "lifting"):
+        (0, "2517b206c6683a336c2e1cd347b9fd0b17fb8d1ac42785f499cd7e5d5453b1c3"),
+    ("corpus", "invariants"):
+        (0, "9942e432953b8d481e22b439e9e1be4e80e5d3a220745580a12a1879f1e7f378"),
+    ("corpus", "curves"):
+        (0, "2ee481827500fd5a8847e143615882c846ff201aac5e3b172a673c4008524634"),
+    ("corpus", "triples"):
+        (0, "70784f889f33b0354883317b4501514e16c91097ada8a2d8c8cc127b3c121830"),
+    ("classify", "x^2 + y^3 + y*z^3"):
+        (0, "bd44eb4c0ebeb1d245711d52f5b1541da66000fa8efb221bde1e9aede581a706"),
+    ("classify", "x^2 + (y + 7*z)^3 + z^5"):
+        (0, "e199cc3e70eabe22307ce4a30e10f2c26546a9c70c6ea56ec067401cf5d66849"),
+    ("classify", "x^2 + (2*y + 3*z)^3 + z^5"):
+        (0, "0022d6498cb721b030b6ad89ac7dbac4c9b814cdced016c14fdc8562abf56547"),
+    ("classify", "x^2 + (y + 7*z)^3 + z^4"):
+        (0, "bfbb8a854a02916eb3a5d11e949c323109f9d5da9de8d7bad245de46be5d89cd"),
+    ("classify", "x^2 + (y + 7*z)^3 + (y + 7*z)*z^3"):
+        (0, "05080cdafd45c2c55f0c7e453eca9f6c528bf6f1cfef9fa1d5533318c3578fca"),
+    ("classify", "x^2 - (y + z)^2*z"):
+        (0, "a3edeebcb47ef7b8a7fe3db893bdc3e2b7c8a412498bd1bb6de4529fba414581"),
+    ("classify", "(x + z^2)^2 + y^2 + z^10 + x^3"):
+        (0, "86bd852ad7f830d31f1bd6f37bca5d4075ada2fdb5d3c3dcc257386beb6387c1"),
+    ("classify", "x*y"):
+        (0, "e53db1c11a396a499764d5ebb6fa64ea15965b0fa16647914e042bb3e6a56232"),
+    ("classify", "x^2 + y^3 + z^6"):
+        (1, "8d90dd1460934e25794affc8de4cd7accf08a907b6da2269781e7f1f6f8a0e02"),
+    ("classify", "x^2 + y^2*z + z^15"):
+        (3, "f5d7dbd8769e31089c65b502daeaded6e42dc9a3218bf27cb4089f8685d65daf"),
+    ("milnor", "x^2 - y^2*z"):
+        (1, "c29a1b6495331eba209210b21c80f03809d1b0eba981faf6d957b327de93f097"),
+    ("milnor", "x^2 + y^3 + z^5"):
+        (0, "3d6ecc8cafb8004f4c3ef54973122fe0112855c44784be527f17aa56e83a08e0"),
+    ("milnor", "x^2 + y^2 + z^20"):
+        (3, "abe7405f6864de208b84df03b432bb11dd03531c5799a8574baf39bbffe968a0"),
+    ("invariant", "y^2 - x^3"):
+        (0, "4cd47bbb50f7aecac0c3bd3590c8140e80556237b89baeda9df066857fa42fca"),
+    ("invariant", "(y + x^2)^2 - x^5"):
+        (0, "951ee005fe16cb87ca9d2793bc8fa60ba8924ba8e6b05826fdf64fb90b964c11"),
+    ("invariant", "x*y"):
+        (0, "b2442ff645adfe0b4b259b1b08ed0f16a68a5d21aae8884c0e2a3cc7d0590693"),
+    ("invariant", "y^3 - x^5"):
+        (0, "3e11e91a63f26cdd8d9092f8e397355cdabaaf540cce1945a50f1fb332cb3402"),
+    ("invariant", CONE_12):
+        (0, "ca5522079485b5173568c4f56ee5b7032d581e0605d80101e8579c8dbb4ce24b"),
+    ("invariant", "x^2 - y^2*z"):
+        (0, "3a28d00fff44f4629d1ff9d84ee9a4d43628de58bc86e248116956c4a8dcacfb"),
+    ("invariant", "(y + x)^2 - x^5"):
+        (0, "371f7508030eb4af0742ac1daeb60ec5fb465bfdbcbb62ad2c0669e21a8f2143"),
+    ("resolve-curve", "y^2 - x^3"):
+        (0, "38d10827189edd11e43d847238eccef1df1108411f9ddfd93333d3b9251a1257"),
+    ("resolve-curve", "(y + x)^2 - x^5"):
+        (0, "1d788336a7813f3e358bb3343e066dc41fc4621e6520fbacda819d05b8529d83"),
+    ("resolve-curve", "y^3 - x^5"):
+        (0, "4d5a60894944c4d3a39f38bcafaf8c0de89693e80ccec1a9afced4f59e94fe41"),
+    ("resolve-curve", "y^2 - (x^2 - 2)^2"):
+        (3, "fc612f0ac3930b2d4a9465d8051d934df6fd341fb63eca239ddd6f88a3f92977"),
+    ("resolve-curve", "(y - x^2)*(y^3 - 2*x^4)"):
+        (3, "7d4cefc33ae9b445e1a87a35561146e383b84dead369894f1c06eb2e7fd0cb02"),
+    ("select-centre", "--sigma", "2*x*@y^@z - 2*y*z*@z^@x - y^2*@x^@y", "--surface",
+     "x^2 - y^2*z"):
+        (0, "21baef6e9b54b7e641097e9b4c89ed7b391ae470236029c4db95e2df1deea28a"),
+    ("select-centre", "--sigma", SHEARED_WHITNEY_SIGMA, "--surface", "x^2 - (y + z)^2*z"):
+        (0, "4be0885ad99cf47b9918e8a0dfaad3b2a49a30796d877e071eb643274af97b61"),
+    ("select-centre", "--sigma", "2*z*@x^@y - 2*y*@x^@z + 2*x*@y^@z", "--surface",
+     "x^2 + y^2 + z^2"):
+        (0, "afac5c288f0d778817c76101380658bcf73760177f015329d3c0a025ec0a0bb7"),
+    ("select-centre", "--sigma", "x*y*@x^@z", "--surface", "x*y"):
+        (0, "853ef06d400841cb4c5f8e9a7ba2988e2e76bf4c0fdfc8852278ec20a78a15c5"),
+    ("select-centre", "--sigma", "(x + y^2 + z^2)*@y^@z", "--curve", "x + y^2 + z^2",
+     "--curve", "y^3 - z^4"):
+        (0, "c0e877f5c10812d5b109f5d0e74fbe2f95eb6c5437405bb87e37e63a9e62b785"),
+    ("select-centre", "--sigma", "x^2*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"):
+        (0, "a4713818ccf2470e0b85aac57e6499a8fd752ba4dbf69d6ab067dc24cec2c90d"),
+    ("select-centre", "--sigma", "x*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"):
+        (0, "de380b947aecbe810e93e3e71dde481a84007714b3b228271adc5ed8c46583c4"),
+    ("select-centre", "--sigma", "2*x*@y^@z", "--curve", "x", "--curve", "y^2 - z^3"):
+        (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+
+@pytest.mark.parametrize("argv", CORPUS_CALLS + COMMAND_CALLS, ids=" ".join)
+def test_machine_bytes(capsys, argv):
+    code = main(["--machine", *argv])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == EXPECTED[tuple(argv)]

@@ -20,7 +20,7 @@ from wblow.polyvector import (
     linearize,
     parse_polyvector,
     schouten,
-    shear_polyvector,
+    shear,
     wedge,
 )
 
@@ -320,15 +320,17 @@ def test_lie_class_invariant_under_basis_change(rng):
 # --- shears --------------------------------------------------------------------------------
 
 def test_shear_straightens_vanishing_surface():
-    # transporting (x + A) @y^@z through u = x + A gives
+    # transporting (x + A) @y^@z through u = x + A, that is x -> x - A, gives
     # u @y^@z + u A_y @x^@z - u A_z @x^@y
     A = parse_poly("y^2 + z^2", V3)
     sigma = Polyvector(2, V3, {(1, 2): parse_poly("x", V3) + A})
-    moved = shear_polyvector(sigma, "x", A)
+    moved = shear(sigma, "x", -A)
     expected = (Polyvector(2, V3, {(1, 2): parse_poly("x", V3)})
                 + Polyvector(2, V3, {(0, 2): parse_poly("x", V3) * A.diff("y")})
                 - Polyvector(2, V3, {(0, 1): parse_poly("x", V3) * A.diff("z")}))
     assert moved == expected
+    # the function x + A becomes the coordinate x under the same shear
+    assert shear(parse_poly("x", V3) + A, "x", -A) == parse_poly("x", V3)
 
 
 def test_shear_round_trip(rng):
@@ -337,9 +339,41 @@ def test_shear_round_trip(rng):
         shift = random_poly(rng, V3, max_degree=2)
         if shift.degree_in("x") > 0:
             continue
-        moved = shear_polyvector(sigma, "x", shift)
-        back = shear_polyvector(moved, "x", -shift)
+        moved = shear(sigma, "x", shift)
+        back = shear(moved, "x", -shift)
         assert back == sigma
+
+
+def _shift_without(rng, name: str) -> Poly:
+    shift = random_poly(rng, V3, max_degree=3)
+    index = V3.index(name)
+    return Poly(V3, {e: c for e, c in shift.terms.items() if e[index] == 0})
+
+
+def test_shear_commutes_with_jacobian(rng):
+    # one shear for functions and bivectors: transporting J(f) is the same as
+    # taking the Jacobian bivector of the sheared function
+    for _ in range(30):
+        f = random_poly(rng, V3, max_degree=4, max_terms=5)
+        name = rng.choice(V3)
+        shift = _shift_without(rng, name)
+        assert shear(jacobian_poisson(f), name, shift) \
+            == jacobian_poisson(shear(f, name, shift))
+        assert shear(shear(f, name, shift), name, -shift) == f
+        sigma = jacobian_poisson(f)
+        assert shear(shear(sigma, name, shift), name, -shift) == sigma
+
+
+def test_shear_substitutes_functions():
+    f = parse_poly("x^2 - y^2*z", V3)
+    assert shear(f, "y", parse_poly("-z", V3)) == parse_poly("x^2 - (y - z)^2*z", V3)
+
+
+def test_shear_rejects_shift_in_sheared_variable():
+    with pytest.raises(ValueError):
+        shear(parse_poly("x*y", V3), "x", parse_poly("x*z", V3))
+    with pytest.raises(ValueError):
+        shear(pv("x*@y^@z"), "x", parse_poly("x^2", V3))
 
 
 def test_parse_polyvector_round_trip(rng):

@@ -120,7 +120,8 @@ def test_select_31_heisenberg_surface_vanishing():
     assert choice.report is choice.certificate.centre_report
     # b = multiplicity of the plane curve = 2
     assert str(choice.centre) == "x:1 y:2 z:2"
-    assert choice.coordinate_change is not None
+    # x -> x - (y^2 + z^2) makes the vanishing surface x + y^2 + z^2 = 0 the plane x = 0
+    assert choice.coordinate_change == [("x", -f)]
 
 
 def test_select_31_multiplicity_above_one():
@@ -185,13 +186,23 @@ def test_select_32_whitney():
     assert str(choice.centre) == "x:1 y:1 z:inf"
     assert choice.report.conilpotent
     assert choice.report is choice.certificate.centre_report
+    # the singular line is already the z-axis: no change of coordinates
+    assert choice.coordinate_change == []
 
 
-def test_select_32_sheared_whitney_refused():
-    # singular line x = 0, y = -z: found by the line test, but off the axes
+def test_select_32_sheared_whitney_straightened():
+    # singular line x = 0, y = -z: off the axes, so the preparation of the
+    # surface class, y -> y - z, moves it onto the z-axis first
     f = parse_poly("x^2 - (y + z)^2*z", V3)
-    with pytest.raises(RefusalError, match=r"\(0, 1, -1\)"):
-        select_centre_32(jacobian_poisson(f), f)
+    [choice] = select_centre_32(jacobian_poisson(f), f)
+    assert choice.case == "inv_233_surface"
+    assert choice.coordinate_change == [("y", parse_poly("-z", V3))]
+    assert str(choice.centre) == "x:1 y:1 z:inf"
+    assert choice.report.conilpotent
+    assert choice.report is choice.certificate.centre_report
+    assert choice.certificate.ok()
+    straight = parse_poly("x^2 - y^2*z", V3)
+    assert choice.sigma == jacobian_poisson(straight)
 
 
 def test_select_32_normal_crossings():
