@@ -298,7 +298,7 @@ class PlaneCurveInvariant:
     centre: Centre                # the maximal monomial centre of the prepared germ
     prepared: Poly                # the germ after preparation
     preparation_log: List[str]
-    exact: bool                   # exact for multiplicity two, else lower bound
+    exact: bool                   # certified for c*u^2 + b(v), else a lower bound
 
 
 def subleading_shift(f: Poly, name: str) -> Optional[Tuple[Poly, Poly, Fraction]]:
@@ -330,7 +330,8 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
     exactly.  The invariant and the centre are then those of
     :func:`max_monomial_centre` of the prepared germ: with u^d present,
     a_2 = min j*d/(d-i) over the monomials u^i v^j with i < d.  Exact for
-    d = 2 (completing the square); flagged as a lower bound for d >= 3.
+    d = 2 when the prepared germ is c*u^2 + b(v) (completing the square);
+    flagged as a lower bound otherwise, and always for d >= 3.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no invariant")
@@ -368,5 +369,9 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
     result = max_monomial_centre(work)
     if result.invariant.length() == 1:
         log.append("no monomial off the pure power; length-one invariant")
-    exact = d == 2 and result.invariant.length() == 2
+    # completing the square certifies (2, a_2) only on c*u^2 + b(v)
+    prepared = work.coefficients_in(main)
+    weierstrass = (len(prepared) == d + 1 and prepared[d].total_degree() == 0
+                   and prepared[d - 1].is_zero())
+    exact = d == 2 and weierstrass and result.invariant.length() == 2
     return PlaneCurveInvariant(result.invariant, result.centre, work, log, exact)

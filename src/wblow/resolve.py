@@ -4,8 +4,9 @@
 germ by weighted blowups: locate rational singular points, take the invariant
 and the centre of the prepared germ, blow up that weighted centre,
 pass to the slice charts, and recurse on the strict transforms.  The
-invariant strictly decreases along every edge of the resulting chart tree and
-every leaf is certified smooth (or the step budget is exhausted).
+invariant strictly decreases along every edge of the resulting chart tree (a
+chart where it does not is refused) and every leaf is certified smooth (or
+the step budget is exhausted).
 
 :func:`select_centre_31` and :func:`select_centre_32` carry out the centre
 selection for Poisson triples presented in normal-form coordinates: curves in
@@ -153,8 +154,9 @@ def resolve_plane_curve(f: Poly, max_steps: int = 6) -> ResolutionNode:
     singular point is translated to the origin, its invariant computed, the
     weighted centre blown up, and one child created per slice chart.  The
     chart invariant (the largest invariant over its singular points) strictly
-    decreases from parent to child; this is asserted.  Leaves are certified
-    smooth, or marked indeterminate when a singular locus is not rational.
+    decreases from parent to child; a chart where it does not is refused
+    (RefusalError).  Leaves are certified smooth, or marked indeterminate
+    when a singular locus is not rational.
     """
     if len(f.variables) != 2:
         raise ValueError("resolve_plane_curve expects a two-variable chart")
@@ -200,10 +202,12 @@ def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
     for index, point in enumerate(sorted(points)):
         local = equation.translate(point)
         plane = plane_curve_invariant(local)
-        if parent_invariant is not None:
-            drop = lex_compare(plane.invariant, parent_invariant)
-            assert drop < 0, (
-                f"invariant failed to decrease: {plane.invariant} !< {parent_invariant}")
+        if (parent_invariant is not None
+                and lex_compare(plane.invariant, parent_invariant) >= 0):
+            raise RefusalError(
+                f"chart {chart_id}: the invariant ({plane.invariant}) at the singular "
+                f"point {tuple(str(c) for c in point)} does not drop below the "
+                f"parent's ({parent_invariant})")
         centre = plane.centre
         point_node = ResolutionNode(
             chart_id=f"{chart_id}/{index}",

@@ -32,7 +32,8 @@ A leading sign on the first term is accepted so that printed output re-parses.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from itertools import count
+from math import gcd as _int_gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 MAX_VARIABLES = 8
@@ -556,38 +557,118 @@ def divides(f: Poly, g: Poly) -> Optional[Poly]:
     return Poly(f.variables, quotient, Poly._min_cap(f.cap, g.cap))
 
 
-def _determinant(matrix: List[List[Poly]], variables: Tuple[str, ...]) -> Poly:
-    """Exact determinant of a matrix of polynomials, by fraction-free Bareiss."""
+# Dense integer polynomials in one variable, as coefficient lists with the
+# constant term first and no trailing zeros; [] is zero.  They carry the
+# elimination kernel: a Sylvester determinant and a root search cost only
+# Python int arithmetic.
+
+IntPoly = List[int]
+
+
+def _int_trim(a: IntPoly) -> IntPoly:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _int_mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_sub(a: IntPoly, b: IntPoly) -> IntPoly:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return _int_trim([x - (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def _int_exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly:
+    """num / den over Z; ArithmeticError unless den divides num exactly."""
+    if not num:
+        return []
+    if len(num) < len(den):
+        raise ArithmeticError("inexact division of integer polynomials")
+    rem = num[:]
+    lead, top = den[-1], len(den) - 1
+    quotient = [0] * (len(num) - top)
+    for k in range(len(quotient) - 1, -1, -1):
+        c, r = divmod(rem[k + top], lead)
+        if r:
+            raise ArithmeticError("inexact division of integer polynomials")
+        if c:
+            quotient[k] = c
+            for t in range(top):
+                rem[k + t] -= c * den[t]
+    if any(rem[:top]):
+        raise ArithmeticError("inexact division of integer polynomials")
+    return quotient
+
+
+def _bareiss(matrix: List[List[IntPoly]]) -> IntPoly:
+    """Determinant of a square matrix over Z[t] by fraction-free Bareiss.
+
+    Every division is exact (Bareiss, Math. Comp. 22, 1968); a zero pivot is
+    replaced by a later row, flipping the sign.
+    """
     n = len(matrix)
-    if n == 0:
-        return Poly.const(variables, 1)
     m = [row[:] for row in matrix]
     sign = 1
-    previous = Poly.const(variables, 1)
+    previous: IntPoly = [1]
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not m[r][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
             if pivot_row is None:
-                return Poly.zero(variables)
+                return []
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
+        upper, pivot = m[k], m[k][k]
         for i in range(k + 1, n):
+            row, head = m[i], m[i][k]
             for j in range(k + 1, n):
-                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                quotient = divides(previous, numerator) if not previous.is_zero() else None
-                if quotient is None:
-                    raise ArithmeticError("Bareiss division failed; non-exact step")
-                m[i][j] = quotient
-            m[i][k] = Poly.zero(variables)
-        previous = m[k][k]
+                numerator = _int_mul(pivot, row[j])
+                if head:
+                    numerator = _int_sub(numerator, _int_mul(head, upper[j]))
+                row[j] = _int_exact_quotient(numerator, previous)
+            row[k] = []
+        previous = pivot
     result = m[n - 1][n - 1]
-    return result.scale(sign) if sign < 0 else result
+    return [-c for c in result] if sign < 0 else result
+
+
+def _integer_rows(f: Poly, name: str) -> Tuple[List[IntPoly], int]:
+    """Coefficients of f in ``name`` as integer lists in the other variable.
+
+    f is scaled once by the lcm ``a`` of its denominators; returns the
+    coefficient lists of a*f (index = power of ``name``) and a.
+    """
+    i = f._index(name)
+    j = 1 - i if len(f.variables) == 2 else None
+    scale = 1
+    for c in f.terms.values():
+        scale = lcm(scale, c.denominator)
+    rows: List[IntPoly] = [[] for _ in range(max(e[i] for e in f.terms) + 1)]
+    for exponent, c in f.terms.items():
+        k = 0 if j is None else exponent[j]
+        row = rows[exponent[i]]
+        if len(row) <= k:
+            row.extend([0] * (k + 1 - len(row)))
+        row[k] = c.numerator * (scale // c.denominator)
+    return rows, scale
 
 
 def resultant(f: Poly, g: Poly, name: str) -> Poly:
     """Determinant of the Sylvester matrix in ``name``, f-coefficient rows first.
 
-    The result is a polynomial in the remaining variables.  Sign convention:
+    The result is a polynomial in the remaining variable; charts of at most
+    two variables are accepted.  Denominators are cleared once per input,
+    with res(a*f, b*g) = a^deg(g) * b^deg(f) * res(f, g), and the determinant
+    is taken by integer Bareiss on dense coefficient lists.  Sign convention:
     with f-rows first, res_y(y^2 - x^3, 2*y) = -4*x^3 and
     res_y(y - x, y + x) = 2*x; tests pin these values.  For an input of
     degree zero in ``name`` the convention res(f, g) = g^deg(f)
@@ -595,30 +676,35 @@ def resultant(f: Poly, g: Poly, name: str) -> Poly:
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
-    fc = f.coefficients_in(name)
-    gc = g.coefficients_in(name)
-    m, n = len(fc) - 1, len(gc) - 1
-    rest = fc[0].variables
+    if f.variables != g.variables:
+        raise ValueError(f"variable lists differ: {f.variables} vs {g.variables}")
+    if len(f.variables) > 2:
+        raise ValueError(f"resultant expects a chart of at most two variables, "
+                         f"got {f.variables}")
+    if f.cap is not None or g.cap is not None:
+        raise ValueError("resultant of a truncated series")
+    i = f._index(name)
+    rest = f.variables[:i] + f.variables[i + 1:]
+    m, n = f.degree_in(name), g.degree_in(name)
     if m == 0 and n == 0:
         return Poly.const(rest, 1)
     if m == 0:
-        return fc[0] ** n
+        return f.coefficients_in(name)[0] ** n
     if n == 0:
-        return gc[0] ** m
+        return g.coefficients_in(name)[0] ** m
+    fc, a = _integer_rows(f, name)
+    gc, b = _integer_rows(g, name)
     size = m + n
-    zero = Poly.zero(rest)
-    matrix: List[List[Poly]] = []
-    for shift in range(n):
-        row = [zero] * size
-        for j, c in enumerate(reversed(fc)):
-            row[shift + j] = c
-        matrix.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        for j, c in enumerate(reversed(gc)):
-            row[shift + j] = c
-        matrix.append(row)
-    return _determinant(matrix, rest)
+    matrix: List[List[IntPoly]] = []
+    for coefficients, count in ((fc, n), (gc, m)):
+        for shift in range(count):
+            row: List[IntPoly] = [[] for _ in range(size)]
+            row[shift:shift + len(coefficients)] = coefficients[::-1]
+            matrix.append(row)
+    determinant = _bareiss(matrix)
+    denominator = a ** n * b ** m
+    return Poly(rest, {(k,) * len(rest): Fraction(c, denominator)
+                       for k, c in enumerate(determinant) if c})
 
 
 def _univariate_coeffs(f: Poly) -> List[Fraction]:
@@ -632,11 +718,101 @@ def _univariate_coeffs(f: Poly) -> List[Fraction]:
     return coeffs
 
 
+def _primitive(cs: Sequence[Union[int, Fraction]]) -> IntPoly:
+    """The primitive integer multiple of a rational coefficient list, with a
+    positive leading coefficient; [] for zero."""
+    scale = 1
+    for c in cs:
+        scale = lcm(scale, c.denominator)
+    integers = _int_trim([c.numerator * (scale // c.denominator) for c in cs])
+    content = 0
+    for c in integers:
+        content = _int_gcd(content, c)
+    if integers and integers[-1] < 0:
+        content = -content
+    return [c // content for c in integers]
+
+
+def _int_poly_gcd(a: Sequence[Union[int, Fraction]],
+                  b: Sequence[Union[int, Fraction]]) -> IntPoly:
+    """Primitive gcd in Z[x], leading coefficient positive, by the primitive
+    remainder sequence: each pseudo-remainder is divided by its content."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lead, top = b[-1], len(b) - 1
+        while len(a) > top:
+            c, shift = a[-1], len(a) - 1 - top
+            g = _int_gcd(c, lead)
+            a = [x * (lead // g) for x in a]
+            for t, y in enumerate(b):
+                a[shift + t] -= (c // g) * y
+            _int_trim(a)
+        a, b = b, _primitive(a)
+    return a
+
+
+def _horner_mod(cs: IntPoly, r: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * r + c) % modulus
+    return acc
+
+
+def _rational_reconstruction(residue: int, modulus: int, bound_num: int,
+                             bound_den: int) -> Optional[Fraction]:
+    """The s/t with |s| <= bound_num, 0 < t <= bound_den and s = t*residue
+    modulo ``modulus``, if there is one; it is unique when
+    modulus > 2*bound_num*bound_den.  Half-extended Euclid (Wang); a wrong
+    answer is possible when there is none, so callers check it."""
+    r0, r1 = modulus, residue % modulus
+    t0, t1 = 0, 1
+    while r1 > bound_num:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 == 0 or abs(t1) > bound_den:
+        return None
+    return Fraction(r1, t1)
+
+
+def _padic_root_candidates(cs: IntPoly) -> List[Fraction]:
+    """Candidates containing every rational root of a squarefree primitive
+    integer polynomial with a nonzero constant term.
+
+    p is the smallest odd prime not dividing the leading coefficient at which
+    every root mod p is simple.  Each root mod p is lifted by Newton-Hensel
+    iteration until p^k > 2*|a0|*|an|, then read back as the unique fraction
+    s/t with |s| <= |a0|, 0 < t <= |an| (Loos, SIAM J. Comput. 12, 1983): a
+    rational root s/t in lowest terms has s | a0 and t | an, so it is found.
+    """
+    a0, an = abs(cs[0]), abs(cs[-1])
+    derivative = [k * c for k, c in enumerate(cs)][1:]
+    for p in count(3, 2):
+        if any(p % q == 0 for q in range(3, isqrt(p) + 1, 2)) or an % p == 0:
+            continue
+        roots = [r for r in range(p) if _horner_mod(cs, r, p) == 0]
+        if all(_horner_mod(derivative, r, p) for r in roots):
+            break
+    modulus, bound = p, 2 * a0 * an
+    while modulus <= bound:
+        modulus *= modulus
+        roots = [(r - _horner_mod(cs, r, modulus)
+                  * pow(_horner_mod(derivative, r, modulus), -1, modulus)) % modulus
+                 for r in roots]
+    candidates = (_rational_reconstruction(r, modulus, a0, an) for r in roots)
+    return sorted(c for c in candidates if c is not None)
+
+
 def rational_roots(f: Poly) -> List[Fraction]:
     """All rational roots of a nonzero univariate polynomial, with multiplicity.
 
-    Works on the primitive integer form via the rational root theorem, then
-    deflates by synthetic division to count multiplicities.
+    Candidates come from p-adic lifting of the roots of the primitive
+    squarefree part modulo a small prime, with rational reconstruction (see
+    :func:`_padic_root_candidates`).  Each candidate is checked by exact
+    Horner evaluation on the original polynomial, which is deflated by
+    synthetic division to count multiplicities.
     """
     if f.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -647,24 +823,11 @@ def rational_roots(f: Poly) -> List[Fraction]:
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return sorted(roots)
-    denominator_lcm = 1
-    for c in coeffs:
-        denominator_lcm = denominator_lcm * c.denominator // _int_gcd(denominator_lcm, c.denominator)
-    integers = [int(c * denominator_lcm) for c in coeffs]
-    content = 0
-    for c in integers:
-        content = _int_gcd(content, abs(c))
-    integers = [c // content for c in integers]
-
-    def divisors(n: int) -> List[int]:
-        n = abs(n)
-        out = [d for d in range(1, n + 1) if n % d == 0]
-        return out
-
-    candidates = {Fraction(p * s, q)
-                  for p in divisors(integers[0])
-                  for q in divisors(integers[-1])
-                  for s in (1, -1)}
+    integers = _primitive(coeffs)
+    work = [Fraction(c) for c in integers]
+    # by Gauss's lemma the quotient by the primitive gcd stays in Z[x]
+    squarefree = _int_exact_quotient(
+        integers, _int_poly_gcd(integers, [k * c for k, c in enumerate(integers)][1:]))
 
     def horner(cs: List[Fraction], r: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -680,8 +843,7 @@ def rational_roots(f: Poly) -> List[Fraction]:
             out[i - 1] = acc
         return out
 
-    work = [Fraction(c) for c in integers]
-    for r in sorted(candidates):
+    for r in _padic_root_candidates(squarefree):
         while len(work) > 1 and horner(work, r) == 0:
             roots.append(r)
             work = deflate(work, r)
@@ -689,31 +851,15 @@ def rational_roots(f: Poly) -> List[Fraction]:
 
 
 def univariate_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd of two univariate polynomials by the Euclidean algorithm."""
+    """Monic gcd of two univariate polynomials, by the primitive remainder
+    sequence over Z."""
     if f.variables != g.variables or len(f.variables) != 1:
         raise ValueError("univariate_gcd expects two polynomials in one shared variable")
-    a, b = _univariate_coeffs(f), _univariate_coeffs(g)
-
-    def trim(cs: List[Fraction]) -> List[Fraction]:
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cs
-
-    a, b = trim(a[:]), trim(b[:])
-    while b:
-        while len(a) >= len(b):
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[i + shift] -= factor * c
-            a = trim(a)
-            if not a:
-                break
-        a, b = b, a
+    a = _int_poly_gcd(_univariate_coeffs(f), _univariate_coeffs(g))
     if not a:
         return Poly.zero(f.variables)
     lead = a[-1]
-    return Poly(f.variables, {(i,): c / lead for i, c in enumerate(a)})
+    return Poly(f.variables, {(i,): Fraction(c, lead) for i, c in enumerate(a) if c})
 
 
 # ---------------------------------------------------------------------------

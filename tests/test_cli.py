@@ -135,6 +135,38 @@ def test_resolve_curve_cli(capsys):
     assert "complete: True" in out
 
 
+@pytest.mark.parametrize("text, child", [("(y + x)^2 + x^3*y^3", "2,4"),
+                                         ("(y + x)^2*(1 + y) - x^5", "2,3")])
+def test_resolve_curve_refuses_an_invariant_that_does_not_drop(capsys, text, child):
+    code, out, _ = run(capsys, "--machine", "invariant", text)
+    assert code == 0
+    assert json.loads(out)["exact"] is False and json.loads(out)["invariant"] == "2,2"
+    code, out, err = run(capsys, "--machine", "resolve-curve", text)
+    assert code == 3 and out == ""
+    assert err.startswith("refused: chart r/0:x: ")
+    assert f"({child})" in err and "(2,2)" in err
+
+
+@pytest.mark.parametrize("c1", (3, 5, 7))
+@pytest.mark.parametrize("c2", (3, 5, 7))
+def test_resolve_curve_two_branch_product_ends_quickly(capsys, c1, c2):
+    # the first blowup chart factors as (y^2 - c1)*(y^3 - c2*t): its
+    # singular points at y = +-sqrt(c1) are not rational
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--machine", "resolve-curve",
+                         f"(y^2 - {c1}*x^3)*(y^3 - {c2}*x^5)")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and err == ""
+    assert "singular locus not certified rational" in out
+
+
+def test_resolve_curve_high_power_ends_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--machine", "resolve-curve", "y^2 - x^64")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and json.loads(out)["complete"] is True
+
+
 def test_select_centre_cli(capsys):
     code, out, _ = run(capsys, "select-centre",
                        "--sigma", "2*x*@y^@z - 2*y*z*@z^@x - y^2*@x^@y",

@@ -321,6 +321,15 @@ def test_plane_curve_prefers_the_variable_that_takes_the_shift():
     assert tree.children[0].invariant.finite_entries() == (F(2), F(5))
 
 
+@pytest.mark.parametrize("text", ["(y + x)^2 + x^3*y^3", "(y + x)^2*(1 + y) - x^5"])
+def test_plane_curve_exact_only_for_a_prepared_square(text):
+    # both pure squares occur but the germ has degree 3 in each variable, so
+    # no subleading shift applies and (2,2) is only the monomial lower bound
+    result = plane_curve_invariant(parse_poly(text, V2))
+    assert result.invariant.finite_entries() == (F(2), F(2))
+    assert not result.exact
+
+
 def newton_reader(prepared: Poly):
     """The Newton-polygon reading of a prepared plane-curve germ.
 
@@ -338,6 +347,15 @@ def newton_reader(prepared: Poly):
     return d, a2, Centre(prepared.variables, tuple(exponents))
 
 
+def is_weierstrass(prepared: Poly, d: int) -> bool:
+    """Whether the prepared germ is c*u^d + (terms of degree < d - 1 in u)
+    for one of its variables u."""
+    powers = [tuple(d if m == k else 0 for m in range(2)) for k in range(2)]
+    return any(power in prepared.terms
+               and all(e[k] < d - 1 or e == power for e in prepared.terms)
+               for k, power in enumerate(powers))
+
+
 def assert_reader_agrees(f: Poly):
     plane = plane_curve_invariant(f)
     d, a2, centre = newton_reader(plane.prepared)
@@ -345,7 +363,8 @@ def assert_reader_agrees(f: Poly):
     assert plane.invariant.finite_entries() == expected, f
     assert plane.centre == centre, f
     assert plane.centre.ord_poly(plane.prepared) == 1, f
-    assert plane.exact == (d == 2 and a2 is not None), f
+    assert plane.exact == (d == 2 and a2 is not None
+                           and is_weierstrass(plane.prepared, d)), f
     return plane
 
 

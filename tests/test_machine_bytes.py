@@ -21,7 +21,16 @@ Intended changes recorded in these digests, relative to the previous ones:
 * when both pure powers of the multiplicity occur, the plane-curve
   preparation shifts the variable of degree d: ``(y + x)^2 - x^5`` has the
   invariant (2,5), not (2,2), and `resolve-curve` resolves it with one
-  blowup instead of failing an assertion.
+  blowup instead of failing an assertion;
+* ``invariant`` on ``(y + x)^2 + x^3*y^3`` and ``(y + x)^2*(1 + y) - x^5``
+  reports ``"exact":false``: neither germ is of the form c*u^2 + b(v) after
+  preparation, so (2,2) is only the monomial lower bound; ``resolve-curve``
+  on them is refused (exit 3, empty stdout) where the invariant fails to
+  drop, instead of dying with an uncaught ``AssertionError``.
+
+The calls on ``(y^2 - 3*x^3)*(y^3 - 5*x^5)``, whose elimination used to run
+for over 20 s, and on ``y^2 - x^64`` pin outputs that the integer
+elimination kernel left unchanged.
 """
 
 import hashlib
@@ -64,6 +73,12 @@ COMMAND_CALLS = [
     ["resolve-curve", "y^3 - x^5"],
     ["resolve-curve", "y^2 - (x^2 - 2)^2"],
     ["resolve-curve", "(y - x^2)*(y^3 - 2*x^4)"],
+    ["invariant", "(y + x)^2 + x^3*y^3"],
+    ["invariant", "(y + x)^2*(1 + y) - x^5"],
+    ["resolve-curve", "(y + x)^2 + x^3*y^3"],
+    ["resolve-curve", "(y + x)^2*(1 + y) - x^5"],
+    ["resolve-curve", "(y^2 - 3*x^3)*(y^3 - 5*x^5)"],
+    ["resolve-curve", "y^2 - x^64"],
     ["select-centre", "--sigma", "2*x*@y^@z - 2*y*z*@z^@x - y^2*@x^@y",
      "--surface", "x^2 - y^2*z"],
     ["select-centre", "--sigma", SHEARED_WHITNEY_SIGMA, "--surface", "x^2 - (y + z)^2*z"],
@@ -141,6 +156,18 @@ EXPECTED = {
         (3, "fc612f0ac3930b2d4a9465d8051d934df6fd341fb63eca239ddd6f88a3f92977"),
     ("resolve-curve", "(y - x^2)*(y^3 - 2*x^4)"):
         (3, "7d4cefc33ae9b445e1a87a35561146e383b84dead369894f1c06eb2e7fd0cb02"),
+    ("invariant", "(y + x)^2 + x^3*y^3"):
+        (0, "1bd758bf7dcee33cae5d11eb9c429e3a29d45fdeb529739a1d2f21c4b8f414ba"),
+    ("invariant", "(y + x)^2*(1 + y) - x^5"):
+        (0, "1bd758bf7dcee33cae5d11eb9c429e3a29d45fdeb529739a1d2f21c4b8f414ba"),
+    ("resolve-curve", "(y + x)^2 + x^3*y^3"):
+        (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("resolve-curve", "(y + x)^2*(1 + y) - x^5"):
+        (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("resolve-curve", "(y^2 - 3*x^3)*(y^3 - 5*x^5)"):
+        (3, "481e5a56eef07c745ce054d4baf71f173d853fb6824f265729e48b0d76341be6"),
+    ("resolve-curve", "y^2 - x^64"):
+        (0, "0e50dad4e6b900d5496ed03f86c12ad126141372f60af7efee8278ee0134bc53"),
     ("select-centre", "--sigma", "2*x*@y^@z - 2*y*z*@z^@x - y^2*@x^@y", "--surface",
      "x^2 - y^2*z"):
         (0, "21baef6e9b54b7e641097e9b4c89ed7b391ae470236029c4db95e2df1deea28a"),

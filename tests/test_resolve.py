@@ -82,6 +82,21 @@ def test_irrational_singularities_marked_indeterminate():
     assert any(leaf.status == "indeterminate" for leaf in tree.leaves())
 
 
+# the invariant (2,2) of these germs is only a lower bound: neither is of the
+# form c*u^2 + b(v) after preparation, and their blown-up charts carry (2,4)
+# and (2,3)
+NON_WEIERSTRASS_SQUARES = [("(y + x)^2 + x^3*y^3", "2,4"), ("(y + x)^2*(1 + y) - x^5", "2,3")]
+
+
+@pytest.mark.parametrize("text, child", NON_WEIERSTRASS_SQUARES)
+def test_invariant_that_does_not_drop_is_refused(text, child):
+    with pytest.raises(RefusalError) as caught:
+        resolve_plane_curve(parse_poly(text, V2))
+    message = str(caught.value)
+    assert message.startswith("chart r/0:x: ")
+    assert f"({child})" in message and "(2,2)" in message
+
+
 def test_deterministic_node_ids():
     first = resolve_plane_curve(parse_poly("y^2 - x^3", V2))
     second = resolve_plane_curve(parse_poly("y^2 - x^3", V2))

@@ -1,5 +1,6 @@
 """Exact arithmetic, parsing, division, resultants, rational roots."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,54 @@ def test_resultant_degree_zero_convention():
     assert resultant(f, c, "y") == parse_poly("x^2", ("x",))
 
 
+def _sylvester(f, g, name):
+    """Sylvester matrix in ``name``, f-coefficient rows first, built by hand."""
+    fc, gc = f.coefficients_in(name), g.coefficients_in(name)
+    m, n = len(fc) - 1, len(gc) - 1
+    zero = Poly.zero(fc[0].variables)
+    rows = []
+    for coefficients, count in ((fc, n), (gc, m)):
+        for shift in range(count):
+            row = [zero] * (m + n)
+            for j, c in enumerate(reversed(coefficients)):
+                row[shift + j] = c.with_cap(None)
+            rows.append(row)
+    return rows
+
+
+def test_resultant_matches_leibniz_on_random_sylvester_matrices(rng):
+    # random pairs of degrees 1..3 in y with rational coefficients: the
+    # Leibniz expansion of the hand-built Sylvester matrix is the oracle
+    checked = 0
+    while checked < 40:
+        f = random_nonzero_poly(rng, V2, max_degree=4, max_terms=5)
+        g = random_nonzero_poly(rng, V2, max_degree=4, max_terms=5)
+        if not (1 <= f.degree_in("y") <= 3 and 1 <= g.degree_in("y") <= 3):
+            continue
+        f = f.scale(F(rng.randint(1, 9), rng.randint(1, 9)))
+        g = g + Poly.const(V2, F(rng.randint(-5, 5), 7))
+        name = rng.choice(V2) if checked % 4 == 0 else "y"
+        if f.degree_in(name) < 1 or g.degree_in(name) < 1:
+            continue
+        rest = tuple(v for v in V2 if v != name)
+        assert resultant(f, g, name) == _det_by_permutations(_sylvester(f, g, name), rest)
+        checked += 1
+
+
+def test_resultant_on_a_univariate_chart():
+    x = ("x",)
+    assert resultant(parse_poly("x^2 - 1", x), parse_poly("x - 1", x), "x").is_zero()
+    value = resultant(parse_poly("x^2 - 2", x), parse_poly("3*x + 1/2", x), "x")
+    # g(sqrt 2)*g(-sqrt 2) = 1/4 - 18
+    assert value == Poly.const((), F(-71, 4))
+
+
+def test_resultant_three_variable_chart_rejected():
+    f, g = parse_poly("y^2 - x*z", V3), parse_poly("y - z", V3)
+    with pytest.raises(ValueError):
+        resultant(f, g, "y")
+
+
 # --- rational roots ----------------------------------------------------------------
 
 def test_rational_roots_examples():
@@ -285,6 +334,29 @@ def test_rational_roots_examples():
 def test_rational_roots_zero_multiplicity():
     f = parse_poly("x^3*(x - 2)", ("x",))
     assert rational_roots(f) == [F(0), F(0), F(0), F(2)]
+
+
+def test_rational_roots_skips_unlucky_primes():
+    # 3 and 5 divide the leading coefficient, and modulo 7 the roots 1/15
+    # and 1 collide; the first usable prime is 11
+    f = parse_poly("(15*x - 1)*(x - 1)*(x - 4)*(x - 6)", ("x",))
+    assert rational_roots(f) == [F(1, 15), F(1), F(4), F(6)]
+    assert rational_roots(parse_poly("x^2 - 2", ("x",))) == []
+
+
+def test_rational_roots_degree_27_with_a_26_digit_constant():
+    # five rational roots (one double) times x^22 + 6*x^11 + 2*(10^21 + 1),
+    # irreducible by Eisenstein at 2; rational-root trial division would
+    # have to try every divisor of a 26-digit constant term
+    x = ("x",)
+    roots = [F(3), F(-5, 2), F(7, 3), F(7, 3), F(11)]
+    f = parse_poly(f"x^22 + 6*x^11 + 2*{10 ** 21 + 1}", x)
+    for r in roots:
+        f = f * parse_poly(f"{r.denominator}*x - ({r.numerator})", x)
+    assert f.total_degree() == 27 and len(str(abs(f.constant_term()))) == 26
+    start = time.perf_counter()
+    assert rational_roots(f) == sorted(roots)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_univariate_gcd():
