@@ -12,6 +12,11 @@ stable; the sorted weight/exponent/weight-sum view lives in
 translation inside the order and leading-term computations; only rational
 base points are supported.
 
+A centre is immutable, so its weights, weight data and reduced integer
+weights are computed once per instance and memoised; equality and hashing
+see only the three fields.  Weighted orders are integer dot products with the
+reduced weights, scaled by their gcd at the end.
+
 Text syntax: ``x:2 y:3 z:inf``, rationals allowed (``y:9/2``), with an
 optional base point suffix ``@ (p1,p2,p3)``.
 """
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ring import (
@@ -27,6 +34,7 @@ from .ring import (
     ExtRational,
     Point,
     Poly,
+    _exact,
     _grlex_key,
     ext_reciprocal,
     format_ext,
@@ -74,10 +82,13 @@ class Centre:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variable names in {self.variables}")
         for a in self.exponents:
-            if not is_infinite(a) and a <= 0:
+            if not is_infinite(a) and _exact(a) <= 0:
                 raise ValueError(f"exponents must be positive or inf, got {a}")
-        if self.base_point is not None and len(self.base_point) != len(self.variables):
-            raise ValueError("base point length does not match chart")
+        if self.base_point is not None:
+            if len(self.base_point) != len(self.variables):
+                raise ValueError("base point length does not match chart")
+            for p in self.base_point:
+                _exact(p)
 
     # -- construction ---------------------------------------------------------
 
@@ -86,8 +97,8 @@ class Centre:
                        exponents: Sequence[Union[int, Fraction, ExtRational]],
                        base_point: Optional[Sequence[Union[int, Fraction]]] = None
                        ) -> "Centre":
-        exps = tuple(a if is_infinite(a) else Fraction(a) for a in exponents)
-        point = None if base_point is None else tuple(Fraction(p) for p in base_point)
+        exps = tuple(a if is_infinite(a) else _exact(a) for a in exponents)
+        point = None if base_point is None else tuple(_exact(p) for p in base_point)
         return cls(tuple(variables), exps, point)
 
     @classmethod
@@ -105,6 +116,10 @@ class Centre:
         return self.exponents[self.variables.index(name)]
 
     def weights_by_variable(self) -> Tuple[Fraction, ...]:
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> Tuple[Fraction, ...]:
         return tuple(ext_reciprocal(a) for a in self.exponents)  # type: ignore[misc]
 
     def is_trivial(self) -> bool:
@@ -119,6 +134,10 @@ class Centre:
                      if not is_infinite(a))
 
     def weight_data(self) -> WeightData:
+        return self._weight_data
+
+    @cached_property
+    def _weight_data(self) -> WeightData:
         if self.is_trivial():
             raise ValueError("the trivial centre (all exponents infinite) has no weight data")
         weights = sorted((w for w in self.weights_by_variable() if w != 0), reverse=True)
@@ -139,8 +158,18 @@ class Centre:
 
     def reduced_weights_by_variable(self) -> Tuple[int, ...]:
         """Integer weights w_i / gcd(w), aligned with the chart variables."""
+        self.weight_data()  # the trivial centre has none
+        return self._integer_weights[0]
+
+    @cached_property
+    def _integer_weights(self) -> Tuple[Tuple[int, ...], Fraction]:
+        """The reduced weights and their gcd g, so that an order is g times
+        an integer; zeros and g = 1 on the trivial centre, where every order
+        is zero."""
+        if self.is_trivial():
+            return (0,) * len(self.variables), Fraction(1)
         gcd = self.weight_data().gcd
-        return tuple(int(w / gcd) for w in self.weights_by_variable())
+        return tuple(int(w / gcd) for w in self.weights_by_variable()), gcd
 
     def reduced(self) -> "Centre":
         """The underlying reduced centre: nonzero weights rescaled to coprime integers.
@@ -170,6 +199,8 @@ class Centre:
                       self.base_point)
 
     def translated_to_origin(self) -> "Centre":
+        if self.base_point is None:
+            return self
         return Centre(self.variables, self.exponents, None)
 
     # -- the valuation ---------------------------------------------------------
@@ -181,6 +212,18 @@ class Centre:
 
     def ord_poly(self, f: Poly) -> ExtRational:
         return self.ord_poly_with_witness(f)[0]
+
+    def _integer_order(self, f: Poly) -> Tuple[int, Tuple[int, ...]]:
+        """min of sum r_i e_i over the terms of a nonzero f at the origin, r the
+        reduced weights, with the graded-lex smallest exponent reaching it."""
+        weights = self._integer_weights[0]
+        best = witness = None
+        for exponent in f.terms:
+            value = sum(map(mul, weights, exponent))
+            if best is None or value < best or (value == best
+                                                and _grlex_key(exponent) < _grlex_key(witness)):
+                best, witness = value, exponent
+        return best, witness
 
     def ord_poly_with_witness(self, f: Poly) -> Tuple[ExtRational, Optional[Tuple[int, ...]]]:
         """Minimum weighted order over the support, with a minimising monomial.
@@ -194,16 +237,8 @@ class Centre:
         f = self._recentre_poly(f)
         if f.is_zero():
             return INF, None
-        weights = self.weights_by_variable()
-        best: Optional[Fraction] = None
-        witness: Optional[Tuple[int, ...]] = None
-        for exponent in f.terms:
-            value = sum((w * e for w, e in zip(weights, exponent)), Fraction(0))
-            if best is None or value < best or (value == best and witness is not None
-                                                and _grlex_key(exponent) < _grlex_key(witness)):
-                best, witness = value, exponent
-        assert best is not None
-        return best, witness
+        best, witness = self._integer_order(f)
+        return self._integer_weights[1] * best, witness
 
     def ord_polyvector(self, xi: Polyvector) -> ExtRational:
         """min over terms of ord(coefficient) - sum of the weights in the index tuple.
@@ -215,21 +250,22 @@ class Centre:
             raise ValueError(f"chart mismatch: {xi.variables} vs {self.variables}")
         if xi.is_zero():
             return INF
-        weights = self.weights_by_variable()
-        best: Optional[Fraction] = None
+        weights, gcd = self._integer_weights
+        best: Optional[int] = None
         for indices, coeff in xi.terms.items():
-            base = self.ord_poly(coeff)
-            if is_infinite(base):
+            coeff = self._recentre_poly(coeff)
+            if coeff.is_zero():
                 continue
-            value = base - sum((weights[i] for i in indices), Fraction(0))
+            value = self._integer_order(coeff)[0] - sum(weights[i] for i in indices)
             if best is None or value < best:
                 best = value
         if best is None:
             return INF
+        order = gcd * best
         if not self.is_trivial():
             bound = self.weight_data().kappa_at(xi.degree)
-            assert best >= -bound, f"order {best} below the degree bound {-bound}"
-        return best
+            assert order >= -bound, f"order {order} below the degree bound {-bound}"
+        return order
 
     def ord(self, value: Union[Poly, Polyvector]) -> ExtRational:
         if isinstance(value, Poly):
@@ -248,28 +284,27 @@ class Centre:
         f = self._recentre_poly(f)
         if f.is_zero():
             raise ValueError("the zero polynomial has no leading term")
-        weights = self.weights_by_variable()
-        orders = {e: sum((w * k for w, k in zip(weights, e)), Fraction(0))
-                  for e in f.terms}
-        minimum = min(orders.values())
-        return Poly(self.variables,
-                    {e: c for e, c in f.terms.items() if orders[e] == minimum},
-                    f.cap)
+        weights = self._integer_weights[0]
+        minimum = self._integer_order(f)[0]
+        return Poly._from_canonical(
+            self.variables,
+            {e: c for e, c in f.terms.items() if sum(map(mul, weights, e)) == minimum},
+            f.cap)
 
     def leading_term_polyvector(self, xi: Polyvector) -> Polyvector:
         if xi.is_zero():
             raise ValueError("the zero polyvector has no leading term")
         xi = xi if self.base_point is None else xi.translate(self.base_point)
-        weights = self.weights_by_variable()
-        minimum = self.translated_to_origin().ord_polyvector(xi)
+        weights, gcd = self._integer_weights
+        minimum = self.translated_to_origin().ord_polyvector(xi) / gcd
         out: Dict[Tuple[int, ...], Poly] = {}
         for indices, coeff in xi.terms.items():
-            shift = sum((weights[i] for i in indices), Fraction(0))
+            target = minimum + sum(weights[i] for i in indices)
             kept = {e: c for e, c in coeff.terms.items()
-                    if sum((w * k for w, k in zip(weights, e)), Fraction(0)) - shift == minimum}
+                    if sum(map(mul, weights, e)) == target}
             if kept:
-                out[indices] = Poly(self.variables, kept, coeff.cap)
-        return Polyvector(xi.degree, self.variables, out)
+                out[indices] = Poly._from_canonical(self.variables, kept, coeff.cap)
+        return Polyvector._from_canonical(xi.degree, self.variables, out)
 
     def leading_term(self, value: Union[Poly, Polyvector]) -> Union[Poly, Polyvector]:
         if isinstance(value, Poly):

@@ -604,10 +604,18 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point,
         prepared_sigma = shear(prepared_sigma, name, shift)
 
     # isolatedness does not depend on the coordinates; in the prepared ones
-    # a zero line straightened onto an axis is found
+    # a zero line straightened onto an axis is found.  For a nonzero multiple
+    # of J(prepared_f) the coefficients are the partials of prepared_f up to
+    # sign, so the Milnor verdict classify_surface computed is the answer.
     coefficients = list(prepared_sigma.terms.values())
-    isolated, _ = local_dimension_is_zero(coefficients, degree_bound) \
-        if coefficients else (False, None)
+    mu = surface.milnor
+    if mu is not None and _constant_ratio(prepared_sigma,
+                                          jacobian_poisson(prepared_f)) is not None:
+        isolated = None if mu == INDETERMINATE else mu != UNBOUNDED
+    elif coefficients:
+        isolated, _ = local_dimension_is_zero(coefficients, degree_bound)
+    else:
+        isolated = False
     report.isolated_sigma_zero = bool(isolated)
     if isolated is None:
         report.diagnostics.append("isolatedness of the bivector zero is indeterminate")

@@ -86,6 +86,18 @@ class Polyvector:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def _from_canonical(cls, degree: int, variables: Tuple[str, ...],
+                        terms: Dict[IndexTuple, Poly]) -> "Polyvector":
+        """Wrap terms already valid for ``__init__`` (strictly increasing index
+        tuples of length ``degree``, coefficients on the chart), dropping zero
+        coefficients; ``terms`` is owned by the result."""
+        self = object.__new__(cls)
+        self.degree = degree
+        self.variables = variables
+        self.terms = {i: c for i, c in terms.items() if c.terms}
+        return self
+
+    @classmethod
     def zero(cls, degree: int, variables: Sequence[str]) -> "Polyvector":
         return cls(degree, variables, {})
 
@@ -165,21 +177,21 @@ class Polyvector:
         out = dict(self.terms)
         for indices, coeff in other.terms.items():
             out[indices] = out[indices] + coeff if indices in out else coeff
-        return Polyvector(self.degree, self.variables, out)
+        return Polyvector._from_canonical(self.degree, self.variables, out)
 
     def __neg__(self) -> "Polyvector":
-        return Polyvector(self.degree, self.variables,
-                          {i: -c for i, c in self.terms.items()})
+        return Polyvector._from_canonical(self.degree, self.variables,
+                                          {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other: "Polyvector") -> "Polyvector":
         return self + (-other)
 
     def scale(self, value: Union[int, Fraction, Poly]) -> "Polyvector":
         if isinstance(value, Poly):
-            return Polyvector(self.degree, self.variables,
-                              {i: c * value for i, c in self.terms.items()})
-        return Polyvector(self.degree, self.variables,
-                          {i: c.scale(value) for i, c in self.terms.items()})
+            return Polyvector._from_canonical(self.degree, self.variables,
+                                              {i: c * value for i, c in self.terms.items()})
+        return Polyvector._from_canonical(self.degree, self.variables,
+                                          {i: c.scale(value) for i, c in self.terms.items()})
 
     def __mul__(self, value: Union[int, Fraction, Poly]) -> "Polyvector":
         return self.scale(value)
@@ -188,7 +200,9 @@ class Polyvector:
 
     def map_coefficients(self, fn) -> "Polyvector":
         mapped = {i: fn(c) for i, c in self.terms.items()}
-        return Polyvector(self.degree, self.variables, mapped)
+        if any(c.variables != self.variables for c in mapped.values()):
+            raise ValueError("coefficient chart does not match polyvector chart")
+        return Polyvector._from_canonical(self.degree, self.variables, mapped)
 
     def translate(self, point: Point) -> "Polyvector":
         """Recentre every coefficient at ``point`` (constant frame)."""
@@ -251,7 +265,7 @@ def wedge(xi: Polyvector, eta: Polyvector) -> Polyvector:
             key, sign = sorted_indices
             piece = ca * cb if sign > 0 else -(ca * cb)
             out[key] = out[key] + piece if key in out else piece
-    return Polyvector(degree, xi.variables, out)
+    return Polyvector._from_canonical(degree, xi.variables, out)
 
 
 def _odd_derivative(xi: Polyvector, i: int) -> Polyvector:
@@ -264,7 +278,7 @@ def _odd_derivative(xi: Polyvector, i: int) -> Polyvector:
         reduced = indices[:position] + indices[position + 1:]
         piece = coeff if position % 2 == 0 else -coeff
         out[reduced] = out[reduced] + piece if reduced in out else piece
-    return Polyvector(max(xi.degree - 1, 0), xi.variables, out)
+    return Polyvector._from_canonical(max(xi.degree - 1, 0), xi.variables, out)
 
 
 def _odd_laplacian(xi: Polyvector) -> Polyvector:

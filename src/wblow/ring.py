@@ -8,7 +8,18 @@ A polynomial is stored as a dictionary mapping exponent tuples to nonzero
     Poly.terms = {(2, 0, 0): Fraction(1), (0, 2, 1): Fraction(-1)}   # x^2 - y^2*z
 
 The zero polynomial has an empty dictionary.  All arithmetic is exact; no
-floating point is used anywhere in the package.
+floating point is used anywhere in the package: a coefficient that is not an
+``int`` or a ``Fraction`` is refused with ``TypeError``.
+
+Canonical form.  Every ``Poly`` satisfies one invariant: ``variables`` is a
+tuple of distinct names, every key of ``terms`` is a tuple of non-negative
+ints of that length with total degree below the cap (when there is one), and
+every value is a nonzero ``Fraction``.  ``Poly.__init__`` is the one
+validating entry: it checks and normalises outside input.  The results of
+``+``, ``-``, ``*``, ``**``, ``scale``, ``diff`` and ``substitute`` are
+canonical by construction and go through the trusted ``Poly._from_canonical``,
+which stores them as they are.  Products clear denominators once per operand,
+accumulate integer numerators and build one ``Fraction`` per output term.
 
 A polynomial may carry a truncation cap N, in which case it represents a
 residue modulo terms of total degree >= N (a truncated power series).  Every
@@ -33,12 +44,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd as _int_gcd, isqrt, lcm
+from math import comb, gcd as _int_gcd, isqrt, lcm, prod
+from operator import add
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 MAX_VARIABLES = 8
 # largest power the parser expands: (x + y + z)^64 already has 2145 terms
 MAX_EXPONENT = 64
+# largest number of terms a parsed product or power may reach, by the bound
+# of _expansion_bound, checked before expanding it
+MAX_TERMS = 1000
 
 Exponent = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -168,6 +183,57 @@ def _grlex_key(exponent: Exponent) -> Tuple:
     return (sum(exponent), exponent)
 
 
+def _exact(value: Union[int, Fraction]) -> Fraction:
+    """``value`` as a Fraction; anything but an int or a Fraction is refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"{value!r} is not an int or a Fraction; no floating point is used")
+
+
+def _clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[List[int], int]:
+    """The integers d*v for the least common denominator d of ``values``, and d."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    if scale == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _product(a: "Poly", b: "Poly", cap: Optional[int]) -> "Poly":
+    """a*b truncated at ``cap``: integer numerators accumulated over the
+    product of the two common denominators, one Fraction per output term.
+    A one-term factor only shifts exponents, injectively, and scales."""
+    if len(b.terms) == 1:
+        a, b = b, a
+    if len(a.terms) == 1:
+        (ea, ca), = a.terms.items()
+        shifted = ((tuple(map(add, ea, eb)), cb) for eb, cb in b.terms.items())
+        return Poly._from_canonical(
+            a.variables,
+            {e: cb if ca == 1 else ca * cb for e, cb in shifted
+             if cap is None or sum(e) < cap},
+            cap)
+    numerators_a, scale_a = _clear_denominators(a.terms.values())
+    numerators_b, scale_b = _clear_denominators(b.terms.values())
+    right = list(zip(b.terms, numerators_b))
+    out: Dict[Exponent, int] = {}
+    get = out.get
+    for ea, na in zip(a.terms, numerators_a):
+        for eb, nb in right:
+            exponent = tuple(map(add, ea, eb))
+            if cap is not None and sum(exponent) >= cap:
+                continue
+            out[exponent] = get(exponent, 0) + na * nb
+    scale = scale_a * scale_b
+    if scale == 1:
+        terms = {e: Fraction(n) for e, n in out.items() if n}
+    else:
+        terms = {e: Fraction(n, scale) for e, n in out.items() if n}
+    return Poly._from_canonical(a.variables, terms, cap)
+
+
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
@@ -195,9 +261,9 @@ class Poly:
                 raise ValueError(f"exponent {exponent} has wrong length for {variables}")
             if any(e < 0 for e in exponent):
                 raise ValueError(f"negative exponent in {exponent}")
+            coeff = _exact(coeff)
             if cap is not None and sum(exponent) >= cap:
                 continue
-            coeff = Fraction(coeff)
             if coeff != 0:
                 clean[exponent] = coeff
         self.variables = variables
@@ -207,6 +273,17 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_canonical(cls, variables: Tuple[str, ...], terms: Dict[Exponent, Fraction],
+                        cap: Optional[int]) -> "Poly":
+        """Wrap data already in canonical form (see the module docstring),
+        without checking it; ``terms`` is owned by the result."""
+        self = object.__new__(cls)
+        self.variables = variables
+        self.terms = terms
+        self.cap = cap
+        return self
+
+    @classmethod
     def zero(cls, variables: Sequence[str], cap: Optional[int] = None) -> "Poly":
         return cls(variables, {}, cap)
 
@@ -214,7 +291,7 @@ class Poly:
     def const(cls, variables: Sequence[str], value: Union[int, Fraction],
               cap: Optional[int] = None) -> "Poly":
         n = len(tuple(variables))
-        return cls(variables, {(0,) * n: Fraction(value)}, cap)
+        return cls(variables, {(0,) * n: _exact(value)}, cap)
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str, cap: Optional[int] = None) -> "Poly":
@@ -286,17 +363,30 @@ class Poly:
             return a
         return min(a, b)
 
+    def _capped_terms(self, cap: Optional[int]) -> Dict[Exponent, Fraction]:
+        """The terms of total degree below ``cap``, a cap no larger than
+        self's; self's own dictionary when nothing is cut."""
+        if cap is None or cap == self.cap:
+            return self.terms
+        return {e: c for e, c in self.terms.items() if sum(e) < cap}
+
     def __add__(self, other: Union["Poly", int, Fraction]) -> "Poly":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exponent, coeff in other.terms.items():
-            out[exponent] = out.get(exponent, Fraction(0)) + coeff
-        return Poly(self.variables, out, self._min_cap(self.cap, other.cap))
+        cap = self._min_cap(self.cap, other.cap)
+        out = dict(self._capped_terms(cap))
+        for exponent, coeff in other._capped_terms(cap).items():
+            total = out.get(exponent, 0) + coeff
+            if total:
+                out[exponent] = total
+            else:
+                del out[exponent]
+        return Poly._from_canonical(self.variables, out, cap)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()}, self.cap)
+        return Poly._from_canonical(self.variables, {e: -c for e, c in self.terms.items()},
+                                    self.cap)
 
     def __sub__(self, other: Union["Poly", int, Fraction]) -> "Poly":
         return self + (-self._coerce(other))
@@ -308,31 +398,28 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
-        cap = self._min_cap(self.cap, other.cap)
-        out: Dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exponent = tuple(x + y for x, y in zip(ea, eb))
-                if cap is not None and sum(exponent) >= cap:
-                    continue
-                out[exponent] = out.get(exponent, Fraction(0)) + ca * cb
-        return Poly(self.variables, out, cap)
+        return _product(self, other, self._min_cap(self.cap, other.cap))
 
     def __rmul__(self, other: Union[int, Fraction]) -> "Poly":
         return self.scale(other)
 
     def scale(self, value: Union[int, Fraction]) -> "Poly":
-        value = Fraction(value)
-        return Poly(self.variables, {e: c * value for e, c in self.terms.items()}, self.cap)
+        value = _exact(value)
+        if value == 0:
+            return Poly._from_canonical(self.variables, {}, self.cap)
+        return Poly._from_canonical(self.variables,
+                                    {e: c * value for e, c in self.terms.items()}, self.cap)
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power must be a non-negative integer, got {exponent}")
-        result = Poly.const(self.variables, 1, self.cap)
+        if exponent == 0:
+            return Poly.const(self.variables, 1, self.cap)
+        result: Optional[Poly] = None
         base = self
         while exponent:
             if exponent & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if exponent > 1 else base
             exponent >>= 1
         return result
@@ -342,14 +429,12 @@ class Poly:
     def diff(self, name: str) -> "Poly":
         """Formal partial derivative.  Lowers a truncation cap by one."""
         i = self._index(name)
-        out: Dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
-            if exponent[i] == 0:
-                continue
-            reduced = exponent[:i] + (exponent[i] - 1,) + exponent[i + 1:]
-            out[reduced] = out.get(reduced, Fraction(0)) + coeff * exponent[i]
+        # lowering exponent i is injective on the terms that contain it
+        out: Dict[Exponent, Fraction] = {
+            exponent[:i] + (exponent[i] - 1,) + exponent[i + 1:]: coeff * exponent[i]
+            for exponent, coeff in self.terms.items() if exponent[i]}
         cap = None if self.cap is None else max(self.cap - 1, 0)
-        return Poly(self.variables, out, cap)
+        return Poly._from_canonical(self.variables, out, cap)
 
     def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
         """Compose with the assignment ``name -> Poly``.
@@ -382,7 +467,6 @@ class Poly:
                     raise ValueError(
                         f"cannot substitute {name} -> series with constant term "
                         "into a truncated polynomial")
-        result = Poly.zero(target, cap)
         powers: Dict[Tuple[str, int], Poly] = {}
 
         def power(v: str, k: int) -> Poly:
@@ -391,17 +475,25 @@ class Poly:
                 powers[key] = full[v] ** k
             return powers[key]
 
+        # one accumulator, updated exactly as repeated Poly addition would be
+        out: Dict[Exponent, Fraction] = {}
+        one = Poly.const(target, 1, cap)
         for exponent, coeff in self.terms.items():
-            term = Poly.const(target, coeff, cap)
+            monomial = one
             for v, k in zip(self.variables, exponent):
                 if k:
-                    term = term * power(v, k)
-            result = result + term
-        return result
+                    monomial = _product(monomial, power(v, k), cap)
+            for e, c in monomial.terms.items():
+                total = out.get(e, 0) + coeff * c
+                if total:
+                    out[e] = total
+                else:
+                    del out[e]
+        return Poly._from_canonical(target, out, cap)
 
     def translate(self, point: Sequence[Union[int, Fraction]]) -> "Poly":
         """Recentre at ``point``: substitute x_i -> x_i + p_i."""
-        point = tuple(Fraction(p) for p in point)
+        point = tuple(_exact(p) for p in point)
         if len(point) != len(self.variables):
             raise ValueError("point length does not match chart")
         if all(p == 0 for p in point):
@@ -413,7 +505,7 @@ class Poly:
         return self.substitute(images)
 
     def evaluate(self, point: Sequence[Union[int, Fraction]]) -> Fraction:
-        point = tuple(Fraction(p) for p in point)
+        point = tuple(_exact(p) for p in point)
         if len(point) != len(self.variables):
             raise ValueError("point length does not match chart")
         total = Fraction(0)
@@ -649,16 +741,14 @@ def _integer_rows(f: Poly, name: str) -> Tuple[List[IntPoly], int]:
     """
     i = f._index(name)
     j = 1 - i if len(f.variables) == 2 else None
-    scale = 1
-    for c in f.terms.values():
-        scale = lcm(scale, c.denominator)
+    numerators, scale = _clear_denominators(f.terms.values())
     rows: List[IntPoly] = [[] for _ in range(max(e[i] for e in f.terms) + 1)]
-    for exponent, c in f.terms.items():
+    for exponent, c in zip(f.terms, numerators):
         k = 0 if j is None else exponent[j]
         row = rows[exponent[i]]
         if len(row) <= k:
             row.extend([0] * (k + 1 - len(row)))
-        row[k] = c.numerator * (scale // c.denominator)
+        row[k] = c
     return rows, scale
 
 
@@ -721,10 +811,7 @@ def _univariate_coeffs(f: Poly) -> List[Fraction]:
 def _primitive(cs: Sequence[Union[int, Fraction]]) -> IntPoly:
     """The primitive integer multiple of a rational coefficient list, with a
     positive leading coefficient; [] for zero."""
-    scale = 1
-    for c in cs:
-        scale = lcm(scale, c.denominator)
-    integers = _int_trim([c.numerator * (scale // c.denominator) for c in cs])
+    integers = _int_trim(_clear_denominators(cs)[0])
     content = 0
     for c in integers:
         content = _int_gcd(content, c)
@@ -906,6 +993,30 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
     return tokens
 
 
+def _expansion_bound(a: Poly, b: Optional[Poly] = None, exponent: int = 1) -> int:
+    """An upper bound on the number of terms of a*b, or of a^exponent.
+
+    The smaller of two counts: the products of terms (multisets of
+    ``exponent`` terms of a power), and the exponents in the box spanned by
+    the degrees in each variable.
+    """
+    degrees = [max((e[i] for e in a.terms), default=0) for i in range(len(a.variables))]
+    if b is None:
+        products = comb(len(a.terms) + exponent - 1, exponent)
+        box = prod(exponent * d + 1 for d in degrees)
+    else:
+        products = len(a.terms) * len(b.terms)
+        box = prod(d + max((e[i] for e in b.terms), default=0) + 1
+                   for i, d in enumerate(degrees))
+    return min(products, box)
+
+
+def _check_expansion(bound: int, offset: int) -> None:
+    if bound > MAX_TERMS:
+        raise ParseError(f"expansion of up to {bound} terms exceeds the limit {MAX_TERMS}",
+                         offset)
+
+
 class _ExprParser:
     """Recursive-descent parser shared by the polynomial and polyvector readers.
 
@@ -957,8 +1068,9 @@ class _ExprParser:
     def parse_term(self) -> Tuple[Poly, List[int]]:
         coeff, wedge = self.parse_factor()
         while self.peek()[0] == "*":
-            self.advance()
+            offset = self.advance()[2]
             c2, w2 = self.parse_factor()
+            _check_expansion(_expansion_bound(coeff, c2), offset)
             coeff = coeff * c2
             wedge = wedge + w2
         return coeff, wedge
@@ -975,6 +1087,7 @@ class _ExprParser:
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent {exponent} exceeds the limit {MAX_EXPONENT}",
                                  power_token[2])
+            _check_expansion(_expansion_bound(base, exponent=exponent), power_token[2])
             base = base ** exponent
         return base, []
 

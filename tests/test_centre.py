@@ -25,6 +25,18 @@ def test_weight_sum_sequence_32():
     assert data.kappa == (F(0), F(3), F(5))
 
 
+def test_centre_refuses_float_exponents_and_base_points():
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Centre.from_exponents(("x", "y"), (2, 1.5))
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Centre.from_exponents(("x", "y"), (2, 3), (0.5, 0))
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Centre(("x", "y"), (F(2), 1.5))
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Centre(("x", "y"), (F(2), F(3)), (F(0), 0.5))
+    assert Centre.from_exponents(("x", "y"), (2, INF), (1, F(1, 2))).exponents == (F(2), INF)
+
+
 def test_reduction_of_23inf():
     data = centre("x:2 y:3 z:inf").weight_data()
     assert data.weight_seq == (F(1, 2), F(1, 3))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import wblow.classify as classify_module
 from wblow.ring import Poly, parse_poly
 from wblow.polyvector import (
     ABELIAN,
@@ -341,6 +342,56 @@ def test_duval_away_from_origin():
     sigma = jacobian_poisson(f)
     report = detect_duval_point(sigma, f, (F(1), F(0), F(0)))
     assert report.duval is True
+
+
+def _count_stabilisations(monkeypatch):
+    calls = []
+    original = classify_module.local_dimension_is_zero
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classify_module, "local_dimension_is_zero", counting)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1, F(-3, 2)])
+def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
+    # sigma = c*J(f): its zero is the critical locus of f, so the Milnor
+    # verdict of classify_surface decides isolatedness; one stabilisation
+    # runs instead of two, and the report is the one the second gave
+    g = _linear_change(DUVAL_EQUATIONS["D"](12, V3), _random_gl3(random.Random("D12")))
+    calls = _count_stabilisations(monkeypatch)
+    report = detect_duval_point(jacobian_poisson(g).scale(scale), g, ORIGIN)
+    assert len(calls) == 1
+    assert report.surface_class.label() == "D12"
+    assert report.surface_class.milnor == 12
+    assert report.isolated_sigma_zero is True
+    assert report.duval is True
+    assert str(report.duval_witness_centre) == "x:2 y:11/5 z:11"
+    assert report.diagnostics == []
+
+
+def test_duval_isolatedness_of_other_bivectors_is_stabilised(monkeypatch):
+    # a unit times J(f) is not a constant multiple: its zero set is tested
+    f = parse_poly("x^2 + y^2 + z^3", V3)
+    calls = _count_stabilisations(monkeypatch)
+    report = detect_duval_point(jacobian_poisson(f).scale(parse_poly("1 + x", V3)), f, ORIGIN)
+    assert len(calls) == 2
+    assert report.isolated_sigma_zero is True and report.duval is True
+
+
+def test_duval_isolatedness_follows_unbounded_and_indeterminate_milnor():
+    whitney = parse_poly("x^2 - y^2*z", V3)
+    report = detect_duval_point(jacobian_poisson(whitney), whitney, ORIGIN)
+    assert report.surface_class.milnor == "unbounded"
+    assert report.isolated_sigma_zero is False and report.duval is False
+    a13 = parse_poly("x^2 + y^2 + z^14", V3)
+    report = detect_duval_point(jacobian_poisson(a13), a13, ORIGIN)
+    assert report.surface_class.milnor == "indeterminate"
+    assert report.duval is None
+    assert report.diagnostics == ["isolatedness of the bivector zero is indeterminate"]
 
 
 def test_d_series_uses_its_own_exponents():

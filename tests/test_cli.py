@@ -62,11 +62,14 @@ def test_parse_error_exit_code(capsys):
 @pytest.mark.parametrize("argv", [
     ("classify", "x^99999999999 + y^2"),
     ("classify", "z^2 + (x + y)^99"),
+    ("classify", "(x + y + z)^64"),
+    ("classify", "x^2 + (x + y + z)^20*(x + y + z)^20"),
     ("milnor", "--bound", str(MAX_DEGREE_BOUND + 1), "x^2 + y^2 + z^2"),
     ("milnor", "--bound", "99999999999", "x^2 + y^2 + z^2"),
     ("resolve-curve", "--max-steps", str(MAX_RESOLVE_STEPS + 1), "y^2 - x^3"),
     ("resolve-curve", "--max-steps", "-1", "y^2 - x^3"),
-], ids=["huge exponent", "exponent 99", "bound", "huge bound", "steps", "negative steps"])
+], ids=["huge exponent", "exponent 99", "term count of a power",
+        "term count of a product", "bound", "huge bound", "steps", "negative steps"])
 def test_input_limits_refused_quickly(capsys, argv):
     start = time.perf_counter()
     code, _, _ = run(capsys, *argv)

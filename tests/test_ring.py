@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from wblow.ring import (
     INF,
     MAX_EXPONENT,
+    MAX_TERMS,
     ParseError,
     Poly,
     divides,
@@ -83,6 +84,39 @@ def test_parse_exponent_limit():
     with pytest.raises(ParseError, match="exceeds the limit") as err:
         parse_poly(f"y + x^{MAX_EXPONENT + 1}", V2)
     assert err.value.offset == 6
+
+
+def test_parse_term_count_limit():
+    # (x+y+z)^k has C(k+2, 2) terms: 990 at k = 43, 1035 at k = 44
+    assert MAX_TERMS == 1000
+    assert len(parse_poly("(x + y + z)^43", V3).terms) == 990
+    with pytest.raises(ParseError, match="1035 terms exceeds the limit 1000") as err:
+        parse_poly("(x + y + z)^44", V3)
+    assert err.value.offset == 12
+    # one variable: the degree bounds the count, (1 + x + x^2)^64 has 129 terms
+    assert len(parse_poly("(1 + x + x^2)^64", V2).terms) == 129
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="exceeds the limit") as err:
+        parse_poly("(x + y + z)^20*(x + y + z)^20", V3)
+    assert err.value.offset == 14
+    assert time.perf_counter() - start < 1.0
+    assert parse_poly("(x + y)^30*(x - y)^30", V2) == parse_poly("(x^2 - y^2)^30", V2)
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly(V2, {(1, 0): 0.1})
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly.const(V2, 0.5)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly.var(V2, "x").scale(2.0)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly.var(V2, "x") * 1.5
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly.var(V2, "x").translate((0.1, 0))
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly.var(V2, "x").evaluate((0.1, 0))
+    assert Poly(V2, {(1, 0): 1, (0, 1): F(1, 3)}).terms == {(1, 0): F(1), (0, 1): F(1, 3)}
 
 
 def test_parse_rationals_and_unary_minus():
