@@ -277,7 +277,7 @@ def _shift_t_down(f: Poly, t_index: int, amount: int) -> Poly:
             raise ValueError("cannot remove more t-powers than present")
         new = exponent[:t_index] + (exponent[t_index] - amount,) + exponent[t_index + 1:]
         terms[new] = coeff
-    return Poly(f.variables, terms, f.cap)
+    return Poly._from_canonical(f.variables, terms, f.cap)
 
 
 def _min_t_degree(f: Poly, t_index: int) -> Optional[int]:

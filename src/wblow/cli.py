@@ -50,8 +50,9 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
-# upper limits of the work flags: `milnor --bound 40` takes about 2 s on a
-# germ that has not stabilised by then
+# upper limits of the work flags: `milnor --bound 40` takes under 1 s on a
+# sparse germ that has not stabilised by then (A59, D51), but a dense
+# non-isolated germ that no catalogue line certifies can take minutes
 MAX_DEGREE_BOUND = 40
 MAX_RESOLVE_STEPS = 64
 

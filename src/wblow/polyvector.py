@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .ring import Point, Poly, _ExprParser, divides, insert_row
+from .ring import Point, Poly, _ExprParser, _clear_denominators, divides, insert_row
 
 IndexTuple = Tuple[int, ...]
 
@@ -453,9 +453,10 @@ class LieAlgebra3:
         return True
 
     def derived_subalgebra_dim(self) -> int:
-        pivots: Dict[IndexTuple, Dict[IndexTuple, Fraction]] = {}
+        pivots: Dict[int, Dict[int, int]] = {}
         for b in self.brackets:
-            insert_row(pivots, {(k,): Fraction(c) for k, c in enumerate(b) if c != 0})
+            numerators, _ = _clear_denominators(b)
+            insert_row(pivots, {k: n for k, n in enumerate(numerators) if n})
         return len(pivots)
 
     def classify(self) -> Lie3Class:

@@ -16,10 +16,12 @@ tuple of distinct names, every key of ``terms`` is a tuple of non-negative
 ints of that length with total degree below the cap (when there is one), and
 every value is a nonzero ``Fraction``.  ``Poly.__init__`` is the one
 validating entry: it checks and normalises outside input.  The results of
-``+``, ``-``, ``*``, ``**``, ``scale``, ``diff`` and ``substitute`` are
-canonical by construction and go through the trusted ``Poly._from_canonical``,
-which stores them as they are.  Products clear denominators once per operand,
-accumulate integer numerators and build one ``Fraction`` per output term.
+``+``, ``-``, ``*``, ``**``, ``scale``, ``diff`` and ``substitute``, and the
+re-charted copies of ``with_cap``, ``extend_variables``, ``drop_variables``
+and ``coefficients_in``, are canonical by construction and go through the
+trusted ``Poly._from_canonical``, which stores them as they are.  Products
+clear denominators once per operand, accumulate integer numerators and build
+one ``Fraction`` per output term.
 
 A polynomial may carry a truncation cap N, in which case it represents a
 residue modulo terms of total degree >= N (a truncated power series).  Every
@@ -249,11 +251,7 @@ class Poly:
         terms: Mapping[Exponent, Union[int, Fraction]],
         cap: Optional[int] = None,
     ):
-        variables = tuple(variables)
-        if len(variables) > MAX_VARIABLES:
-            raise ValueError(f"chart dimension {len(variables)} exceeds {MAX_VARIABLES}")
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables}")
+        variables = Poly._chart(variables)
         clean: Dict[Exponent, Fraction] = {}
         for exponent, coeff in terms.items():
             exponent = tuple(exponent)
@@ -269,6 +267,16 @@ class Poly:
         self.variables = variables
         self.terms = clean
         self.cap = cap
+
+    @staticmethod
+    def _chart(variables: Sequence[str]) -> Tuple[str, ...]:
+        """``variables`` as a tuple, checked to be a valid chart."""
+        variables = tuple(variables)
+        if len(variables) > MAX_VARIABLES:
+            raise ValueError(f"chart dimension {len(variables)} exceeds {MAX_VARIABLES}")
+        if len(set(variables)) != len(variables):
+            raise ValueError(f"duplicate variable names in {variables}")
+        return variables
 
     # -- constructors ------------------------------------------------------
 
@@ -526,7 +534,7 @@ class Poly:
         for exponent, coeff in self.terms.items():
             reduced = exponent[:i] + exponent[i + 1:]
             coeffs[exponent[i]][reduced] = coeff
-        return [Poly(rest, c, self.cap) for c in coeffs]
+        return [Poly._from_canonical(rest, c, self.cap) for c in coeffs]
 
     def drop_variables(self, names: Sequence[str]) -> "Poly":
         """Forget variables that do not occur in any term."""
@@ -538,11 +546,12 @@ class Poly:
                     raise ValueError(f"variable {v!r} still occurs; cannot drop it")
         new_vars = tuple(self.variables[i] for i in indices)
         new_terms = {tuple(e[i] for i in indices): c for e, c in self.terms.items()}
-        return Poly(new_vars, new_terms, self.cap)
+        return Poly._from_canonical(new_vars, new_terms, self.cap)
 
     def extend_variables(self, variables: Sequence[str]) -> "Poly":
-        """Re-express on a larger chart containing every current variable."""
-        variables = tuple(variables)
+        """Re-express on a larger chart containing every current variable;
+        the chart is checked."""
+        variables = Poly._chart(variables)
         positions = [variables.index(v) for v in self.variables]
         n = len(variables)
         out: Dict[Exponent, Fraction] = {}
@@ -551,10 +560,12 @@ class Poly:
             for pos, e in zip(positions, exponent):
                 new[pos] = e
             out[tuple(new)] = coeff
-        return Poly(variables, out, self.cap)
+        return Poly._from_canonical(variables, out, self.cap)
 
     def with_cap(self, cap: Optional[int]) -> "Poly":
-        return Poly(self.variables, self.terms, cap)
+        lowered = cap is not None and (self.cap is None or cap < self.cap)
+        terms = self._capped_terms(cap) if lowered else dict(self.terms)
+        return Poly._from_canonical(self.variables, terms, cap)
 
     # -- printing ------------------------------------------------------------
 
@@ -590,27 +601,41 @@ class Poly:
 # exact sparse row reduction
 # ---------------------------------------------------------------------------
 
-def insert_row(pivots: Dict[Exponent, Dict[Exponent, Fraction]],
-               row: Dict[Exponent, Fraction]) -> None:
-    """Reduce a sparse row against echelon pivots and keep what is left.
+def insert_row(pivots: Dict[object, Dict[object, int]], row: Dict[object, int]) -> None:
+    """Reduce a sparse integer row against echelon pivots and keep what is left.
 
-    Rows map exponents to nonzero coefficients; each pivot is stored under its
-    graded-lexicographic leading exponent.  ``row`` is consumed.  After every
-    insertion ``len(pivots)`` is the rank of the rows inserted so far.
+    Rows map ordered keys to nonzero ints.  A pivot is stored under its lead,
+    its lowest key, primitive and with a positive lead coefficient.  The
+    reduction is fraction-free: a row meeting a pivot becomes a*row - b*pivot,
+    with a/b the pivot's lead over the row's in lowest terms.  ``row`` is
+    consumed; ``len(pivots)`` is then the rank of the rows inserted so far.
+    Every other key of a pivot lies above its lead, so the pivots cut below
+    any key k stay independent, one per lead below k.
     """
     while row:
-        lead = max(row, key=_grlex_key)
+        lead = min(row)
         pivot = pivots.get(lead)
         if pivot is None:
+            content = _int_gcd(*row.values())
+            if row[lead] < 0:
+                content = -content
+            if content != 1:
+                for key in row:
+                    row[key] //= content
             pivots[lead] = row
             return
-        factor = row[lead] / pivot[lead]
-        for exponent, coeff in pivot.items():
-            new = row.get(exponent, Fraction(0)) - factor * coeff
-            if new == 0:
-                row.pop(exponent, None)
+        p, r = pivot[lead], row[lead]
+        g = _int_gcd(p, r)
+        a, b = p // g, r // g
+        if a != 1:
+            for key in row:
+                row[key] *= a
+        for key, coeff in pivot.items():
+            new = row.get(key, 0) - b * coeff
+            if new:
+                row[key] = new
             else:
-                row[exponent] = new
+                del row[key]
 
 
 # ---------------------------------------------------------------------------

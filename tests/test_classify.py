@@ -356,6 +356,39 @@ def _count_stabilisations(monkeypatch):
     return calls
 
 
+def _count_reductions(monkeypatch):
+    degrees = []
+    original = classify_module._local_dimensions
+
+    def counting(generators, degree):
+        degrees.append(degree)
+        return original(generators, degree)
+
+    monkeypatch.setattr(classify_module, "_local_dimensions", counting)
+    return degrees
+
+
+BEYOND_THE_BOUND = [("A", 13), ("D", 14)]
+
+
+@pytest.mark.parametrize("family, n", ADE_FORMS + BEYOND_THE_BOUND,
+                         ids=[f"{family}{n or ''}" for family, n in ADE_FORMS + BEYOND_THE_BOUND])
+def test_stabilisation_runs_at_most_three_reductions(monkeypatch, family, n):
+    # one reduction per degree of the schedule 6, 12, 13 at the default
+    # bound, however late the germ stabilises (A1 needs no stabilisation)
+    label = f"{family}{n or ''}"
+    g = _linear_change(DUVAL_EQUATIONS[family](n, V3), _random_gl3(random.Random(label)))
+    calls = _count_stabilisations(monkeypatch)
+    degrees = _count_reductions(monkeypatch)
+    result = classify_surface(g)
+    assert len(calls) == (label != "A1")
+    assert degrees == [6, 12, 13][:len(degrees)] and len(degrees) >= len(calls)
+    if (family, n) in BEYOND_THE_BOUND:
+        assert result.milnor == "indeterminate" and degrees == [6, 12, 13]
+    else:
+        assert result.milnor == (n or int(family[1]))
+
+
 @pytest.mark.parametrize("scale", [1, F(-3, 2)])
 def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
     # sigma = c*J(f): its zero is the critical locus of f, so the Milnor
@@ -363,8 +396,9 @@ def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
     # runs instead of two, and the report is the one the second gave
     g = _linear_change(DUVAL_EQUATIONS["D"](12, V3), _random_gl3(random.Random("D12")))
     calls = _count_stabilisations(monkeypatch)
+    degrees = _count_reductions(monkeypatch)
     report = detect_duval_point(jacobian_poisson(g).scale(scale), g, ORIGIN)
-    assert len(calls) == 1
+    assert len(calls) == 1 and degrees == [6, 12]
     assert report.surface_class.label() == "D12"
     assert report.surface_class.milnor == 12
     assert report.isolated_sigma_zero is True

@@ -19,7 +19,7 @@ import pytest
 from wblow.ring import INF, Poly
 from wblow.polyvector import Polyvector, is_poisson, jacobian_poisson
 from wblow.centre import Centre
-from wblow.blowup import pullback_polyvector
+from wblow.blowup import _shift_t_down, pullback_polyvector
 
 F = Fraction
 NAMES = ("x", "y", "z", "w")
@@ -305,11 +305,12 @@ def test_centre_memo_keeps_equality_on_fields():
 # --- the trusted path is taken -------------------------------------------------------
 
 def test_validating_constructors_stay_off_the_arithmetic(monkeypatch):
-    """Counts, not timings: results of the arithmetic go through the trusted
-    constructors, so the validating ones run only for coordinate functions,
-    zero and volume polyvectors and the coefficients the blowup re-charts.
+    """Counts, not timings: results of the arithmetic and of re-charting go
+    through the trusted constructors, so the validating ones run only for
+    coordinate functions, constants, and zero and volume polyvectors.
     Validating every result instead takes the bracket to 49 Poly and 68
-    Polyvector constructions and the pullback to 160 and 5."""
+    Polyvector constructions and the pullback to 160 and 5; validating the
+    re-charted copies takes the pullback to 36 Poly constructions."""
     x, y, z = (Poly.var(("x", "y", "z"), v) for v in ("x", "y", "z"))
     f = x ** 2 * y - y ** 3 * z + x * z ** 2 - 3 * z ** 5
     u = 1 + x * y - F(2, 3) * z ** 2
@@ -330,4 +331,19 @@ def test_validating_constructors_stay_off_the_arithmetic(monkeypatch):
     assert counts["Poly"] <= 5 and counts["Polyvector"] <= 15, counts
     counts.update(Poly=0, Polyvector=0)
     pullback_polyvector(xi, centre)
-    assert counts["Poly"] <= 40 and counts["Polyvector"] <= 3, counts
+    assert counts["Poly"] <= 30 and counts["Polyvector"] <= 3, counts
+    counts.update(Poly=0, Polyvector=0)
+    g = (f * u).with_cap(9)
+    recharted = [g.with_cap(6), g.with_cap(12), g.with_cap(None),
+                 g.extend_variables(("w", "x", "y", "z")),
+                 g.extend_variables(("w", "x", "y", "z")).drop_variables(("w",)),
+                 *g.coefficients_in("y"),
+                 _shift_t_down(f * u * z ** 2, 2, 2)]
+    assert counts["Poly"] == 0, counts
+    for p in recharted:
+        assert_canonical(p)
+    assert recharted[0] == Poly(g.variables, g.terms, 6)
+    assert recharted[1] == Poly(g.variables, g.terms, 12) and recharted[2] == f * u
+    assert recharted[-1] == f * u
+    with pytest.raises(ValueError, match="duplicate"):
+        g.extend_variables(("x", "x", "y", "z"))
