@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ring import Point, Poly, is_infinite
+from .ring import Point, Poly, is_infinite, resultant, univariate_gcd
 from .polyvector import (
     ABELIAN,
     HEISENBERG,
@@ -129,8 +129,11 @@ class ResolutionNode:
 
 
 def _is_squarefree(f: Poly) -> bool:
-    """Squarefree test through resultants with the derivative, per variable."""
-    from .ring import resultant, univariate_gcd
+    """Squarefree test through resultants with the derivative, per variable.
+
+    Only the zero test of each resultant is used, never its value; a repeated
+    factor ends the subresultant sequence at its first zero pseudo-remainder.
+    """
     for name in f.variables:
         derivative = f.diff(name)
         if derivative.is_zero():

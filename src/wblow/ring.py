@@ -676,7 +676,7 @@ def divides(f: Poly, g: Poly) -> Optional[Poly]:
 
 # Dense integer polynomials in one variable, as coefficient lists with the
 # constant term first and no trailing zeros; [] is zero.  They carry the
-# elimination kernel: a Sylvester determinant and a root search cost only
+# elimination kernel: a subresultant sequence and a root search cost only
 # Python int arithmetic.
 
 IntPoly = List[int]
@@ -727,34 +727,73 @@ def _int_exact_quotient(num: IntPoly, den: IntPoly) -> IntPoly:
     return quotient
 
 
-def _bareiss(matrix: List[List[IntPoly]]) -> IntPoly:
-    """Determinant of a square matrix over Z[t] by fraction-free Bareiss.
+def _int_pow(a: IntPoly, k: int) -> IntPoly:
+    out: IntPoly = [1]
+    for _ in range(k):
+        out = _int_mul(out, a)
+    return out
 
-    Every division is exact (Bareiss, Math. Comp. 22, 1968); a zero pivot is
-    replaced by a later row, flipping the sign.
+
+def _pseudo_remainder(f: List[IntPoly], g: List[IntPoly]) -> List[IntPoly]:
+    """lc(g)^(deg f - deg g + 1) * f mod g, for polynomials with coefficients
+    in Z[t] (index = power of the eliminated variable, no zero leading row)."""
+    lead, top = g[-1], len(g) - 1
+    spare = len(f) - top
+    r = f[:]
+    while len(r) > top:
+        shift = len(r) - 1 - top
+        c = r.pop()
+        if lead != [1]:
+            r = [_int_mul(lead, x) for x in r]
+        for t in range(top):
+            if g[t]:
+                r[shift + t] = _int_sub(r[shift + t], _int_mul(c, g[t]))
+        while r and not r[-1]:
+            r.pop()
+        spare -= 1
+    if spare and lead != [1]:
+        scale = _int_pow(lead, spare)
+        r = [_int_mul(scale, x) for x in r]
+    return r
+
+
+def _subresultant(f: List[IntPoly], g: List[IntPoly]) -> IntPoly:
+    """res(f, g) over Z[t] for f, g of degree >= 1, by the subresultant PRS.
+
+    Each pseudo-remainder is divided exactly by lead*h^delta, where lead is
+    the leading coefficient of the previous divisor and h becomes
+    lead^delta / h^(delta - 1) (Collins, J. ACM 14, 1967; Brown and Traub,
+    J. ACM 18, 1971): the remainders are subresultants, so the coefficients
+    stay in Z[t] and do not swell.  The sign follows the Sylvester
+    determinant with f-rows first: (-1)^(mn) when the inputs are swapped to
+    put the larger degree first, and a flip for every step whose two degrees
+    are both odd.  A zero pseudo-remainder means a common factor.
     """
-    n = len(matrix)
-    m = [row[:] for row in matrix]
     sign = 1
-    previous: IntPoly = [1]
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if pivot_row is None:
-                return []
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+    if len(f) < len(g):
+        if (len(f) - 1) * (len(g) - 1) % 2:
             sign = -sign
-        upper, pivot = m[k], m[k][k]
-        for i in range(k + 1, n):
-            row, head = m[i], m[i][k]
-            for j in range(k + 1, n):
-                numerator = _int_mul(pivot, row[j])
-                if head:
-                    numerator = _int_sub(numerator, _int_mul(head, upper[j]))
-                row[j] = _int_exact_quotient(numerator, previous)
-            row[k] = []
-        previous = pivot
-    result = m[n - 1][n - 1]
+        f, g = g, f
+    lead: IntPoly = [1]
+    h: IntPoly = [1]
+    while len(g) > 1:
+        m, n = len(f) - 1, len(g) - 1
+        delta = m - n
+        if m % 2 and n % 2:
+            sign = -sign
+        r = _pseudo_remainder(f, g)
+        if not r:
+            return []
+        divisor = _int_mul(lead, _int_pow(h, delta))
+        if divisor != [1]:
+            r = [_int_exact_quotient(x, divisor) for x in r]
+        f, g, lead = g, r, g[-1]
+        if delta == 1:
+            h = lead
+        elif delta > 1:
+            h = _int_exact_quotient(_int_pow(lead, delta), _int_pow(h, delta - 1))
+    d = len(f) - 1
+    result = _int_exact_quotient(_int_pow(g[0], d), _int_pow(h, d - 1))
     return [-c for c in result] if sign < 0 else result
 
 
@@ -778,16 +817,18 @@ def _integer_rows(f: Poly, name: str) -> Tuple[List[IntPoly], int]:
 
 
 def resultant(f: Poly, g: Poly, name: str) -> Poly:
-    """Determinant of the Sylvester matrix in ``name``, f-coefficient rows first.
+    """Resultant in ``name``: the Sylvester determinant, f-coefficient rows first.
 
     The result is a polynomial in the remaining variable; charts of at most
     two variables are accepted.  Denominators are cleared once per input,
-    with res(a*f, b*g) = a^deg(g) * b^deg(f) * res(f, g), and the determinant
-    is taken by integer Bareiss on dense coefficient lists.  Sign convention:
-    with f-rows first, res_y(y^2 - x^3, 2*y) = -4*x^3 and
-    res_y(y - x, y + x) = 2*x; tests pin these values.  For an input of
-    degree zero in ``name`` the convention res(f, g) = g^deg(f)
-    (respectively f^deg(g)) applies.
+    with res(a*f, b*g) = a^deg(g) * b^deg(f) * res(f, g), and the resultant
+    of the integer inputs is read off the subresultant PRS over Z[t] on dense
+    coefficient lists (Collins, "Subresultants and reduced polynomial
+    remainder sequences", J. ACM 14, 1967), in O(deg f * deg g) coefficient
+    operations.  Sign convention: with f-rows first,
+    res_y(y^2 - x^3, 2*y) = -4*x^3 and res_y(y - x, y + x) = 2*x; tests pin
+    these values.  For an input of degree zero in ``name`` the convention
+    res(f, g) = g^deg(f) (respectively f^deg(g)) applies.
     """
     if f.is_zero() or g.is_zero():
         raise ValueError("resultant of the zero polynomial")
@@ -809,17 +850,10 @@ def resultant(f: Poly, g: Poly, name: str) -> Poly:
         return g.coefficients_in(name)[0] ** m
     fc, a = _integer_rows(f, name)
     gc, b = _integer_rows(g, name)
-    size = m + n
-    matrix: List[List[IntPoly]] = []
-    for coefficients, count in ((fc, n), (gc, m)):
-        for shift in range(count):
-            row: List[IntPoly] = [[] for _ in range(size)]
-            row[shift:shift + len(coefficients)] = coefficients[::-1]
-            matrix.append(row)
-    determinant = _bareiss(matrix)
+    value = _subresultant(fc, gc)
     denominator = a ** n * b ** m
     return Poly(rest, {(k,) * len(rest): Fraction(c, denominator)
-                       for k, c in enumerate(determinant) if c})
+                       for k, c in enumerate(value) if c})
 
 
 def _univariate_coeffs(f: Poly) -> List[Fraction]:

@@ -11,6 +11,7 @@ from wblow.invariant import lex_compare
 from wblow.resolve import (
     RefusalError,
     StepAbort,
+    _recognise_heisenberg_form,
     certify_blowup_step,
     count_blowups,
     resolution_is_complete,
@@ -188,6 +189,20 @@ def test_select_31_refuses_scaled_heisenberg_slot():
     generators = [parse_poly("x", V3), parse_poly("y^2 - z^3", V3)]
     with pytest.raises(RefusalError, match="Heisenberg slot has coefficient 2"):
         select_centre_31(sigma, generators)
+
+
+# each refusal of the Heisenberg normal form (x + A(y,z)) @y^@z + [volume, B]
+@pytest.mark.parametrize("text, message", [
+    ("x^2*@y^@z", "not a single Heisenberg slot; found 0 candidates"),
+    ("x*@y^@z + y*@x^@z", "not a single Heisenberg slot; found 2 candidates"),
+    ("(x + x*y)*@y^@z", "pencil part A depends on the Heisenberg variable"),
+    ("(x + y)*@y^@z", "does not vanish to order two"),
+    ("x*@y^@z + x^2*@z^@x", "divergence part depends on the Heisenberg variable"),
+    ("x*@y^@z + z^2*@z^@x", "not an exact Jacobian bivector"),
+])
+def test_heisenberg_form_refusals(text, message):
+    with pytest.raises(RefusalError, match=message):
+        _recognise_heisenberg_form(parse_polyvector(text, V3))
 
 
 # --- centre selection: surfaces in threefolds ----------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wblow.ring as ring
 from wblow.ring import (
     INF,
     MAX_EXPONENT,
@@ -347,6 +348,72 @@ def test_resultant_on_a_univariate_chart():
     value = resultant(parse_poly("x^2 - 2", x), parse_poly("3*x + 1/2", x), "x")
     # g(sqrt 2)*g(-sqrt 2) = 1/4 - 18
     assert value == Poly.const((), F(-71, 4))
+
+
+# --- subresultant PRS branches ----------------------------------------------------------
+
+def _pseudo_divisions(monkeypatch, f, g, name):
+    """(deg, deg, deg of the pseudo-remainder) of every pseudo-division that
+    resultant(f, g, name) makes, larger degree first; -1 is a zero remainder."""
+    steps = []
+    inner = ring._pseudo_remainder
+
+    def spy(a, b):
+        r = inner(a, b)
+        steps.append((len(a) - 1, len(b) - 1, len(r) - 1))
+        return r
+
+    monkeypatch.setattr(ring, "_pseudo_remainder", spy)
+    resultant(f, g, name)
+    monkeypatch.undo()
+    return steps
+
+
+# each pair with the degree sequence it drives, so the branch it covers is
+# pinned, not assumed; tests/test_ring_oracles.py checks longer sequences
+# against sympy
+PRS_BRANCHES = [
+    # deg f < deg g, both odd: the inputs are swapped with sign (-1)^(mn) = -1
+    ("y + x", "y^3 - x*y + 2", [(3, 1, 0)]),
+    ("y^3 - x", "x*y^3 + y^2 + 1", [(3, 3, 2), (3, 2, 1), (2, 1, 0)]),
+    # equal degrees: delta = 0 keeps h
+    ("x*y^2 + y - 1", "y^2 + x^2*y + 3", [(2, 2, 1), (2, 1, 0)]),
+    # non-normal: a degree gap of two (delta = 2) sets h = lc^2/h, which
+    # the next division or the final power uses
+    ("y^4 + y + x", "x*y^2 + y + 1", [(4, 2, 1), (2, 1, 0)]),
+    ("y^4 + 1", "x*y^2 + 1", [(4, 2, 0)]),
+    ("y^4 + x*y + 1", "y^3 + 1", [(4, 3, 1), (3, 1, 0)]),
+    # a common factor: the sequence stops at a zero pseudo-remainder
+    ("(y - x)*(y^2 + 1)", "(y - x)*(y + 2)", [(3, 2, 1), (2, 1, -1)]),
+    ("(y^2 - x)*(y + 1)*(y - 2)", "(y^2 - x)*(x*y + 3)", [(4, 3, 2), (3, 2, -1)]),
+    # leading coefficients vanishing at x = 0, 1 and -1
+    ("x*y^2 + y - 1", "(x - 1)*y + x", [(2, 1, 0)]),
+    ("(x^2 - 1)*y^3 + y - x", "x*y^2 + (x - 2)*y + 1", [(3, 2, 1), (2, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize("f_text, g_text, steps", PRS_BRANCHES)
+def test_resultant_prs_branches_match_leibniz(monkeypatch, f_text, g_text, steps):
+    f, g = parse_poly(f_text, V2), parse_poly(g_text, V2)
+    assert _pseudo_divisions(monkeypatch, f, g, "y") == steps
+    oracle = _det_by_permutations(_sylvester(f, g, "y"), ("x",))
+    assert resultant(f, g, "y") == oracle
+    # res(g, f) = (-1)^(mn) res(f, g): the f-rows-first sign survives the swap
+    sign = (-1) ** (f.degree_in("y") * g.degree_in("y"))
+    assert resultant(g, f, "y") == oracle.scale(sign)
+
+
+@pytest.mark.parametrize("f_text, g_text, steps", [
+    ("x + 2", "x^3 - x + 5", [(3, 1, 0)]),
+    ("x^2 + 3", "2*x^2 - x", [(2, 2, 1), (2, 1, 0)]),
+    ("x^4 + 1", "2*x^2 + 1", [(4, 2, 0)]),
+    ("(x - 1)*(x^2 + 1)", "(x - 1)*(x + 2)", [(3, 2, 1), (2, 1, -1)]),
+])
+def test_resultant_prs_branches_on_a_univariate_chart(monkeypatch, f_text, g_text, steps):
+    x = ("x",)
+    f, g = parse_poly(f_text, x), parse_poly(g_text, x)
+    assert _pseudo_divisions(monkeypatch, f, g, "x") == steps
+    assert resultant(f, g, "x") == _det_by_permutations(_sylvester(f, g, "x"), ())
 
 
 def test_resultant_three_variable_chart_rejected():

@@ -13,7 +13,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from wblow.ring import Poly, divides, rational_roots, resultant, univariate_gcd
+from wblow.ring import Poly, divides, parse_poly, rational_roots, resultant, univariate_gcd
 
 F = Fraction
 V2 = ("x", "y")
@@ -84,6 +84,30 @@ def test_resultant_matches_sympy(seed):
         rest = tuple(v for v in V2 if v != name)
         expected = sympy_resultant(f, g, name)
         assert resultant(f, g, name) == from_sympy(expected, rest), (f, g, name)
+
+
+# subresultant PRS branches on sequences too long for a Leibniz expansion;
+# each comment gives the degrees of the remainder sequence in y
+@pytest.mark.parametrize("f_text, g_text", [
+    # deg f < deg g, both odd, then degrees 5, 3, 2, 1, 0
+    ("y^3 - x", "x*y^5 + y^2 + 1"),
+    # degrees 5, 4, 2, 1, 0: delta = 2 after h = lc, and h used once more
+    ("y^5 + y^2 + x", "x*y^4 + y + 1"),
+    # degrees 6, 5, 2, 1, 0
+    ("y^6 + x*y^2 + 1", "y^5 + y + x"),
+    # degrees 4, 4, 1, 0 with 20-digit coefficients: delta = 0, then 3
+    ("123456789012345678901/7*y^4 + x*y - 1", "y^4 - 98765432109876543210*x^2 + y"),
+    # degrees 5, 4, 3, 2 and a zero remainder: a common factor y^2 - x
+    ("(y^2 - x)*(y^3 + x*y + 1)", "(y^2 - x)*(x*y^2 + 3)"),
+    # degrees 5, 3, 2, 1, 0, leading coefficients vanishing at x = 0, 1, -1
+    ("(x^2 - 1)*y^5 + y - x", "x*y^3 + (x - 2)*y + 1"),
+])
+def test_resultant_prs_branches_match_sympy(f_text, g_text):
+    f, g = parse_poly(f_text, V2), parse_poly(g_text, V2)
+    for name in V2:
+        rest = tuple(v for v in V2 if v != name)
+        for a, b in ((f, g), (g, f)):
+            assert resultant(a, b, name) == from_sympy(sympy_resultant(a, b, name), rest)
 
 
 def test_resultant_matches_sympy_on_a_univariate_chart():
