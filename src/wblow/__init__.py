@@ -42,7 +42,6 @@ from .blowup import (
     Witness,
     check_centre,
     check_lift,
-    is_smooth_plane_strict_transform,
     pullback_function,
     pullback_polyvector,
     rational_singular_points,

@@ -420,24 +420,8 @@ def strict_transform_in_chart(f: Poly, centre: Centre, name: str) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# smoothness of plane strict transforms
+# singular points of plane curves
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SmoothnessReport:
-    smooth: Optional[bool]                 # None means indeterminate
-    singular_points: List[Point]
-    note: str = ""
-
-
-def _effective_variables(f: Poly) -> List[str]:
-    used = set()
-    for exponent in f.terms:
-        for v, e in zip(f.variables, exponent):
-            if e:
-                used.add(v)
-    return [v for v in f.variables if v in used]
-
 
 def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
     """Common rational zeros of (f, df/du, df/dv) for a two-variable curve.
@@ -489,13 +473,7 @@ def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
         slice_f = f.substitute(const_u).drop_variables([u])
         slice_fu = fu.substitute(const_u).drop_variables([u])
         slice_fv = fv.substitute(const_u).drop_variables([u])
-        common = slice_f
-        for other in (slice_fu, slice_fv):
-            if other.is_zero():
-                continue
-            common = univariate_gcd(common, other)
-        if slice_f.is_zero():
-            common = univariate_gcd(slice_fu, slice_fv) if not slice_fu.is_zero() else slice_fv
+        common = univariate_gcd(univariate_gcd(slice_f, slice_fu), slice_fv)
         if common.is_zero():
             return [], False
         if common.total_degree() <= 0:
@@ -512,41 +490,3 @@ def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
         # candidate non-rational u-coordinates remain unexamined
         return points, False
     return points, True
-
-
-def is_smooth_plane_strict_transform(f: Poly,
-                                     excluded: Sequence[str] = ()) -> SmoothnessReport:
-    """Jacobian smoothness test for a plane curve, ignoring the excluded locus.
-
-    The excluded locus is the common zero set of the ``excluded`` variables
-    (for a proper transform: the positive-weight variables, whose common zero
-    is not a point of the blowup).  Non-rational candidate singular points
-    are reported as indeterminate rather than guessed.
-    """
-    effective = _effective_variables(f)
-    if len(effective) > 2:
-        raise ValueError(f"expected at most 2 effective variables, got {effective}")
-    if f.is_zero():
-        raise ValueError("the zero polynomial does not define a curve")
-    work = f
-    spectators = [v for v in f.variables if v not in effective]
-    if spectators:
-        work = f.drop_variables(spectators)
-    if len(work.variables) < 2:
-        pad = [v for v in f.variables if v not in work.variables]
-        work = work.extend_variables(tuple(list(work.variables) + pad[:2 - len(work.variables)]))
-    points, certain = rational_singular_points(work)
-
-    excluded_set = set(excluded)
-    kept: List[Point] = []
-    for point in points:
-        coordinates = dict(zip(work.variables, point))
-        in_excluded_locus = bool(excluded_set) and all(
-            coordinates.get(v, Fraction(0)) == 0 for v in excluded_set)
-        if not in_excluded_locus:
-            kept.append(point)
-    if kept:
-        return SmoothnessReport(False, kept)
-    if not certain:
-        return SmoothnessReport(None, [], "non-rational candidate singular points")
-    return SmoothnessReport(True, [])

@@ -113,10 +113,10 @@ def local_quotient_dimension(generators: Sequence[Poly], degree: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rational_line_directions(dimension: int, span: int = 3) -> Tuple[Tuple[int, ...], ...]:
-    """Primitive integer directions with entries up to ``span`` in size."""
+def _rational_line_directions(dimension: int) -> Tuple[Tuple[int, ...], ...]:
+    """Primitive integer directions with entries in -3..3."""
     seen = {}
-    for entries in itertools.product(range(-span, span + 1), repeat=dimension):
+    for entries in itertools.product(range(-3, 4), repeat=dimension):
         if all(e == 0 for e in entries):
             continue
         g = gcd(*entries)
@@ -157,15 +157,15 @@ def _integer_parts(g: Poly) -> IntegerParts:
     return [parts[d] for d in sorted(parts)]
 
 
-def _vanishes_on_line(g: Union[Poly, IntegerParts], direction: Tuple[int, ...]) -> bool:
-    """Whether g, a Poly or its ``_integer_parts``, vanishes on the line
+def _vanishes_on_line(parts: IntegerParts, direction: Tuple[int, ...]) -> bool:
+    """Whether g, given by its ``_integer_parts``, vanishes on the line
     through ``direction``.
 
     g(s*d) is the sum of s^k g_k(d) over the homogeneous parts g_k of g, so
     it is zero exactly when every homogeneous part vanishes at d; the parts
     are tested lowest degree first and the first nonzero value decides.
     """
-    for part in _integer_parts(g) if isinstance(g, Poly) else g:
+    for part in parts:
         total = 0
         for exponent, value in part:
             for d, k in zip(direction, exponent):
@@ -271,7 +271,6 @@ class SingularityClass:
     invariant: Optional[InvariantSeq] = None
     milnor: Optional[Union[int, str]] = None
     witness_centre: Optional[Centre] = None
-    certification_bound: int = DEFAULT_DEGREE_BOUND
     preparation: List[Tuple[str, Poly]] = field(default_factory=list)
     diagnostics: List[str] = field(default_factory=list)
 
@@ -419,12 +418,12 @@ def _prepare(f: Poly) -> Tuple[Poly, List[Tuple[str, Poly]], List[str], Optional
     return prepared, steps, morse, root_type
 
 
-def classify_surface(f: Poly,
-                     degree_bound: int = DEFAULT_DEGREE_BOUND) -> SingularityClass:
+def classify_surface(f: Poly) -> SingularityClass:
     """Classify a surface germ in three variables at the origin.
 
     Arnold's determinator, from the rank of the Hessian over Q, the cubic
-    part of f on the Hessian kernel and the Milnor number mu:
+    part of f on the Hessian kernel and the Milnor number mu (at
+    ``DEFAULT_DEGREE_BOUND``):
 
     * rank 3: A1;
     * rank 2: A(mu), or normal crossings when mu is unbounded;
@@ -450,12 +449,11 @@ def classify_surface(f: Poly,
         return SingularityClass(SMOOTH)
 
     prepared, steps, morse, root_type = _prepare(f)
-    report = SingularityClass(OTHER_CLASS, certification_bound=degree_bound,
-                              preparation=steps)
+    report = SingularityClass(OTHER_CLASS, preparation=steps)
     if len(morse) == 3:
         report.kind, report.index, report.milnor = A_CLASS, 1, 1
     elif len(morse) == 2:
-        mu = report.milnor = milnor_number(prepared, degree_bound)
+        mu = report.milnor = milnor_number(prepared)
         if isinstance(mu, int):
             report.kind, report.index = A_CLASS, mu
         elif mu == UNBOUNDED:
@@ -466,7 +464,7 @@ def classify_surface(f: Poly,
         report.diagnostics.append(
             "the cubic vanishes on the Hessian kernel: not a simple singularity")
     elif root_type is not None:
-        mu = report.milnor = milnor_number(prepared, degree_bound)
+        mu = report.milnor = milnor_number(prepared)
         if root_type == DISTINCT_ROOTS:
             report.kind, report.index = D_CLASS, 4
         elif root_type == DOUBLE_ROOT and isinstance(mu, int) and mu >= 4:
@@ -613,8 +611,7 @@ def detect_nonnilpotent_point(sigma: Polyvector, y_generators: Sequence[Poly],
     return report
 
 
-def detect_duval_point(sigma: Polyvector, f: Poly, point: Point,
-                       degree_bound: int = DEFAULT_DEGREE_BOUND) -> TripleReport:
+def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport:
     """Decide whether a surface triple has a Du Val point at ``point``.
 
     Three conditions: the bivector has an isolated zero; the surface germ is
@@ -629,7 +626,7 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point,
     sigma0 = sigma.translate(point)
     f0 = f.translate(point)
     report = TripleReport(point=point)
-    surface = classify_surface(f0, degree_bound)
+    surface = classify_surface(f0)
     report.surface_class = surface
     prepared_f = f0
     prepared_sigma = sigma0
@@ -647,7 +644,7 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point,
                                           jacobian_poisson(prepared_f)) is not None:
         isolated = None if mu == INDETERMINATE else mu != UNBOUNDED
     elif coefficients:
-        isolated, _ = local_dimension_is_zero(coefficients, degree_bound)
+        isolated, _ = local_dimension_is_zero(coefficients)
     else:
         isolated = False
     report.isolated_sigma_zero = bool(isolated)

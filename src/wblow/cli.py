@@ -33,7 +33,13 @@ from .invariant import (
     plane_curve_invariant,
     validate_invariant,
 )
-from .classify import INDETERMINATE, classify_surface, milnor_number, verify_normal_form
+from .classify import (
+    DEFAULT_DEGREE_BOUND,
+    INDETERMINATE,
+    classify_surface,
+    milnor_number,
+    verify_normal_form,
+)
 from .resolve import (
     RefusalError,
     StepAbort,
@@ -154,7 +160,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     add("classify", expr="surface equation in three variables")
     milnor_parser = add("milnor", expr="polynomial vanishing at the origin")
     milnor_parser.add_argument("--bound", type=_count_up_to(MAX_DEGREE_BOUND),
-                               default=12)
+                               default=DEFAULT_DEGREE_BOUND)
     resolve_parser = add("resolve-curve", expr="squarefree plane-curve equation")
     resolve_parser.add_argument("--max-steps", type=_count_up_to(MAX_RESOLVE_STEPS),
                                 default=6)
@@ -330,7 +336,7 @@ def _dispatch(args) -> int:
                   "witness_centre": None if result.witness_centre is None
                   else str(result.witness_centre),
                   "preparation": _shears(result.preparation),
-                  "certification_bound": result.certification_bound,
+                  "certification_bound": DEFAULT_DEGREE_BOUND,
                   "diagnostics": result.diagnostics}
         line = result.label()
         if result.invariant is not None:

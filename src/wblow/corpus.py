@@ -182,12 +182,12 @@ def _random_centre(rng: random.Random, variables: Sequence[str]) -> Centre:
     return Centre.from_exponents(tuple(variables), exponents)
 
 
-def corpus_lifting(pairs: int = 220, seed: int = 20240915) -> List[Case]:
-    def block(offset: int, count: int):
+def corpus_lifting() -> List[Case]:
+    def block(offset: int):
         def thunk() -> Outcome:
-            rng = random.Random(seed + offset)
+            rng = random.Random(20240915 + offset)
             disagreements = 0
-            for _ in range(count):
+            for _ in range(55):
                 n = rng.randint(1, 3)
                 variables = V3[:n]
                 centre = _random_centre(rng, variables)
@@ -198,14 +198,11 @@ def corpus_lifting(pairs: int = 220, seed: int = 20240915) -> List[Case]:
                     disagreements += 1
                 elif lift.lift_ok and lift.exceptional_tangent != pulled.exceptional_tangent:
                     disagreements += 1
-            return disagreements == 0, (f"{count} pairs, "
-                                        f"{disagreements} disagreements")
+            return disagreements == 0, f"55 pairs, {disagreements} disagreements"
         return thunk
 
-    block_size = 55
-    blocks = (pairs + block_size - 1) // block_size
-    return [(f"lifting/oracle-pairs-block-{i}", block(i, block_size))
-            for i in range(blocks)]
+    # 220 pairs in four blocks of 55
+    return [(f"lifting/oracle-pairs-block-{i}", block(i)) for i in range(4)]
 
 
 def corpus_invariants() -> List[Case]:

@@ -80,9 +80,10 @@ class InvariantSeq:
         return cls(tuple(entries))
 
 
-def lex_key(seq: Union[InvariantSeq, Sequence[ExtRational]], pad: int = 12) -> Tuple:
+def lex_key(seq: Union[InvariantSeq, Sequence[ExtRational]]) -> Tuple:
+    """Sort key of ``lex_compare``: the entries padded with inf to length 12."""
     entries = seq.entries if isinstance(seq, InvariantSeq) else tuple(seq)
-    padded = list(entries) + [INF] * max(0, pad - len(entries))
+    padded = list(entries) + [INF] * max(0, 12 - len(entries))
     return tuple((1, Fraction(0)) if is_infinite(a) else (0, a) for a in padded)
 
 

@@ -9,7 +9,7 @@ chart where it does not is refused) and every leaf is certified smooth (or
 the step budget is exhausted).
 
 :func:`select_centre_31` and :func:`select_centre_32` carry out the centre
-selection for Poisson triples presented in normal-form coordinates: curves in
+selection for Poisson triples at the origin of normal-form coordinates: curves in
 threefolds split by the linearized Lie algebra class (abelian points take the
 unweighted point centre; Heisenberg points take the associated centre or a
 b-completion of the bivector's vanishing surface, depending on the dimension
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ring import Point, Poly, is_infinite, resultant, univariate_gcd
+from .ring import Point, Poly, is_infinite, resultant
 from .polyvector import (
     ABELIAN,
     HEISENBERG,
@@ -56,7 +56,6 @@ from .invariant import (
     plane_curve_invariant,
 )
 from .classify import (
-    DEFAULT_DEGREE_BOUND,
     detect_duval_point,
     detect_nonnilpotent_point,
     line_in_zero_locus,
@@ -94,11 +93,6 @@ class ResolutionNode:
             out.extend(child.leaves())
         return out
 
-    def depth(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(child.depth() for child in self.children)
-
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
         pieces = [f"{pad}[{self.chart_id}] {self.status}: {self.equation}"]
@@ -133,17 +127,12 @@ def _is_squarefree(f: Poly) -> bool:
 
     Only the zero test of each resultant is used, never its value; a repeated
     factor ends the subresultant sequence at its first zero pseudo-remainder.
+    On a chart where only ``name`` occurs the resultant has degree zero and
+    is zero exactly when f has a repeated factor.
     """
     for name in f.variables:
         derivative = f.diff(name)
         if derivative.is_zero():
-            continue
-        others = [v for v in f.variables if v != name and f.degree_in(v) > 0]
-        if not others:
-            g = univariate_gcd(f.drop_variables([v for v in f.variables if v != name]),
-                               derivative.drop_variables([v for v in f.variables if v != name]))
-            if g.total_degree() > 0:
-                return False
             continue
         if resultant(f, derivative, name).is_zero():
             return False
@@ -274,7 +263,6 @@ class CentreSelection:
 
     case: str
     centre: Optional[Centre]
-    point: Optional[Point]
     report: Optional[CentreReport]
     rationale: str
     # the shears (name, shift), name -> name + shift, applied before the centre
@@ -374,180 +362,162 @@ def _antiderivative(f: Poly, name: str) -> Poly:
 
 
 def _certified_selection(case: str, sigma: Polyvector, equations: Sequence[Poly],
-                         centre: Centre, point: Point, rationale: str,
+                         centre: Centre, rationale: str,
                          coordinate_change: Sequence[Tuple[str, Poly]] = ()
                          ) -> CentreSelection:
-    """Certify one blowup step at ``centre``; StepAbort if any check fails."""
+    """Certify one blowup step at ``centre`` and select it.
+
+    StepAbort when the centre is not conilpotent or the lifted bivector is
+    not regular, Poisson and tangent to the strict transforms.  A chart
+    invariant that does not drop is recorded in the certificate's
+    ``invariant_decreased`` and ``notes`` and does not abort: both sides
+    are monomial lower bounds.
+    """
     certificate = certify_blowup_step(sigma, equations, centre)
-    return CentreSelection(case, centre, point, certificate.centre_report, rationale,
+    return CentreSelection(case, centre, certificate.centre_report, rationale,
                            coordinate_change=list(coordinate_change), sigma=sigma,
                            certificate=certificate)
 
 
-def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly],
-                     points: Optional[Sequence[Point]] = None
+def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
                      ) -> List[CentreSelection]:
-    """Centre selection for a curve in a threefold, in normal-form coordinates.
+    """Centre selection for a curve in a threefold at the origin; translate first.
 
-    For each supplied singular point (default: the origin): non-nilpotent
-    points are terminal (they admit no codegenerate centre); when the curve
-    invariant starts above one the associated monomial centre is selected;
-    otherwise the linearization decides between the unweighted point centre
-    (abelian) and the Heisenberg cases, where the vanishing locus of the
-    bivector being a curve selects the associated centre and a smooth surface
-    selects the b-completion of its unweighted centre with b the second
-    invariant entry.  Every selected centre passes the full blowup-step
-    certificate.
+    The coordinates are normal-form coordinates.  A non-nilpotent point is
+    terminal (it admits no codegenerate centre); when the curve invariant
+    starts above one the associated monomial centre is selected; otherwise
+    the linearization decides between the unweighted point centre (abelian)
+    and the Heisenberg cases, where the vanishing locus of the bivector
+    being a curve selects the associated centre and a smooth surface selects
+    the b-completion of its unweighted centre with b the second invariant
+    entry.  Every selected centre passes the blowup-step certificate.
+    Returns the one selection at the origin, as a list.
     """
     variables = sigma.variables
     if len(variables) != 3:
         raise RefusalError("curve triples live in a three-variable chart")
     if not sigma_tangent_to_ideal(sigma, y_generators):
         raise RefusalError("bivector is not tangent to the curve")
-    if points is None:
-        points = [tuple(Fraction(0) for _ in variables)]
 
-    selections: List[CentreSelection] = []
-    for point in points:
-        sigma_p = sigma.translate(point)
-        generators_p = [g.translate(point) for g in y_generators]
-        result = max_monomial_centre(generators_p)
-        if result.invariant.entries[0] > 1:
-            selections.append(_certified_selection(
-                A1_GT_1, sigma_p, generators_p, result.centre, point,
-                "curve not contained in a smooth surface: associated centre "
-                "of the pair is conilpotent because kappa_2 <= 1"))
-            continue
+    result = max_monomial_centre(y_generators)
+    if result.invariant.entries[0] > 1:
+        return [_certified_selection(
+            A1_GT_1, sigma, y_generators, result.centre,
+            "curve not contained in a smooth surface: associated centre "
+            "of the pair is conilpotent because kappa_2 <= 1")]
 
-        triple = detect_nonnilpotent_point(sigma_p, generators_p,
-                                           tuple(Fraction(0) for _ in variables))
-        if triple.lie_class == SPLIT_NONABELIAN:
-            selections.append(CentreSelection(
-                TERMINAL_NON_NILPOTENT, None, point, None,
-                "non-nilpotent point: no codegenerate centre exists; "
-                "the point is a terminal singularity of the triple"))
-            continue
-        if triple.lie_class == ABELIAN:
-            selections.append(_certified_selection(
-                AB_POINT, sigma_p, generators_p, Centre.unweighted(variables), point,
-                "abelian linearization: the unweighted point centre is "
-                "conilpotent (conormal bracket is abelian)"))
-            continue
-        if triple.lie_class != HEISENBERG:
-            raise RefusalError(f"unexpected linearization class {triple.lie_class}")
+    triple = detect_nonnilpotent_point(sigma, y_generators,
+                                       tuple(Fraction(0) for _ in variables))
+    if triple.lie_class == SPLIT_NONABELIAN:
+        return [CentreSelection(
+            TERMINAL_NON_NILPOTENT, None, None,
+            "non-nilpotent point: no codegenerate centre exists; "
+            "the point is a terminal singularity of the triple")]
+    if triple.lie_class == ABELIAN:
+        return [_certified_selection(
+            AB_POINT, sigma, y_generators, Centre.unweighted(variables),
+            "abelian linearization: the unweighted point centre is "
+            "conilpotent (conormal bracket is abelian)")]
+    if triple.lie_class != HEISENBERG:
+        raise RefusalError(f"unexpected linearization class {triple.lie_class}")
 
-        x_name, A, B, (y_name, z_name) = _recognise_heisenberg_form(sigma_p)
-        if not B.is_zero():
-            if result.centre.exponent_of(x_name) != 1:
-                raise RefusalError(
-                    "expected the Heisenberg variable to carry exponent one in "
-                    f"the associated centre, got {result.centre}")
-            selections.append(_certified_selection(
-                HEIS_CURVE_VANISHING, sigma_p, generators_p, result.centre, point,
-                "Heisenberg point with one-dimensional bivector vanishing "
-                "locus: associated centre (x carries exponent one; every term "
-                "has order at least 1 - 1/b - 1/c >= 0)"))
-            continue
-
-        # vanishing locus is the smooth surface x + A = 0: x -> x - A
-        # makes it x = 0
-        step = (x_name, -A)
-        sheared = shear(sigma_p, *step)
-        sheared_generators = [shear(g, *step) for g in generators_p]
-        plane_candidates = [g for g in sheared_generators
-                            if g.degree_in(x_name) == 0 and not g.is_zero()]
-        if not plane_candidates:
+    x_name, A, B, (y_name, z_name) = _recognise_heisenberg_form(sigma)
+    if not B.is_zero():
+        if result.centre.exponent_of(x_name) != 1:
             raise RefusalError(
-                "cannot express the curve inside the vanishing surface; "
-                "generators not in normal form")
-        plane_curve = plane_candidates[0]
-        b = Fraction(plane_curve.min_total_degree())
-        if b < 1:
-            raise RefusalError("curve multiplicity below one after shearing")
-        centre = Centre.unweighted(variables, [x_name]).b_completion(b)
-        selections.append(_certified_selection(
-            HEIS_SURFACE_VANISHING, sheared, sheared_generators, centre, point,
-            f"Heisenberg point with smooth surface vanishing locus: "
-            f"b-completion of the unweighted surface centre at b = {b}",
-            coordinate_change=[] if A.is_zero() else [step]))
-    return selections
+                "expected the Heisenberg variable to carry exponent one in "
+                f"the associated centre, got {result.centre}")
+        return [_certified_selection(
+            HEIS_CURVE_VANISHING, sigma, y_generators, result.centre,
+            "Heisenberg point with one-dimensional bivector vanishing "
+            "locus: associated centre (x carries exponent one; every term "
+            "has order at least 1 - 1/b - 1/c >= 0)")]
+
+    # vanishing locus is the smooth surface x + A = 0: x -> x - A
+    # makes it x = 0
+    step = (x_name, -A)
+    sheared = shear(sigma, *step)
+    sheared_generators = [shear(g, *step) for g in y_generators]
+    plane_candidates = [g for g in sheared_generators
+                        if g.degree_in(x_name) == 0 and not g.is_zero()]
+    if not plane_candidates:
+        raise RefusalError(
+            "cannot express the curve inside the vanishing surface; "
+            "generators not in normal form")
+    plane_curve = plane_candidates[0]
+    b = Fraction(plane_curve.min_total_degree())
+    if b < 1:
+        raise RefusalError("curve multiplicity below one after shearing")
+    centre = Centre.unweighted(variables, [x_name]).b_completion(b)
+    return [_certified_selection(
+        HEIS_SURFACE_VANISHING, sheared, sheared_generators, centre,
+        f"Heisenberg point with smooth surface vanishing locus: "
+        f"b-completion of the unweighted surface centre at b = {b}",
+        coordinate_change=[] if A.is_zero() else [step])]
 
 
-def select_centre_32(sigma: Polyvector, f: Poly,
-                     points: Optional[Sequence[Point]] = None,
-                     degree_bound: int = DEFAULT_DEGREE_BOUND
-                     ) -> List[CentreSelection]:
-    """Centre selection for a surface in a threefold, in normal-form coordinates.
+def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
+    """Centre selection for a surface in a threefold at the origin; translate first.
 
-    Du Val points of the triple are terminal.  Away from them, the associated
-    monomial centre is selected unless the invariant is (2,3,3), where the
-    singular locus splits into isolated type-D points (associated centre) and
+    The coordinates are normal-form coordinates.  Du Val points of the
+    triple are terminal.  Away from them, the associated monomial centre is
+    selected unless the invariant is (2,3,3), where the singular locus
+    splits into isolated type-D points (associated centre) and
     one-dimensional components (unweighted centre on the curve, certified
     through the logarithmic tangency argument).  A singular line off the
     coordinate axes is first straightened by the preparation of the surface
     class, recorded as the selection's coordinate change.  Every selected
-    centre passes the full blowup-step certificate.
+    centre passes the blowup-step certificate.  Returns the one selection at
+    the origin, as a list.
     """
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
         raise RefusalError("surface triples live in a shared three-variable chart")
     if not is_tangent(sigma, f):
         raise RefusalError("bivector is not tangent to the surface")
-    if points is None:
-        points = [tuple(Fraction(0) for _ in variables)]
 
-    selections: List[CentreSelection] = []
-    for point in points:
-        sigma_p = sigma.translate(point)
-        f_p = f.translate(point)
-        duval = detect_duval_point(sigma_p, f_p, tuple(Fraction(0) for _ in variables),
-                                   degree_bound)
-        if duval.duval:
-            selections.append(CentreSelection(
-                TERMINAL_DUVAL, None, point, None,
-                "Du Val point of the triple: no codegenerate centre exists "
-                "(weight sums exceed one)"))
-            continue
+    duval = detect_duval_point(sigma, f, tuple(Fraction(0) for _ in variables))
+    if duval.duval:
+        return [CentreSelection(
+            TERMINAL_DUVAL, None, None,
+            "Du Val point of the triple: no codegenerate centre exists "
+            "(weight sums exceed one)")]
 
-        result = max_monomial_centre(f_p)
-        invariant = result.invariant
-        if invariant.finite_entries() != (Fraction(2), Fraction(3), Fraction(3)):
-            centre = result.centre
-            reduced = centre.reduced()
-            if all(a == 1 for a in reduced.exponents if not is_infinite(a)):
-                centre = reduced  # unweighted up to rescaling: report the reduction
-            selections.append(_certified_selection(
-                GENERIC_ASSOC, sigma_p, [f_p], centre, point,
-                "invariant differs from (2,3,3): the associated centre is "
-                "conilpotent away from Du Val and Whitney points"))
-            continue
+    result = max_monomial_centre(f)
+    invariant = result.invariant
+    if invariant.finite_entries() != (Fraction(2), Fraction(3), Fraction(3)):
+        centre = result.centre
+        reduced = centre.reduced()
+        if all(a == 1 for a in reduced.exponents if not is_infinite(a)):
+            centre = reduced  # unweighted up to rescaling: report the reduction
+        return [_certified_selection(
+            GENERIC_ASSOC, sigma, [f], centre,
+            "invariant differs from (2,3,3): the associated centre is "
+            "conilpotent away from Du Val and Whitney points")]
 
-        line = line_in_zero_locus([f_p] + [f_p.diff(v) for v in variables])
-        if line is None:
-            selections.append(_certified_selection(
-                INV_233_SURFACE, sigma_p, [f_p], result.centre, point,
-                "invariant (2,3,3) at an isolated type-D point that is not a Du "
-                "Val point of the triple: associated centre"))
-            continue
-        change: List[Tuple[str, Poly]] = []
-        if sum(1 for d in line if d) != 1:
-            # the preparation of the surface class moves the singular line
-            # onto the axis of the Hessian kernel
-            change = duval.surface_class.preparation
-            for step in change:
-                sigma_p, f_p = shear(sigma_p, *step), shear(f_p, *step)
-            line = line_in_zero_locus([f_p] + [f_p.diff(v) for v in variables])
-            assert line is not None and sum(1 for d in line if d) == 1, \
-                f"the preparation {change} leaves the singular line {line} off the axes"
-        # one-dimensional singular locus: unweighted centre on the curve
-        support = [v for v, d in zip(variables, line) if d == 0]
-        selections.append(_certified_selection(
-            INV_233_SURFACE, sigma_p, [f_p], Centre.unweighted(variables, support),
-            point,
-            "invariant (2,3,3) with a one-dimensional singular locus: "
-            "unweighted centre on the curve (logarithmic tangency keeps "
-            "every bracket at non-negative order)", coordinate_change=change))
-    return selections
+    line = line_in_zero_locus([f] + [f.diff(v) for v in variables])
+    if line is None:
+        return [_certified_selection(
+            INV_233_SURFACE, sigma, [f], result.centre,
+            "invariant (2,3,3) at an isolated type-D point that is not a Du "
+            "Val point of the triple: associated centre")]
+    change: List[Tuple[str, Poly]] = []
+    if sum(1 for d in line if d) != 1:
+        # the preparation of the surface class moves the singular line
+        # onto the axis of the Hessian kernel
+        change = duval.surface_class.preparation
+        for step in change:
+            sigma, f = shear(sigma, *step), shear(f, *step)
+        line = line_in_zero_locus([f] + [f.diff(v) for v in variables])
+        assert line is not None and sum(1 for d in line if d) == 1, \
+            f"the preparation {change} leaves the singular line {line} off the axes"
+    # one-dimensional singular locus: unweighted centre on the curve
+    support = [v for v, d in zip(variables, line) if d == 0]
+    return [_certified_selection(
+        INV_233_SURFACE, sigma, [f], Centre.unweighted(variables, support),
+        "invariant (2,3,3) with a one-dimensional singular locus: "
+        "unweighted centre on the curve (logarithmic tangency keeps "
+        "every bracket at non-negative order)", coordinate_change=change)]
 
 
 # ---------------------------------------------------------------------------
@@ -586,16 +556,18 @@ class StepAbort(AssertionError):
 
 def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
                         centre: Centre) -> StepCertificate:
-    """Run every certificate for one blowup step and abort on any failure.
+    """Run every certificate for one blowup step.
 
     With a bivector: the centre must be conilpotent, the bivector must lift
     (regularly, tangent to the exceptional divisor), the lifted proper part
-    must stay Poisson and tangent to the strict transforms.  With or without
-    a bivector: the invariant of the ideal generated by the strict transforms
-    must drop lexicographically, in every slice chart, below the invariant of
-    the ideal at the blown-up point (compared as monomial lower bounds,
-    flagged when only bounds are available; a chart where a strict transform
-    becomes a unit is resolved and drops out).
+    must stay Poisson and tangent to the strict transforms; each failure
+    raises StepAbort.  With or without a bivector: the invariant of the
+    ideal generated by the strict transforms is compared lexicographically,
+    in every slice chart, with the invariant of the ideal at the blown-up
+    point (a chart where a strict transform becomes a unit is resolved and
+    drops out).  Both sides are monomial lower bounds, so a chart where it
+    does not drop sets ``invariant_decreased`` to False and adds a note; it
+    does not raise.
     """
     notes: List[str] = []
     equations = list(equations)

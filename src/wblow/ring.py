@@ -956,9 +956,9 @@ def rational_roots(f: Poly) -> List[Fraction]:
 
     Candidates come from p-adic lifting of the roots of the primitive
     squarefree part modulo a small prime, with rational reconstruction (see
-    :func:`_padic_root_candidates`).  Each candidate is checked by exact
-    Horner evaluation on the original polynomial, which is deflated by
-    synthetic division to count multiplicities.
+    :func:`_padic_root_candidates`).  A candidate s/t is a root exactly when
+    t*x - s divides the primitive integer polynomial in Z[x] (Gauss's lemma);
+    each exact division deflates it and counts one multiplicity.
     """
     if f.is_zero():
         raise ValueError("rational_roots of the zero polynomial")
@@ -969,30 +969,17 @@ def rational_roots(f: Poly) -> List[Fraction]:
         coeffs = coeffs[1:]
     if len(coeffs) <= 1:
         return sorted(roots)
-    integers = _primitive(coeffs)
-    work = [Fraction(c) for c in integers]
+    work = _primitive(coeffs)
     # by Gauss's lemma the quotient by the primitive gcd stays in Z[x]
     squarefree = _int_exact_quotient(
-        integers, _int_poly_gcd(integers, [k * c for k, c in enumerate(integers)][1:]))
-
-    def horner(cs: List[Fraction], r: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(cs):
-            acc = acc * r + c
-        return acc
-
-    def deflate(cs: List[Fraction], r: Fraction) -> List[Fraction]:
-        out = [Fraction(0)] * (len(cs) - 1)
-        acc = Fraction(0)
-        for i in range(len(cs) - 1, 0, -1):
-            acc = cs[i] + acc * r
-            out[i - 1] = acc
-        return out
-
+        work, _int_poly_gcd(work, [k * c for k, c in enumerate(work)][1:]))
     for r in _padic_root_candidates(squarefree):
-        while len(work) > 1 and horner(work, r) == 0:
+        while len(work) > 1:
+            try:
+                work = _int_exact_quotient(work, [-r.numerator, r.denominator])
+            except ArithmeticError:
+                break
             roots.append(r)
-            work = deflate(work, r)
     return sorted(roots)
 
 

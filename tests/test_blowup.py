@@ -1,4 +1,4 @@
-"""Lifting criteria, blowdown substitution, slice charts, smoothness."""
+"""Lifting criteria, blowdown substitution, slice charts, singular points."""
 
 import itertools
 from fractions import Fraction
@@ -11,7 +11,6 @@ from wblow.centre import Centre, parse_centre
 from wblow.blowup import (
     check_centre,
     check_lift,
-    is_smooth_plane_strict_transform,
     pullback_function,
     pullback_polyvector,
     rational_singular_points,
@@ -266,22 +265,14 @@ def test_slice_needs_positive_weight():
         slice_chart(parse_centre("x:1 y:inf"), "y")
 
 
-# --- smoothness ------------------------------------------------------------------------
+# --- singular points -------------------------------------------------------------------
 
 def test_smoothness_examples():
-    smooth_eq = parse_poly("y^2 - 1", V2)
-    assert is_smooth_plane_strict_transform(smooth_eq).smooth is True
-
+    assert rational_singular_points(parse_poly("y^2 - 1", V2)) == ([], True)
     cusp = parse_poly("y^2 - x^3", V2)
-    away_from_origin = is_smooth_plane_strict_transform(cusp, excluded=("x", "y"))
-    assert away_from_origin.smooth is True
-    at_origin = is_smooth_plane_strict_transform(cusp)
-    assert at_origin.smooth is False
-    assert at_origin.singular_points == [(F(0), F(0))]
-
+    assert rational_singular_points(cusp) == ([(F(0), F(0))], True)
     node = parse_poly("y^2 - x^2", V2)
-    report = is_smooth_plane_strict_transform(node)
-    assert report.smooth is False and report.singular_points == [(F(0), F(0))]
+    assert rational_singular_points(node) == ([(F(0), F(0))], True)
 
 
 def test_singular_points_off_origin():
@@ -296,13 +287,12 @@ def test_rational_points_reported_despite_irrational_ones():
     # x^2 = -1/3 and stay unexamined, but the rational singular points are
     # still a definitive negative verdict
     f = parse_poly("(y^2 - (x - 1)^3)*(y^2 - (x + 1)^3)", V2)
-    report = is_smooth_plane_strict_transform(f)
-    assert report.smooth is False
-    assert (F(1), F(0)) in report.singular_points
+    points, certain = rational_singular_points(f)
+    assert not certain
+    assert points == [(F(-1), F(0)), (F(1), F(0))]
 
 
 def test_irrational_singular_locus_is_indeterminate():
     # two smooth branches crossing only at x^2 = 2: no rational witness
     f = parse_poly("y^2 - (x^2 - 2)^2", V2)
-    report = is_smooth_plane_strict_transform(f)
-    assert report.smooth is None
+    assert rational_singular_points(f) == ([], False)

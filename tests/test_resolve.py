@@ -77,6 +77,20 @@ def test_squarefree_precondition():
         resolve_plane_curve(parse_poly("y^2*(y - x)", V2))
 
 
+# charts where only one variable occurs: the curve is a union of parallel lines
+@pytest.mark.parametrize("text", ["x*(x - 1)", "y^3 - y"])
+def test_one_variable_chart_resolves_without_blowups(text):
+    tree = resolve_plane_curve(parse_poly(text, V2))
+    assert resolution_is_complete(tree)
+    assert count_blowups(tree) == 0
+
+
+@pytest.mark.parametrize("text", ["x^2*(x - 1)", "(y - 1)^2*y"])
+def test_one_variable_chart_must_be_squarefree(text):
+    with pytest.raises(ValueError, match="must be squarefree"):
+        resolve_plane_curve(parse_poly(text, V2))
+
+
 def test_irrational_singularities_marked_indeterminate():
     tree = resolve_plane_curve(parse_poly("y^2 - (x^2 - 2)^2", V2))
     assert not resolution_is_complete(tree)
