@@ -271,19 +271,19 @@ def _blowdown_images(centre: Centre, extended: Tuple[str, ...]) -> Dict[str, Pol
 def _shift_t_down(f: Poly, t_index: int, amount: int) -> Poly:
     if amount == 0:
         return f
-    terms = {}
-    for exponent, coeff in f.terms.items():
+    nums = {}
+    for exponent, n in f.nums.items():
         if exponent[t_index] < amount:
             raise ValueError("cannot remove more t-powers than present")
         new = exponent[:t_index] + (exponent[t_index] - amount,) + exponent[t_index + 1:]
-        terms[new] = coeff
-    return Poly._from_canonical(f.variables, terms, f.cap)
+        nums[new] = n
+    return Poly._from_numerators(f.variables, nums, f.den, f.cap)
 
 
 def _min_t_degree(f: Poly, t_index: int) -> Optional[int]:
     if f.is_zero():
         return None
-    return min(e[t_index] for e in f.terms)
+    return min(e[t_index] for e in f.nums)
 
 
 def pullback_function(f: Poly, centre: Centre) -> PullbackResult:
@@ -323,7 +323,7 @@ def degeneration_euler_generator(centre: Centre) -> Polyvector:
     for i, (name, weight) in enumerate(zip(centre.variables, reduced)):
         if weight:
             terms[(i,)] = Poly.var(extended, name).scale(-weight)
-    return Polyvector(1, extended, terms)
+    return Polyvector._from_canonical(1, extended, terms)
 
 
 def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
@@ -361,7 +361,7 @@ def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
         frame_twist = shift - sum(reduced[i] for i in indices)
         lifted = coeff.extend_variables(extended).substitute(images)
         lifted_terms[indices] = lifted * t ** frame_twist
-    lifted_xi = Polyvector(xi.degree, extended, lifted_terms)
+    lifted_xi = Polyvector._from_canonical(xi.degree, extended, lifted_terms)
 
     generator = degeneration_euler_generator(centre)
     full = wedge(generator, lifted_xi)

@@ -218,7 +218,7 @@ class Centre:
         reduced weights, with the graded-lex smallest exponent reaching it."""
         weights = self._integer_weights[0]
         best = witness = None
-        for exponent in f.terms:
+        for exponent in f.nums:
             value = sum(map(mul, weights, exponent))
             if best is None or value < best or (value == best
                                                 and _grlex_key(exponent) < _grlex_key(witness)):
@@ -286,10 +286,10 @@ class Centre:
             raise ValueError("the zero polynomial has no leading term")
         weights = self._integer_weights[0]
         minimum = self._integer_order(f)[0]
-        return Poly._from_canonical(
+        return Poly._from_numerators(
             self.variables,
-            {e: c for e, c in f.terms.items() if sum(map(mul, weights, e)) == minimum},
-            f.cap)
+            {e: n for e, n in f.nums.items() if sum(map(mul, weights, e)) == minimum},
+            f.den, f.cap)
 
     def leading_term_polyvector(self, xi: Polyvector) -> Polyvector:
         if xi.is_zero():
@@ -300,10 +300,11 @@ class Centre:
         out: Dict[Tuple[int, ...], Poly] = {}
         for indices, coeff in xi.terms.items():
             target = minimum + sum(weights[i] for i in indices)
-            kept = {e: c for e, c in coeff.terms.items()
+            kept = {e: n for e, n in coeff.nums.items()
                     if sum(map(mul, weights, e)) == target}
             if kept:
-                out[indices] = Poly._from_canonical(self.variables, kept, coeff.cap)
+                out[indices] = Poly._from_numerators(self.variables, kept, coeff.den,
+                                                     coeff.cap)
         return Polyvector._from_canonical(xi.degree, self.variables, out)
 
     def leading_term(self, value: Union[Poly, Polyvector]) -> Union[Poly, Polyvector]:
@@ -319,7 +320,7 @@ class Centre:
             if w == 0:
                 continue
             terms[(i,)] = Poly.var(self.variables, v).scale(w)
-        return Polyvector(1, self.variables, terms)
+        return Polyvector._from_canonical(1, self.variables, terms)
 
     # -- text form ------------------------------------------------------------
 

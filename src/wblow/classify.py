@@ -37,7 +37,7 @@ from math import comb, gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .ring import Point, Poly, _clear_denominators, divides, insert_row
+from .ring import Point, Poly, divides, insert_row
 from .polyvector import (
     OTHER,
     SPLIT_NONABELIAN,
@@ -72,15 +72,16 @@ INDETERMINATE = "indeterminate"
 def _local_dimensions(generators: Sequence[Poly], degree: int) -> List[int]:
     """[dim O/(ideal + m^j) for j = 0..degree] from one row reduction.
 
-    Each g has its denominators cleared once (see the module docstring).  A
-    monomial e is packed into the int |e|*B^n + sum e_i*B^(n-1-i), B = 2^w >
-    degree: packing is additive, ints compare like grlex, and the packed e is
-    below ``degree``*B^n exactly when |e| < ``degree``.  Sparsest generators
-    and each one's highest shifts go first, which keeps the fill-in low (on
-    the classify benchmark, lowest shifts first cost about 1.5 times as much).
+    Each g enters as its integer numerators, a multiple of g spanning the
+    same rows.  A monomial e is packed into the int
+    |e|*B^n + sum e_i*B^(n-1-i), B = 2^w > degree: packing is additive, ints
+    compare like grlex, and the packed e is below ``degree``*B^n exactly when
+    |e| < ``degree``.  Sparsest generators and each one's highest shifts go
+    first, which keeps the fill-in low (on the classify benchmark, lowest
+    shifts first cost about 1.5 times as much).
     """
     generators = sorted((g for g in generators if not g.is_zero()),
-                        key=lambda g: len(g.terms))
+                        key=lambda g: len(g.nums))
     if not generators:
         raise ValueError("no nonzero generators")
     n, width = len(generators[0].variables), degree.bit_length()
@@ -90,12 +91,12 @@ def _local_dimensions(generators: Sequence[Poly], degree: int) -> List[int]:
                     for monomial in itertools.combinations_with_replacement(units, d))
     pivots: Dict[int, Dict[int, int]] = {}
     for g in generators:
-        terms = sorted((sum(map(mul, e, units)), c)
-                       for e, c in g.terms.items() if sum(e) < degree)
+        terms = sorted((sum(map(mul, e, units)), n)
+                       for e, n in g.nums.items() if sum(e) < degree)
         if not terms:
             continue
         codes = [code for code, _ in terms]
-        numerators, _ = _clear_denominators(c for _, c in terms)
+        numerators = [n for _, n in terms]
         for alpha in reversed(shifts[:bisect_left(shifts, top - codes[0])]):
             kept = bisect_left(codes, top - alpha)
             insert_row(pivots, {alpha + code: c
@@ -149,10 +150,9 @@ IntegerParts = List[List[Tuple[Tuple[int, ...], int]]]
 
 def _integer_parts(g: Poly) -> IntegerParts:
     """The homogeneous parts of g, lowest degree first, as (exponent, int)
-    terms: g with its denominators cleared."""
-    numerators, _ = _clear_denominators(g.terms.values())
+    terms: the numerators of g, a multiple of g with the same zeros."""
     parts: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
-    for exponent, c in zip(g.terms, numerators):
+    for exponent, c in g.nums.items():
         parts.setdefault(sum(exponent), []).append((exponent, c))
     return [parts[d] for d in sorted(parts)]
 

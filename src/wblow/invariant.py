@@ -198,7 +198,7 @@ class NewtonPolyhedron:
 
     @classmethod
     def of(cls, generators: Sequence[Poly]) -> "NewtonPolyhedron":
-        support = sorted({e for g in generators for e in g.terms})
+        support = sorted({e for g in generators for e in g.nums})
         minimal = tuple(p for p in support
                         if not any(q != p and all(qi <= pi for qi, pi in zip(q, p))
                                    for q in support))

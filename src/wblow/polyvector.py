@@ -94,7 +94,7 @@ class Polyvector:
         self = object.__new__(cls)
         self.degree = degree
         self.variables = variables
-        self.terms = {i: c for i, c in terms.items() if c.terms}
+        self.terms = {i: c for i, c in terms.items() if c.nums}
         return self
 
     @classmethod
@@ -308,8 +308,10 @@ def schouten(xi: Polyvector, eta: Polyvector) -> Polyvector:
     j = xi.degree
     if j + eta.degree == 0:
         return Polyvector.zero(0, xi.variables)
-    deviation = _odd_laplacian(wedge(xi, eta)) - wedge(_odd_laplacian(xi), eta)
-    mixed = wedge(xi, _odd_laplacian(eta))
+    first = wedge(_odd_laplacian(xi), eta)
+    deviation = _odd_laplacian(wedge(xi, eta)) - first
+    # xi^D(xi) = (-1)^(j(j-1)) D(xi)^xi, and j(j-1) is even
+    mixed = first if eta is xi else wedge(xi, _odd_laplacian(eta))
     deviation = deviation - mixed if j % 2 == 0 else deviation + mixed
     result = deviation if (j - 1) % 2 == 0 else deviation.scale(-1)
     if result.is_zero():

@@ -2,26 +2,32 @@
 multivariate polynomials over Q, truncated power series, and the expression
 parser.
 
-A polynomial is stored as a dictionary mapping exponent tuples to nonzero
-``Fraction`` coefficients:
+A polynomial is stored as integer numerators over one shared denominator:
+a dictionary mapping exponent tuples to nonzero ints, and a positive int.
 
-    Poly.terms = {(2, 0, 0): Fraction(1), (0, 2, 1): Fraction(-1)}   # x^2 - y^2*z
+    Poly.nums = {(2, 0, 0): 2, (0, 2, 1): -1}, Poly.den = 3   # (2*x^2 - y^2*z)/3
 
-The zero polynomial has an empty dictionary.  All arithmetic is exact; no
-floating point is used anywhere in the package: a coefficient that is not an
-``int`` or a ``Fraction`` is refused with ``TypeError``.
+``Poly.terms`` is a read-only view derived from them on each read, mapping
+the same exponents to ``Fraction`` coefficients:
+``{(2, 0, 0): Fraction(2, 3), (0, 2, 1): Fraction(-1, 3)}``.  The zero
+polynomial has no numerators.  All arithmetic is exact; no floating point is
+used anywhere in the package: a coefficient that is not an ``int`` or a
+``Fraction`` is refused with ``TypeError``.
 
 Canonical form.  Every ``Poly`` satisfies one invariant: ``variables`` is a
-tuple of distinct names, every key of ``terms`` is a tuple of non-negative
-ints of that length with total degree below the cap (when there is one), and
-every value is a nonzero ``Fraction``.  ``Poly.__init__`` is the one
+tuple of distinct names, every key of ``nums`` is a tuple of non-negative
+ints of that length with total degree below the cap (when there is one),
+every numerator is a nonzero int, ``den > 0`` and ``gcd(den, *nums) == 1``,
+so ``den == 1`` for zero.  Equal polynomials therefore have equal fields,
+and equality and hashing compare them.  ``Poly.__init__`` is the one
 validating entry: it checks and normalises outside input.  The results of
-``+``, ``-``, ``*``, ``**``, ``scale``, ``diff`` and ``substitute``, and the
+``+``, ``-``, ``*``, ``**``, ``scale``, ``diff`` and ``substitute``, the
 re-charted copies of ``with_cap``, ``extend_variables``, ``drop_variables``
-and ``coefficients_in``, are canonical by construction and go through the
-trusted ``Poly._from_canonical``, which stores them as they are.  Products
-clear denominators once per operand, accumulate integer numerators and build
-one ``Fraction`` per output term.
+and ``coefficients_in``, and ``var``, ``const`` and ``zero`` once the chart
+is checked, are valid by construction and go through the trusted
+``Poly._from_numerators``, which divides out the content shared with the
+denominator, by one ``gcd``, only when ``den > 1``.  No Fraction is built in
+these operations.
 
 A polynomial may carry a truncation cap N, in which case it represents a
 residue modulo terms of total degree >= N (a truncated power series).  Every
@@ -44,6 +50,7 @@ A leading sign on the first term is accepted so that printed output re-parses.
 
 from __future__ import annotations
 
+from collections import abc
 from fractions import Fraction
 from itertools import count
 from math import comb, gcd as _int_gcd, isqrt, lcm, prod
@@ -194,6 +201,15 @@ def _exact(value: Union[int, Fraction]) -> Fraction:
     raise TypeError(f"{value!r} is not an int or a Fraction; no floating point is used")
 
 
+def _ratio(value: Union[int, Fraction]) -> Tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction, read without building
+    a Fraction; anything else is refused by :func:`_exact`."""
+    if isinstance(value, int):
+        return value, 1
+    value = _exact(value)
+    return value.numerator, value.denominator
+
+
 def _clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[List[int], int]:
     """The integers d*v for the least common denominator d of ``values``, and d."""
     values = list(values)
@@ -205,45 +221,65 @@ def _clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[List[in
 
 def _product(a: "Poly", b: "Poly", cap: Optional[int]) -> "Poly":
     """a*b truncated at ``cap``: integer numerators accumulated over the
-    product of the two common denominators, one Fraction per output term.
-    A one-term factor only shifts exponents, injectively, and scales."""
-    if len(b.terms) == 1:
+    product of the two denominators.  A one-term factor only shifts
+    exponents, injectively, and scales."""
+    if len(b.nums) == 1:
         a, b = b, a
-    if len(a.terms) == 1:
-        (ea, ca), = a.terms.items()
-        shifted = ((tuple(map(add, ea, eb)), cb) for eb, cb in b.terms.items())
-        return Poly._from_canonical(
+    den = a.den * b.den
+    if len(a.nums) == 1:
+        (ea, na), = a.nums.items()
+        shifted = ((tuple(map(add, ea, eb)), nb) for eb, nb in b.nums.items())
+        return Poly._from_numerators(
             a.variables,
-            {e: cb if ca == 1 else ca * cb for e, cb in shifted
+            {e: nb if na == 1 else na * nb for e, nb in shifted
              if cap is None or sum(e) < cap},
-            cap)
-    numerators_a, scale_a = _clear_denominators(a.terms.values())
-    numerators_b, scale_b = _clear_denominators(b.terms.values())
-    right = list(zip(b.terms, numerators_b))
+            den, cap)
+    right = list(b.nums.items())
     out: Dict[Exponent, int] = {}
     get = out.get
-    for ea, na in zip(a.terms, numerators_a):
+    for ea, na in a.nums.items():
         for eb, nb in right:
             exponent = tuple(map(add, ea, eb))
             if cap is not None and sum(exponent) >= cap:
                 continue
             out[exponent] = get(exponent, 0) + na * nb
-    scale = scale_a * scale_b
-    if scale == 1:
-        terms = {e: Fraction(n) for e, n in out.items() if n}
-    else:
-        terms = {e: Fraction(n, scale) for e, n in out.items() if n}
-    return Poly._from_canonical(a.variables, terms, cap)
+    return Poly._from_numerators(a.variables, {e: n for e, n in out.items() if n}, den, cap)
+
+
+class _Terms(abc.Mapping):
+    """The coefficients of a Poly as Fractions: a read-only view, derived
+    from the integer numerators and the denominator on each read."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: Dict[Exponent, int], den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, exponent: Exponent) -> Fraction:
+        return Fraction(self._nums[exponent], self._den)
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __contains__(self, exponent: object) -> bool:
+        return exponent in self._nums
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Instances are immutable by convention: no public method mutates ``terms``.
+    Instances are immutable by convention: no public method mutates ``nums``.
     Two polynomials can be combined only when their variable tuples agree.
     """
 
-    __slots__ = ("variables", "terms", "cap")
+    __slots__ = ("variables", "nums", "den", "cap")
 
     def __init__(
         self,
@@ -264,8 +300,11 @@ class Poly:
                 continue
             if coeff != 0:
                 clean[exponent] = coeff
+        # canonical: no prime of the lcm of reduced denominators divides every numerator
+        den = lcm(*(c.denominator for c in clean.values()))
         self.variables = variables
-        self.terms = clean
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self.den = den
         self.cap = cap
 
     @staticmethod
@@ -281,59 +320,76 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _from_canonical(cls, variables: Tuple[str, ...], terms: Dict[Exponent, Fraction],
-                        cap: Optional[int]) -> "Poly":
-        """Wrap data already in canonical form (see the module docstring),
-        without checking it; ``terms`` is owned by the result."""
+    def _from_numerators(cls, variables: Tuple[str, ...], nums: Dict[Exponent, int],
+                         den: int, cap: Optional[int]) -> "Poly":
+        """The polynomial ``nums``/``den``, without checking the chart, the
+        exponents or the cap (see the module docstring); ``nums`` holds no
+        zero, ``den`` is positive, and ``nums`` is owned by the result.  The
+        content shared by ``den`` and the numerators is divided out."""
+        if den > 1:
+            g = _int_gcd(den, *nums.values())
+            if g > 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
         self = object.__new__(cls)
         self.variables = variables
-        self.terms = terms
+        self.nums = nums
+        self.den = den
         self.cap = cap
         return self
 
     @classmethod
     def zero(cls, variables: Sequence[str], cap: Optional[int] = None) -> "Poly":
-        return cls(variables, {}, cap)
+        return cls._from_numerators(cls._chart(variables), {}, 1, cap)
 
     @classmethod
     def const(cls, variables: Sequence[str], value: Union[int, Fraction],
               cap: Optional[int] = None) -> "Poly":
-        n = len(tuple(variables))
-        return cls(variables, {(0,) * n: _exact(value)}, cap)
+        variables = cls._chart(variables)
+        num, den = _ratio(value)
+        kept = num and (cap is None or cap > 0)
+        return cls._from_numerators(variables, {(0,) * len(variables): num} if kept else {},
+                                    den, cap)
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str, cap: Optional[int] = None) -> "Poly":
-        variables = tuple(variables)
+        variables = cls._chart(variables)
         if name not in variables:
             raise ValueError(f"unknown variable {name!r} for chart {variables}")
         exponent = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exponent: Fraction(1)}, cap)
+        return cls._from_numerators(variables, {exponent: 1} if cap is None or cap > 1 else {},
+                                    1, cap)
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponent, Fraction]:
+        """The coefficients as Fractions, a read-only view of ``nums``/``den``."""
+        return _Terms(self.nums, self.den)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
+        return Fraction(self.nums.get((0,) * len(self.variables), 0), self.den)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
 
     def min_total_degree(self) -> int:
         """Order of vanishing at the origin (unweighted); -1 for zero."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return min(sum(e) for e in self.terms)
+        return min(sum(e) for e in self.nums)
 
     def degree_in(self, name: str) -> int:
         i = self._index(name)
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self.nums)
 
     def _index(self, name: str) -> int:
         try:
@@ -344,14 +400,14 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.variables == other.variables and self.terms == other.terms
-                and self.cap == other.cap)
+        return (self.variables == other.variables and self.den == other.den
+                and self.nums == other.nums and self.cap == other.cap)
 
     def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self.terms.items()), self.cap))
+        return hash((self.variables, frozenset(self.nums.items()), self.den, self.cap))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -371,30 +427,34 @@ class Poly:
             return a
         return min(a, b)
 
-    def _capped_terms(self, cap: Optional[int]) -> Dict[Exponent, Fraction]:
-        """The terms of total degree below ``cap``, a cap no larger than
+    def _capped_nums(self, cap: Optional[int]) -> Dict[Exponent, int]:
+        """The numerators of total degree below ``cap``, a cap no larger than
         self's; self's own dictionary when nothing is cut."""
         if cap is None or cap == self.cap:
-            return self.terms
-        return {e: c for e, c in self.terms.items() if sum(e) < cap}
+            return self.nums
+        return {e: n for e, n in self.nums.items() if sum(e) < cap}
 
     def __add__(self, other: Union["Poly", int, Fraction]) -> "Poly":
         other = self._coerce(other)
         cap = self._min_cap(self.cap, other.cap)
-        out = dict(self._capped_terms(cap))
-        for exponent, coeff in other._capped_terms(cap).items():
-            total = out.get(exponent, 0) + coeff
+        mine, theirs = self._capped_nums(cap), other._capped_nums(cap)
+        den = lcm(self.den, other.den)
+        factor = den // self.den
+        out = dict(mine) if factor == 1 else {e: n * factor for e, n in mine.items()}
+        factor = den // other.den
+        for exponent, n in theirs.items():
+            total = out.get(exponent, 0) + n * factor
             if total:
                 out[exponent] = total
             else:
                 del out[exponent]
-        return Poly._from_canonical(self.variables, out, cap)
+        return Poly._from_numerators(self.variables, out, den, cap)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._from_canonical(self.variables, {e: -c for e, c in self.terms.items()},
-                                    self.cap)
+        return Poly._from_numerators(self.variables, {e: -n for e, n in self.nums.items()},
+                                     self.den, self.cap)
 
     def __sub__(self, other: Union["Poly", int, Fraction]) -> "Poly":
         return self + (-self._coerce(other))
@@ -412,11 +472,12 @@ class Poly:
         return self.scale(other)
 
     def scale(self, value: Union[int, Fraction]) -> "Poly":
-        value = _exact(value)
-        if value == 0:
-            return Poly._from_canonical(self.variables, {}, self.cap)
-        return Poly._from_canonical(self.variables,
-                                    {e: c * value for e, c in self.terms.items()}, self.cap)
+        num, den = _ratio(value)
+        if num == 0:
+            return Poly._from_numerators(self.variables, {}, 1, self.cap)
+        return Poly._from_numerators(self.variables,
+                                     {e: n * num for e, n in self.nums.items()},
+                                     self.den * den, self.cap)
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -438,11 +499,11 @@ class Poly:
         """Formal partial derivative.  Lowers a truncation cap by one."""
         i = self._index(name)
         # lowering exponent i is injective on the terms that contain it
-        out: Dict[Exponent, Fraction] = {
-            exponent[:i] + (exponent[i] - 1,) + exponent[i + 1:]: coeff * exponent[i]
-            for exponent, coeff in self.terms.items() if exponent[i]}
+        out: Dict[Exponent, int] = {
+            exponent[:i] + (exponent[i] - 1,) + exponent[i + 1:]: n * exponent[i]
+            for exponent, n in self.nums.items() if exponent[i]}
         cap = None if self.cap is None else max(self.cap - 1, 0)
-        return Poly._from_canonical(self.variables, out, cap)
+        return Poly._from_numerators(self.variables, out, self.den, cap)
 
     def substitute(self, images: Mapping[str, "Poly"]) -> "Poly":
         """Compose with the assignment ``name -> Poly``.
@@ -470,8 +531,9 @@ class Poly:
             else:
                 full[v] = Poly.var(target, v)  # raises if v is not a target variable
         if self.cap is not None:
+            origin = (0,) * len(target)
             for name, image in images.items():
-                if image.constant_term() != 0:
+                if origin in image.nums:
                     raise ValueError(
                         f"cannot substitute {name} -> series with constant term "
                         "into a truncated polynomial")
@@ -483,21 +545,27 @@ class Poly:
                 powers[key] = full[v] ** k
             return powers[key]
 
+        # every monomial's denominator divides the product of d_v^(degree in v)
+        common = 1
+        for i, v in enumerate(self.variables):
+            if full[v].den > 1:
+                common *= full[v].den ** max((e[i] for e in self.nums), default=0)
         # one accumulator, updated exactly as repeated Poly addition would be
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, int] = {}
         one = Poly.const(target, 1, cap)
-        for exponent, coeff in self.terms.items():
+        for exponent, n in self.nums.items():
             monomial = one
             for v, k in zip(self.variables, exponent):
                 if k:
                     monomial = _product(monomial, power(v, k), cap)
-            for e, c in monomial.terms.items():
-                total = out.get(e, 0) + coeff * c
+            factor = n * (common // monomial.den)
+            for e, c in monomial.nums.items():
+                total = out.get(e, 0) + factor * c
                 if total:
                     out[e] = total
                 else:
                     del out[e]
-        return Poly._from_canonical(target, out, cap)
+        return Poly._from_numerators(target, out, self.den * common, cap)
 
     def translate(self, point: Sequence[Union[int, Fraction]]) -> "Poly":
         """Recentre at ``point``: substitute x_i -> x_i + p_i."""
@@ -517,36 +585,35 @@ class Poly:
         if len(point) != len(self.variables):
             raise ValueError("point length does not match chart")
         total = Fraction(0)
-        for exponent, coeff in self.terms.items():
-            value = coeff
+        for exponent, n in self.nums.items():
+            value = n
             for p, k in zip(point, exponent):
                 if k:
                     value *= p ** k
             total += value
-        return total
+        return total / self.den
 
     def coefficients_in(self, name: str) -> List["Poly"]:
         """Coefficient list [c_0, ..., c_d] of self viewed in K[others][name]."""
         i = self._index(name)
         rest = self.variables[:i] + self.variables[i + 1:]
-        d = max((e[i] for e in self.terms), default=0)
-        coeffs: List[Dict[Exponent, Fraction]] = [dict() for _ in range(d + 1)]
-        for exponent, coeff in self.terms.items():
-            reduced = exponent[:i] + exponent[i + 1:]
-            coeffs[exponent[i]][reduced] = coeff
-        return [Poly._from_canonical(rest, c, self.cap) for c in coeffs]
+        d = max((e[i] for e in self.nums), default=0)
+        coeffs: List[Dict[Exponent, int]] = [dict() for _ in range(d + 1)]
+        for exponent, n in self.nums.items():
+            coeffs[exponent[i]][exponent[:i] + exponent[i + 1:]] = n
+        return [Poly._from_numerators(rest, c, self.den, self.cap) for c in coeffs]
 
     def drop_variables(self, names: Sequence[str]) -> "Poly":
         """Forget variables that do not occur in any term."""
         drop = set(names)
         indices = [i for i, v in enumerate(self.variables) if v not in drop]
-        for exponent in self.terms:
+        for exponent in self.nums:
             for i, v in enumerate(self.variables):
                 if v in drop and exponent[i] != 0:
                     raise ValueError(f"variable {v!r} still occurs; cannot drop it")
         new_vars = tuple(self.variables[i] for i in indices)
-        new_terms = {tuple(e[i] for i in indices): c for e, c in self.terms.items()}
-        return Poly._from_canonical(new_vars, new_terms, self.cap)
+        new_nums = {tuple(e[i] for i in indices): n for e, n in self.nums.items()}
+        return Poly._from_numerators(new_vars, new_nums, self.den, self.cap)
 
     def extend_variables(self, variables: Sequence[str]) -> "Poly":
         """Re-express on a larger chart containing every current variable;
@@ -554,18 +621,18 @@ class Poly:
         variables = Poly._chart(variables)
         positions = [variables.index(v) for v in self.variables]
         n = len(variables)
-        out: Dict[Exponent, Fraction] = {}
-        for exponent, coeff in self.terms.items():
+        out: Dict[Exponent, int] = {}
+        for exponent, num in self.nums.items():
             new = [0] * n
             for pos, e in zip(positions, exponent):
                 new[pos] = e
-            out[tuple(new)] = coeff
-        return Poly._from_canonical(variables, out, self.cap)
+            out[tuple(new)] = num
+        return Poly._from_numerators(variables, out, self.den, self.cap)
 
     def with_cap(self, cap: Optional[int]) -> "Poly":
         lowered = cap is not None and (self.cap is None or cap < self.cap)
-        terms = self._capped_terms(cap) if lowered else dict(self.terms)
-        return Poly._from_canonical(self.variables, terms, cap)
+        nums = self._capped_nums(cap) if lowered else dict(self.nums)
+        return Poly._from_numerators(self.variables, nums, self.den, cap)
 
     # -- printing ------------------------------------------------------------
 
@@ -576,7 +643,7 @@ class Poly:
         return f"Poly({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces: List[str] = []
         for exponent, coeff in self._sorted_terms():
@@ -653,8 +720,9 @@ def divides(f: Poly, g: Poly) -> Optional[Poly]:
         raise ZeroDivisionError("division by the zero polynomial")
     if g.variables != f.variables:
         raise ValueError(f"variable lists differ: {f.variables} vs {g.variables}")
-    lead_exp = max(f.terms, key=_grlex_key)
-    lead_coeff = f.terms[lead_exp]
+    divisor = dict(f.terms)
+    lead_exp = max(divisor, key=_grlex_key)
+    lead_coeff = divisor[lead_exp]
     quotient: Dict[Exponent, Fraction] = {}
     remainder = dict(g.terms)
     while remainder:
@@ -664,7 +732,7 @@ def divides(f: Poly, g: Poly) -> Optional[Poly]:
             return None
         factor = remainder[exponent] / lead_coeff
         quotient[diff] = factor
-        for fe, fc in f.terms.items():
+        for fe, fc in divisor.items():
             target = tuple(a + b for a, b in zip(diff, fe))
             new = remainder.get(target, Fraction(0)) - factor * fc
             if new == 0:
@@ -800,20 +868,19 @@ def _subresultant(f: List[IntPoly], g: List[IntPoly]) -> IntPoly:
 def _integer_rows(f: Poly, name: str) -> Tuple[List[IntPoly], int]:
     """Coefficients of f in ``name`` as integer lists in the other variable.
 
-    f is scaled once by the lcm ``a`` of its denominators; returns the
-    coefficient lists of a*f (index = power of ``name``) and a.
+    Returns the coefficient lists of a*f (index = power of ``name``) and a,
+    for f's common denominator a.
     """
     i = f._index(name)
     j = 1 - i if len(f.variables) == 2 else None
-    numerators, scale = _clear_denominators(f.terms.values())
-    rows: List[IntPoly] = [[] for _ in range(max(e[i] for e in f.terms) + 1)]
-    for exponent, c in zip(f.terms, numerators):
+    rows: List[IntPoly] = [[] for _ in range(max(e[i] for e in f.nums) + 1)]
+    for exponent, c in f.nums.items():
         k = 0 if j is None else exponent[j]
         row = rows[exponent[i]]
         if len(row) <= k:
             row.extend([0] * (k + 1 - len(row)))
         row[k] = c
-    return rows, scale
+    return rows, f.den
 
 
 def resultant(f: Poly, g: Poly, name: str) -> Poly:
@@ -856,21 +923,21 @@ def resultant(f: Poly, g: Poly, name: str) -> Poly:
                        for k, c in enumerate(value) if c})
 
 
-def _univariate_coeffs(f: Poly) -> List[Fraction]:
-    """Coefficient list of a univariate polynomial, constant term first."""
+def _univariate_coeffs(f: Poly) -> IntPoly:
+    """Coefficient list of a univariate polynomial times its common
+    denominator, constant term first."""
     if len(f.variables) != 1:
         raise ValueError(f"expected a univariate polynomial, got chart {f.variables}")
-    d = f.total_degree()
-    coeffs = [Fraction(0)] * (d + 1)
-    for exponent, coeff in f.terms.items():
-        coeffs[exponent[0]] = coeff
+    coeffs = [0] * (f.total_degree() + 1)
+    for exponent, n in f.nums.items():
+        coeffs[exponent[0]] = n
     return coeffs
 
 
-def _primitive(cs: Sequence[Union[int, Fraction]]) -> IntPoly:
-    """The primitive integer multiple of a rational coefficient list, with a
-    positive leading coefficient; [] for zero."""
-    integers = _int_trim(_clear_denominators(cs)[0])
+def _primitive(cs: IntPoly) -> IntPoly:
+    """The primitive part of an integer coefficient list, with a positive
+    leading coefficient; [] for zero."""
+    integers = _int_trim(list(cs))
     content = 0
     for c in integers:
         content = _int_gcd(content, c)
@@ -879,8 +946,7 @@ def _primitive(cs: Sequence[Union[int, Fraction]]) -> IntPoly:
     return [c // content for c in integers]
 
 
-def _int_poly_gcd(a: Sequence[Union[int, Fraction]],
-                  b: Sequence[Union[int, Fraction]]) -> IntPoly:
+def _int_poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd in Z[x], leading coefficient positive, by the primitive
     remainder sequence: each pseudo-remainder is divided by its content."""
     a, b = _primitive(a), _primitive(b)
@@ -1046,13 +1112,13 @@ def _expansion_bound(a: Poly, b: Optional[Poly] = None, exponent: int = 1) -> in
     ``exponent`` terms of a power), and the exponents in the box spanned by
     the degrees in each variable.
     """
-    degrees = [max((e[i] for e in a.terms), default=0) for i in range(len(a.variables))]
+    degrees = [max((e[i] for e in a.nums), default=0) for i in range(len(a.variables))]
     if b is None:
-        products = comb(len(a.terms) + exponent - 1, exponent)
+        products = comb(len(a.nums) + exponent - 1, exponent)
         box = prod(exponent * d + 1 for d in degrees)
     else:
-        products = len(a.terms) * len(b.terms)
-        box = prod(d + max((e[i] for e in b.terms), default=0) + 1
+        products = len(a.nums) * len(b.nums)
+        box = prod(d + max((e[i] for e in b.nums), default=0) + 1
                    for i, d in enumerate(degrees))
     return min(products, box)
 

@@ -3,23 +3,26 @@
 The reference functions below are the straightforward Fraction
 implementations of ``*``, ``+``, ``diff`` and ``substitute``: every
 coefficient is multiplied and added as a Fraction and every result goes
-through the validating ``Poly`` constructor.  The kernel clears denominators,
-accumulates integers and builds its results through the trusted constructor;
-it must agree with them value for value and in the order of the terms, and
-every result must be canonical.  Weighted orders and leading terms, which the
+through the validating ``Poly`` constructor.  The kernel computes on integer
+numerators over one shared denominator, builds no Fraction, and builds its
+results through the trusted constructor; it must agree with the reference
+value for value and in the order of the terms, and every result must be
+canonical.  Weighted orders and leading terms, which the
 centre computes as integer dot products with the reduced weights, are checked
 against Fraction sums over the weights 1/a_i.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from wblow.ring import INF, Poly
-from wblow.polyvector import Polyvector, is_poisson, jacobian_poisson
+from wblow.polyvector import Polyvector, is_poisson, jacobian_poisson, schouten
 from wblow.centre import Centre
-from wblow.blowup import _shift_t_down, pullback_polyvector
+from wblow.blowup import _shift_t_down, check_centre, check_lift, pullback_polyvector
 
 F = Fraction
 NAMES = ("x", "y", "z", "w")
@@ -114,6 +117,11 @@ def _pair(seed):
 
 def assert_canonical(p: Poly):
     assert Poly(p.variables, p.terms, p.cap) == p
+    assert hash(p) == hash(Poly(p.variables, p.terms, p.cap))
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
     for exponent, coeff in p.terms.items():
         assert type(coeff) is Fraction and coeff != 0
         assert len(exponent) == len(p.variables) and min(exponent, default=0) >= 0
@@ -187,6 +195,64 @@ def test_cancellation_and_caps():
     assert_same(Poly.const(("x", "y"), 2, cap=0) + x, Poly.zero(("x", "y"), 0))
 
 
+def test_canonical_after_each_operation():
+    """Every operation that can shrink the content, or cut the terms that
+    carry the denominator, divides out what it shares with the denominator."""
+    variables = ("x", "y")
+    x, y = (Poly.var(variables, v) for v in variables)
+    half = F(1, 2)
+    cases = [
+        ((F(3, 2) * x + 3 * y ** 2).scale(F(2, 3)), x + 2 * y ** 2),
+        ((half * x ** 2).diff("x"), x),
+        ((x + F(1, 6) * x * y).with_cap(2), x.with_cap(2)),
+        *zip((x + half * y).coefficients_in("y"),
+             (Poly.var(("x",), "x"), Poly.const(("x",), half))),
+        (Centre.from_exponents(variables, (1, 1)).leading_term_poly(x + half * y ** 2), x),
+        ((x + half).extend_variables(("w", "x", "y")).drop_variables(("w",)),
+         Poly(variables, {(1, 0): 1, (0, 0): half})),
+        (F(1, 3) * x - F(1, 3) * x, Poly.zero(variables)),
+        ((2 * x) * (half * x), x ** 2),
+        ((half * x) * (2 * x), x ** 2),
+        ((2 * x + 4 * y) * (x + y).scale(half), (x + 2 * y) * (x + y)),
+    ]
+    for result, expected in cases:
+        assert_canonical(result)
+        assert result == expected
+    assert [p.den for p, _ in cases] == [1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1]
+
+
+def test_kernel_builds_no_fraction(monkeypatch):
+    """Products, sums, differences, integer scaling, derivatives and
+    substitutions compute on integers only, even with denominators 2, 3, 6."""
+    variables = ("x", "y", "z")
+    a = Poly(variables, {(2, 1, 0): F(1, 2), (0, 1, 1): F(-2, 3), (1, 0, 0): F(5, 6)})
+    b = Poly(variables, {(1, 1, 0): F(3, 2), (0, 0, 2): F(1, 3), (0, 0, 0): F(7, 6)})
+    extended = variables + ("t",)
+    t = Poly.var(extended, "t")
+    blowdown = {v: Poly.var(extended, v) * t ** w for v, w in zip(variables, (3, 2, 1))}
+    lifted = a.extend_variables(extended)
+    shift = {"x": Poly.var(variables, "x") + Poly.const(variables, F(1, 2))}
+    calls = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    results = [a * b, b * a, a * a, a + b, a - b, b - b, a.scale(6), a.scale(-4),
+               a.diff("x"), b.diff("z"), lifted.substitute(blowdown), a.substitute(shift)]
+    assert calls[0] == 0
+    F(1, 3)
+    assert calls[0] == 1
+    monkeypatch.undo()
+    assert results[:3] == [ref_mul(a, b), ref_mul(b, a), ref_mul(a, a)]
+    assert results[3] == ref_add(a, b) and results[5].is_zero()
+    assert results[8:10] == [ref_diff(a, "x"), ref_diff(b, "z")]
+    assert results[10] == ref_substitute(lifted, blowdown)
+    assert results[11] == ref_substitute(a, shift)
+
+
 # --- against sympy -----------------------------------------------------------------
 
 def _to_sympy(sympy, p: Poly, symbols):
@@ -223,6 +289,23 @@ def test_against_sympy_expand(seed):
     substituted = sa.subs(symbols[variables.index(name)], _to_sympy(sympy, image, symbols))
     assert a.substitute({name: image}) == _from_sympy(sympy, substituted, variables, symbols,
                                                       a.cap)
+
+
+# --- the self-bracket ------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(20))
+def test_self_bracket_equals_the_full_formula(seed):
+    """schouten(s, s) reuses D(s)^s as s^D(s); an equal but distinct copy
+    of s takes the full formula."""
+    rng = random.Random(seed)
+    variables = NAMES[:rng.choice((3, 4))]
+    degree = rng.choice((2, 3))
+    s = Polyvector(degree, variables, {
+        indices: _random(rng, variables, terms=3, degree=3)
+        for indices in itertools.combinations(range(len(variables)), degree)})
+    s_copy = Polyvector(degree, variables, dict(s.terms))
+    assert s_copy == s and s_copy is not s
+    assert schouten(s, s) == schouten(s, s_copy)
 
 
 # --- integer weighted orders -----------------------------------------------------------
@@ -310,7 +393,10 @@ def test_validating_constructors_stay_off_the_arithmetic(monkeypatch):
     coordinate functions, constants, and zero and volume polyvectors.
     Validating every result instead takes the bracket to 49 Poly and 68
     Polyvector constructions and the pullback to 160 and 5; validating the
-    re-charted copies takes the pullback to 36 Poly constructions."""
+    re-charted copies takes the pullback to 36 Poly constructions.  The
+    lifting conditions and the pullback on a based centre build coordinate
+    functions, constants, Euler fields and lifts from data valid by
+    construction, and validate nothing."""
     x, y, z = (Poly.var(("x", "y", "z"), v) for v in ("x", "y", "z"))
     f = x ** 2 * y - y ** 3 * z + x * z ** 2 - 3 * z ** 5
     u = 1 + x * y - F(2, 3) * z ** 2
@@ -329,9 +415,10 @@ def test_validating_constructors_stay_off_the_arithmetic(monkeypatch):
     poisson, _ = is_poisson(jacobian_poisson(f).scale(u))
     assert poisson is True
     assert counts["Poly"] <= 5 and counts["Polyvector"] <= 15, counts
-    counts.update(Poly=0, Polyvector=0)
-    pullback_polyvector(xi, centre)
-    assert counts["Poly"] <= 30 and counts["Polyvector"] <= 3, counts
+    for check in (pullback_polyvector, check_lift, check_centre):
+        counts.update(Poly=0, Polyvector=0)
+        check(xi, centre)
+        assert counts == {"Poly": 0, "Polyvector": 0}, (check.__name__, counts)
     counts.update(Poly=0, Polyvector=0)
     g = (f * u).with_cap(9)
     recharted = [g.with_cap(6), g.with_cap(12), g.with_cap(None),
