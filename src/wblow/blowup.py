@@ -153,7 +153,6 @@ def check_centre(sigma: Polyvector, centre: Centre) -> CentreReport:
     weights = centre.weights_by_variable()
     gcd = centre.weight_data().gcd
     n = len(centre.variables)
-    at_origin = centre.translated_to_origin()
     report = CentreReport(witnesses=[])
 
     poisson = codegenerate = conilpotent = True
@@ -162,7 +161,7 @@ def check_centre(sigma: Polyvector, centre: Centre) -> CentreReport:
         brackets[(i, j)] = sigma.bracket_of_coordinates(i, j)
 
     for (i, j), bracket in brackets.items():
-        order = at_origin.ord_poly(bracket)
+        order = centre.ord_poly(bracket)
         pair = (centre.variables[i], centre.variables[j])
         checks = (
             ("P", max(weights[i], weights[j])),
@@ -186,7 +185,7 @@ def check_centre(sigma: Polyvector, centre: Centre) -> CentreReport:
             + brackets[(i, j)] * Poly.var(centre.variables, centre.variables[k]).scale(weights[k])
         )
         required = weights[i] + weights[j] + weights[k]
-        order = at_origin.ord_poly(combination)
+        order = centre.ord_poly(combination)
         if order < required:
             codegenerate = False
             triple = (centre.variables[i], centre.variables[j], centre.variables[k])
@@ -196,7 +195,7 @@ def check_centre(sigma: Polyvector, centre: Centre) -> CentreReport:
     report.poisson = poisson
     report.codegenerate = codegenerate
     report.conilpotent = conilpotent
-    report.order = at_origin.ord_polyvector(sigma)
+    report.order = centre.ord_polyvector(sigma)
     report.exceptional_tangent = report.order >= 0
 
     lift = check_lift(sigma, centre)

@@ -7,15 +7,18 @@ the minimum over its support.  Orders extend to polyvectors by giving d/dx_i
 order -w_i.
 
 Exponents are stored per variable (unsorted) so that variable names stay
-stable; the sorted weight/exponent/weight-sum view lives in
-:class:`WeightData`.  Base points other than the origin are handled by eager
-translation inside the order and leading-term computations; only rational
-base points are supported.
+stable; the sorted weight/exponent/weight-sum views live in
+:class:`WeightData`, which stores only the gcd of the weights and the
+reduced weight sequence and derives the others from them.  Base points
+other than the origin are handled by eager translation inside the order and
+leading-term computations; only rational base points are supported.
 
 A centre is immutable, so its weights, weight data and reduced integer
 weights are computed once per instance and memoised; equality and hashing
-see only the three fields.  Weighted orders are integer dot products with the
-reduced weights, scaled by their gcd at the end.
+see only the three fields.  The reduced weights and their gcd are read off
+the exponents with integer gcd and lcm, and the weights are gcd times the
+reduced weights.  Weighted orders are integer dot products with the reduced
+weights, scaled by their gcd at the end.
 
 Text syntax: ``x:2 y:3 z:inf``, rationals allowed (``y:9/2``), with an
 optional base point suffix ``@ (p1,p2,p3)``.
@@ -26,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd as _int_gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -36,9 +40,7 @@ from .ring import (
     Poly,
     _exact,
     _grlex_key,
-    ext_reciprocal,
     format_ext,
-    fraction_gcd,
     is_infinite,
     parse_ext,
 )
@@ -49,23 +51,32 @@ from .polyvector import Polyvector
 class WeightData:
     """Sorted numerical views of a centre's weights.
 
-    weight_seq lists the nonzero weights in decreasing order; exponent_seq is
-    its termwise reciprocal (increasing).  kappa has one entry per j from 0 to
-    the chart dimension: the sum of the j largest weights (zero-padded).  The
-    reduced weight sequence rescales by the gcd so that the nonzero entries
-    become coprime integers; it keeps the zero entries, e.g. (3, 2, 0).
+    Two fields are stored: the gcd g of the nonzero weights, and the reduced
+    weight sequence, the weights divided by g in decreasing order, coprime
+    integers with the zero entries kept, e.g. (3, 2, 0).  The other views
+    are derived from them on each read: weight_seq lists the nonzero weights
+    g*r_i in decreasing order; exponent_seq is its termwise reciprocal
+    (increasing).  kappa has one entry per j from 0 to the chart dimension:
+    the sum of the j largest weights (zero-padded).
     """
 
-    weight_seq: Tuple[Fraction, ...]
-    exponent_seq: Tuple[Fraction, ...]
-    kappa: Tuple[Fraction, ...]
     gcd: Fraction
     reduced_weight_seq: Tuple[int, ...]
 
+    @property
+    def weight_seq(self) -> Tuple[Fraction, ...]:
+        return tuple(self.gcd * r for r in self.reduced_weight_seq if r)
+
+    @property
+    def exponent_seq(self) -> Tuple[Fraction, ...]:
+        return tuple(1 / w for w in self.weight_seq)
+
+    @property
+    def kappa(self) -> Tuple[Fraction, ...]:
+        return tuple(self.kappa_at(j) for j in range(len(self.reduced_weight_seq) + 1))
+
     def kappa_at(self, j: int) -> Fraction:
-        if j < len(self.kappa):
-            return self.kappa[j]
-        return self.kappa[-1]
+        return self.gcd * sum(self.reduced_weight_seq[:j])
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,8 @@ class Centre:
 
     @cached_property
     def _weights(self) -> Tuple[Fraction, ...]:
-        return tuple(ext_reciprocal(a) for a in self.exponents)  # type: ignore[misc]
+        reduced, gcd = self._integer_weights
+        return tuple(gcd * r for r in reduced)
 
     def is_trivial(self) -> bool:
         return all(is_infinite(a) for a in self.exponents)
@@ -140,21 +152,8 @@ class Centre:
     def _weight_data(self) -> WeightData:
         if self.is_trivial():
             raise ValueError("the trivial centre (all exponents infinite) has no weight data")
-        weights = sorted((w for w in self.weights_by_variable() if w != 0), reverse=True)
-        gcd = fraction_gcd(weights)
-        reduced_nonzero = [int(w / gcd) for w in weights]
-        n = len(self.variables)
-        padded = weights + [Fraction(0)] * (n - len(weights))
-        kappa = [Fraction(0)]
-        for w in padded:
-            kappa.append(kappa[-1] + w)
-        return WeightData(
-            weight_seq=tuple(weights),
-            exponent_seq=tuple(Fraction(1) / w for w in weights),
-            kappa=tuple(kappa),
-            gcd=gcd,
-            reduced_weight_seq=tuple(reduced_nonzero + [0] * (n - len(weights))),
-        )
+        reduced, gcd = self._integer_weights
+        return WeightData(gcd=gcd, reduced_weight_seq=tuple(sorted(reduced, reverse=True)))
 
     def reduced_weights_by_variable(self) -> Tuple[int, ...]:
         """Integer weights w_i / gcd(w), aligned with the chart variables."""
@@ -163,13 +162,22 @@ class Centre:
 
     @cached_property
     def _integer_weights(self) -> Tuple[Tuple[int, ...], Fraction]:
-        """The reduced weights and their gcd g, so that an order is g times
-        an integer; zeros and g = 1 on the trivial centre, where every order
-        is zero."""
-        if self.is_trivial():
+        """The reduced weights r_i and their gcd g, so that w_i = g*r_i and an
+        order is g times an integer; zeros and g = 1 on the trivial centre,
+        where every order is zero.
+
+        For finite exponents p_i/q_i in lowest terms the weights are q_i/p_i,
+        so g = gcd(q)/lcm(p) and r_i = q_i*(lcm(p)/p_i)/gcd(q); an infinite
+        exponent has weight zero.
+        """
+        finite = [a for a in self.exponents if not is_infinite(a)]
+        if not finite:
             return (0,) * len(self.variables), Fraction(1)
-        gcd = self.weight_data().gcd
-        return tuple(int(w / gcd) for w in self.weights_by_variable()), gcd
+        lcm_p = lcm(*(a.numerator for a in finite))
+        gcd_q = _int_gcd(*(a.denominator for a in finite))
+        reduced = tuple(0 if is_infinite(a) else a.denominator // gcd_q * (lcm_p // a.numerator)
+                        for a in self.exponents)
+        return reduced, Fraction(gcd_q, lcm_p)
 
     def reduced(self) -> "Centre":
         """The underlying reduced centre: nonzero weights rescaled to coprime integers.
@@ -261,11 +269,9 @@ class Centre:
                 best = value
         if best is None:
             return INF
-        order = gcd * best
-        if not self.is_trivial():
-            bound = self.weight_data().kappa_at(xi.degree)
-            assert order >= -bound, f"order {order} below the degree bound {-bound}"
-        return order
+        bound = sum(sorted(weights, reverse=True)[:xi.degree])
+        assert best >= -bound, f"order {best} below the degree bound {-bound}, times {gcd}"
+        return gcd * best
 
     def ord(self, value: Union[Poly, Polyvector]) -> ExtRational:
         if isinstance(value, Poly):

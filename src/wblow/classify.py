@@ -37,7 +37,7 @@ from math import comb, gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .ring import Point, Poly, divides, insert_row
+from .ring import MAX_TERMS, Point, Poly, _expansion_bound, divides, insert_row
 from .polyvector import (
     OTHER,
     SPLIT_NONABELIAN,
@@ -290,7 +290,8 @@ class SingularityClass:
 
 
 def _homogeneous_part(f: Poly, degree: int) -> Poly:
-    return Poly(f.variables, {e: c for e, c in f.terms.items() if sum(e) == degree})
+    return Poly._from_numerators(
+        f.variables, {e: n for e, n in f.nums.items() if sum(e) == degree}, f.den, None)
 
 
 def _complete_square(f: Poly) -> Optional[Tuple[Poly, Tuple[str, Poly]]]:
@@ -321,11 +322,11 @@ def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
     morse: List[str] = []
     while not q.is_zero():
         squares = [v for v in variables
-                   if tuple(2 if w == v else 0 for w in variables) in q.terms]
+                   if tuple(2 if w == v else 0 for w in variables) in q.nums]
         if squares:
             pivot = squares[0]
         else:
-            exponent = min(q.terms)
+            exponent = min(q.nums)
             source, pivot = [v for v, e in zip(variables, exponent) if e]
             steps.append((source, Poly.var(variables, pivot)))
             q = shear(q, *steps[-1])
@@ -334,8 +335,7 @@ def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
             steps.append((pivot, found[0]))
             q = shear(q, *steps[-1])
         morse.append(pivot)
-        q = Poly(variables, {e: c for e, c in q.terms.items()
-                             if e[variables.index(pivot)] == 0})
+        q = q.coefficients_in(pivot)[0].extend_variables(variables)
     return steps, morse
 
 
@@ -399,10 +399,8 @@ def _prepare(f: Poly) -> Tuple[Poly, List[Tuple[str, Poly]], List[str], Optional
         cubic = _homogeneous_part(f, 3)
         for step in steps:
             cubic = shear(cubic, *step)
-        pivot = variables.index(morse[0])
-        kernel = tuple(v for v in variables if v != morse[0])
-        on_kernel = Poly(kernel, {e[:pivot] + e[pivot + 1:]: c
-                                  for e, c in cubic.terms.items() if e[pivot] == 0})
+        on_kernel = cubic.coefficients_in(morse[0])[0]
+        kernel = on_kernel.variables
         root_type, factor = binary_cubic_type(on_kernel)
         if factor is not None and factor[0] != 0 and factor[1] != 0:
             # v -> v - (l_w/l_v) w turns the factor l_v v + l_w w into l_v v
@@ -683,11 +681,11 @@ def _constant_ratio(left: Polyvector, right: Polyvector) -> Optional[Fraction]:
     other = left.terms.get(indices)
     if other is None:
         return None
-    exponent, value = next(iter(coeff.terms.items()))
-    if exponent not in other.terms:
+    exponent, value = next(iter(coeff.nums.items()))
+    if exponent not in other.nums:
         return None
-    ratio = other.terms[exponent] / value
-    if ratio == 0 or left != right.scale(ratio):
+    ratio = Fraction(other.nums[exponent] * coeff.den, value * other.den)
+    if left != right.scale(ratio):
         return None
     return ratio
 
@@ -727,7 +725,15 @@ class NormalFormReport:
 
 def _series_in(base: Poly, coefficients: Sequence[Union[int, Fraction]],
                lowest_power: int, cap: Optional[int]) -> Poly:
-    """sum coefficients[i] * base^(lowest_power + i), truncated at cap."""
+    """sum coefficients[i] * base^(lowest_power + i), truncated at cap.
+
+    Refused with ValueError, before expanding, when the highest power may
+    have more than ``ring.MAX_TERMS`` terms, as the parser refuses a power.
+    """
+    if coefficients:
+        bound = _expansion_bound(base, exponent=lowest_power + len(coefficients) - 1)
+        if bound > MAX_TERMS:
+            raise ValueError(f"expansion of up to {bound} terms exceeds the limit {MAX_TERMS}")
     total = Poly.zero(base.variables, cap)
     power = base.with_cap(cap) ** lowest_power if coefficients else None
     for i, c in enumerate(coefficients):

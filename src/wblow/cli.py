@@ -61,6 +61,10 @@ EXIT_INDETERMINATE = 3
 # non-isolated germ that no catalogue line certifies can take minutes
 MAX_DEGREE_BOUND = 40
 MAX_RESOLVE_STEPS = 64
+# longest --a-coefficients or --b-coefficients list of verify-normal-form:
+# two lists of 12 take under 1 s, but the series grows with every entry
+# (45 entries of --b-coefficients take about 10 s)
+MAX_COEFFICIENTS = 12
 
 
 def _emit(report: dict, human_lines: Sequence[str], machine: bool) -> None:
@@ -449,7 +453,10 @@ def _dispatch(args) -> int:
 def _coeff_list(text: str) -> List[Fraction]:
     if not text.strip():
         return []
-    return [Fraction(piece.strip()) for piece in text.split(",")]
+    pieces = text.split(",")
+    if len(pieces) > MAX_COEFFICIENTS:
+        raise ValueError(f"{len(pieces)} coefficients exceed the limit {MAX_COEFFICIENTS}")
+    return [Fraction(piece.strip()) for piece in pieces]
 
 
 if __name__ == "__main__":

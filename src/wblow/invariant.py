@@ -346,7 +346,7 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
     u, v = f.variables
     work = f
     powers = [name for name in f.variables
-              if tuple(d if w == name else 0 for w in f.variables) in f.terms]
+              if tuple(d if w == name else 0 for w in f.variables) in f.nums]
     # prefer a variable of degree d, in which the subleading shift can apply
     main = next((name for name in powers if f.degree_in(name) == d),
                 powers[0] if powers else None)

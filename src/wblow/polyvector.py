@@ -26,9 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .ring import Point, Poly, _ExprParser, _clear_denominators, divides, insert_row
+from .ring import Point, Poly, _ExprParser, divides, insert_row
 
 IndexTuple = Tuple[int, ...]
 
@@ -228,8 +229,7 @@ class Polyvector:
         for indices in sorted(self.terms):
             coeff = self.terms[indices]
             wedge = "^".join(f"@{self.variables[i]}" for i in indices)
-            items = coeff._sorted_terms()
-            if len(items) == 1:
+            if len(coeff.nums) == 1:
                 body = str(coeff)
                 if body == "1":
                     text = wedge
@@ -457,8 +457,9 @@ class LieAlgebra3:
     def derived_subalgebra_dim(self) -> int:
         pivots: Dict[int, Dict[int, int]] = {}
         for b in self.brackets:
-            numerators, _ = _clear_denominators(b)
-            insert_row(pivots, {k: n for k, n in enumerate(numerators) if n})
+            scale = lcm(*(c.denominator for c in b))
+            insert_row(pivots, {k: c.numerator * (scale // c.denominator)
+                                for k, c in enumerate(b) if c})
         return len(pivots)
 
     def classify(self) -> Lie3Class:

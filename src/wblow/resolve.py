@@ -286,7 +286,7 @@ def _recognise_heisenberg_form(sigma: Polyvector
     n = len(variables)
     linear_slots = []
     for (i, j), coeff in sigma.terms.items():
-        linear = {e for e in coeff.terms if sum(e) == 1}
+        linear = {e for e in coeff.nums if sum(e) == 1}
         if linear:
             linear_slots.append(((i, j), linear))
     candidates = []

@@ -7,12 +7,13 @@ a dictionary mapping exponent tuples to nonzero ints, and a positive int.
 
     Poly.nums = {(2, 0, 0): 2, (0, 2, 1): -1}, Poly.den = 3   # (2*x^2 - y^2*z)/3
 
-``Poly.terms`` is a read-only view derived from them on each read, mapping
+``Poly.terms`` is a plain dictionary built from them on each read, mapping
 the same exponents to ``Fraction`` coefficients:
-``{(2, 0, 0): Fraction(2, 3), (0, 2, 1): Fraction(-1, 3)}``.  The zero
-polynomial has no numerators.  All arithmetic is exact; no floating point is
-used anywhere in the package: a coefficient that is not an ``int`` or a
-``Fraction`` is refused with ``TypeError``.
+``{(2, 0, 0): Fraction(2, 3), (0, 2, 1): Fraction(-1, 3)}``; it is for
+printing and outside readers, and the library computes on ``nums`` and
+``den``.  The zero polynomial has no numerators.  All arithmetic is exact;
+no floating point is used anywhere in the package: a coefficient that is not
+an ``int`` or a ``Fraction`` is refused with ``TypeError``.
 
 Canonical form.  Every ``Poly`` satisfies one invariant: ``variables`` is a
 tuple of distinct names, every key of ``nums`` is a tuple of non-negative
@@ -21,10 +22,11 @@ every numerator is a nonzero int, ``den > 0`` and ``gcd(den, *nums) == 1``,
 so ``den == 1`` for zero.  Equal polynomials therefore have equal fields,
 and equality and hashing compare them.  ``Poly.__init__`` is the one
 validating entry: it checks and normalises outside input.  The results of
-``+``, ``-``, ``*``, ``**``, ``scale``, ``diff`` and ``substitute``, the
-re-charted copies of ``with_cap``, ``extend_variables``, ``drop_variables``
-and ``coefficients_in``, and ``var``, ``const`` and ``zero`` once the chart
-is checked, are valid by construction and go through the trusted
+``+``, ``-``, ``*``, ``**``, ``scale``, ``diff``, ``substitute``,
+``divides``, ``resultant`` and ``univariate_gcd``, the re-charted copies of
+``with_cap``, ``extend_variables``, ``drop_variables`` and
+``coefficients_in``, and ``var``, ``const`` and ``zero`` once the chart is
+checked, are valid by construction and go through the trusted
 ``Poly._from_numerators``, which divides out the content shared with the
 denominator, by one ``gcd``, only when ``den > 1``.  No Fraction is built in
 these operations.
@@ -50,12 +52,11 @@ A leading sign on the first term is accepted so that printed output re-parses.
 
 from __future__ import annotations
 
-from collections import abc
 from fractions import Fraction
 from itertools import count
 from math import comb, gcd as _int_gcd, isqrt, lcm, prod
 from operator import add
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 MAX_VARIABLES = 8
 # largest power the parser expands: (x + y + z)^64 already has 2145 terms
@@ -158,18 +159,6 @@ def ext_reciprocal(a: ExtRational) -> ExtRational:
     return Fraction(1) / a
 
 
-def fraction_gcd(values: Iterable[Fraction]) -> Fraction:
-    """Greatest common divisor of fractions: gcd(a/b, c/d) = gcd(ad, cb)/bd."""
-    num, den = 0, 1
-    for v in values:
-        num, den = _int_gcd(num * v.denominator, v.numerator * den), den * v.denominator
-        g = _int_gcd(num, den)
-        num, den = num // g, den // g
-    if num == 0:
-        raise ValueError("gcd of an all-zero weight sequence")
-    return Fraction(num, den)
-
-
 def format_ext(a: ExtRational) -> str:
     """Render a value as "p/q", "p", or "inf" for machine output."""
     if a is INF:
@@ -210,15 +199,6 @@ def _ratio(value: Union[int, Fraction]) -> Tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _clear_denominators(values: Iterable[Union[int, Fraction]]) -> Tuple[List[int], int]:
-    """The integers d*v for the least common denominator d of ``values``, and d."""
-    values = list(values)
-    scale = lcm(*(v.denominator for v in values))
-    if scale == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
 def _product(a: "Poly", b: "Poly", cap: Optional[int]) -> "Poly":
     """a*b truncated at ``cap``: integer numerators accumulated over the
     product of the two denominators.  A one-term factor only shifts
@@ -244,32 +224,6 @@ def _product(a: "Poly", b: "Poly", cap: Optional[int]) -> "Poly":
                 continue
             out[exponent] = get(exponent, 0) + na * nb
     return Poly._from_numerators(a.variables, {e: n for e, n in out.items() if n}, den, cap)
-
-
-class _Terms(abc.Mapping):
-    """The coefficients of a Poly as Fractions: a read-only view, derived
-    from the integer numerators and the denominator on each read."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: Dict[Exponent, int], den: int):
-        self._nums = nums
-        self._den = den
-
-    def __getitem__(self, exponent: Exponent) -> Fraction:
-        return Fraction(self._nums[exponent], self._den)
-
-    def __iter__(self):
-        return iter(self._nums)
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-    def __contains__(self, exponent: object) -> bool:
-        return exponent in self._nums
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 class Poly:
@@ -363,9 +317,11 @@ class Poly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def terms(self) -> Mapping[Exponent, Fraction]:
-        """The coefficients as Fractions, a read-only view of ``nums``/``den``."""
-        return _Terms(self.nums, self.den)
+    def terms(self) -> Dict[Exponent, Fraction]:
+        """The coefficients as Fractions, a new dictionary built from
+        ``nums``/``den`` on each read."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.nums.items()}
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -636,9 +592,6 @@ class Poly:
 
     # -- printing ------------------------------------------------------------
 
-    def _sorted_terms(self) -> List[Tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
     def __repr__(self) -> str:
         return f"Poly({self})"
 
@@ -646,7 +599,8 @@ class Poly:
         if not self.nums:
             return "0"
         pieces: List[str] = []
-        for exponent, coeff in self._sorted_terms():
+        for exponent, coeff in sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
+                                      reverse=True):
             factors: List[str] = []
             for v, k in zip(self.variables, exponent):
                 if k == 1:
@@ -714,32 +668,47 @@ def divides(f: Poly, g: Poly) -> Optional[Poly]:
 
     Single-divisor division with the graded-lexicographic leading term: the
     remainder it produces has no term divisible by the leading term of f, so
-    it vanishes exactly when f divides g.
+    it vanishes exactly when f divides g.  It runs fraction-free on the
+    numerators F of f and G of g, keeping scale*G = F*Q + R: when the
+    leading coefficient of F does not divide that of R, R, Q and scale are
+    first multiplied by |lead|/gcd.  Then q = Q*den(f)/(scale*den(g)).
     """
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if g.variables != f.variables:
         raise ValueError(f"variable lists differ: {f.variables} vs {g.variables}")
-    divisor = dict(f.terms)
+    divisor = f.nums
     lead_exp = max(divisor, key=_grlex_key)
-    lead_coeff = divisor[lead_exp]
-    quotient: Dict[Exponent, Fraction] = {}
-    remainder = dict(g.terms)
+    lead = divisor[lead_exp]
+    scale = 1
+    quotient: Dict[Exponent, int] = {}
+    remainder = dict(g.nums)
     while remainder:
         exponent = max(remainder, key=_grlex_key)
         diff = tuple(a - b for a, b in zip(exponent, lead_exp))
         if any(d < 0 for d in diff):
             return None
-        factor = remainder[exponent] / lead_coeff
+        top = remainder[exponent]
+        if top % lead:
+            m = abs(lead) // _int_gcd(top, lead)
+            scale *= m
+            remainder = {e: n * m for e, n in remainder.items()}
+            quotient = {e: n * m for e, n in quotient.items()}
+            top *= m
+        factor = top // lead
         quotient[diff] = factor
         for fe, fc in divisor.items():
             target = tuple(a + b for a, b in zip(diff, fe))
-            new = remainder.get(target, Fraction(0)) - factor * fc
-            if new == 0:
-                remainder.pop(target, None)
-            else:
+            new = remainder.get(target, 0) - factor * fc
+            if new:
                 remainder[target] = new
-    return Poly(f.variables, quotient, Poly._min_cap(f.cap, g.cap))
+            else:
+                del remainder[target]
+    cap = Poly._min_cap(f.cap, g.cap)
+    return Poly._from_numerators(
+        f.variables,
+        {e: n * f.den for e, n in quotient.items() if cap is None or sum(e) < cap},
+        scale * g.den, cap)
 
 
 # Dense integer polynomials in one variable, as coefficient lists with the
@@ -918,9 +887,8 @@ def resultant(f: Poly, g: Poly, name: str) -> Poly:
     fc, a = _integer_rows(f, name)
     gc, b = _integer_rows(g, name)
     value = _subresultant(fc, gc)
-    denominator = a ** n * b ** m
-    return Poly(rest, {(k,) * len(rest): Fraction(c, denominator)
-                       for k, c in enumerate(value) if c})
+    return Poly._from_numerators(rest, {(k,) * len(rest): c for k, c in enumerate(value) if c},
+                                 a ** n * b ** m, None)
 
 
 def _univariate_coeffs(f: Poly) -> IntPoly:
@@ -1057,8 +1025,8 @@ def univariate_gcd(f: Poly, g: Poly) -> Poly:
     a = _int_poly_gcd(_univariate_coeffs(f), _univariate_coeffs(g))
     if not a:
         return Poly.zero(f.variables)
-    lead = a[-1]
-    return Poly(f.variables, {(i,): Fraction(c, lead) for i, c in enumerate(a) if c})
+    return Poly._from_numerators(f.variables, {(i,): c for i, c in enumerate(a) if c},
+                                 a[-1], None)
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,16 @@ def test_heisenberg_pencil_family():
         assert report.ok, (params, report.checks)
 
 
+def test_pencil_series_refused_before_expanding():
+    # the 11th power of a 9-term pencil of degree 4 in y and in z may have
+    # up to 45^2 = 2025 terms
+    f = parse_poly("y^2 + y*z + z^2 + y^3 + z^3 + y^2*z + y*z^2 + y^4 + z^4", V3)
+    with pytest.raises(ValueError, match="2025 terms exceeds the limit 1000"):
+        verify_normal_form("heisenberg_pencil", f=f, b_coefficients=[0] * 10 + [1])
+    report = verify_normal_form("heisenberg_pencil", f=f, b_coefficients=[0, 1])
+    assert report.ok, report.checks
+
+
 def test_whitney_family():
     for coefficients in ([1], [0, 1]):
         report = verify_normal_form("whitney_family", cap=9,

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from wblow.cli import MAX_DEGREE_BOUND, MAX_RESOLVE_STEPS, main
+from wblow.cli import MAX_COEFFICIENTS, MAX_DEGREE_BOUND, MAX_RESOLVE_STEPS, main
 
 
 def run(capsys, *argv):
@@ -75,6 +75,38 @@ def test_input_limits_refused_quickly(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 2
     assert time.perf_counter() - start < 1.0
+
+
+LONG_PENCIL = "y^2 + y*z + z^2 + y^3 + z^3 + y^2*z + y*z^2 + y^4 + z^4"
+
+
+def _coefficients(count: int) -> str:
+    return ",".join(str(k) for k in range(count))
+
+
+@pytest.mark.parametrize("argv", [
+    ("heisenberg_pencil", "--f", "y^2 + z^3 + y*z",
+     "--b-coefficients", _coefficients(MAX_COEFFICIENTS + 1)),
+    ("heisenberg_pencil", "--f", "y^2 + z^3 + y*z",
+     "--a-coefficients", _coefficients(MAX_COEFFICIENTS + 1)),
+    ("whitney_family", "--a-coefficients", _coefficients(80)),
+    ("heisenberg_pencil", "--f", LONG_PENCIL,
+     "--b-coefficients", _coefficients(MAX_COEFFICIENTS)),
+], ids=["b list", "a list", "long a list", "series of a long pencil"])
+def test_normal_form_series_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-normal-form", *argv)
+    assert code == 2 and out == ""
+    assert "exceed" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_normal_form_series_at_the_limit_accepted(capsys):
+    code, out, _ = run(capsys, "verify-normal-form", "heisenberg_pencil",
+                       "--f", "y^2 + z^3 + y*z",
+                       "--a-coefficients", _coefficients(MAX_COEFFICIENTS),
+                       "--b-coefficients", _coefficients(MAX_COEFFICIENTS))
+    assert code == 0 and "verified: True" in out
 
 
 def test_input_limits_accepted():

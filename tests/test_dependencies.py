@@ -1,9 +1,12 @@
-"""Imports: loading the library pulls in no sympy or numpy, and no module keeps an unused one."""
+"""Imports and definitions: loading the library pulls in no sympy or numpy, no
+module keeps an unused import, and no private function, class or method goes
+unreferenced."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,3 +43,43 @@ def test_no_unused_module_level_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
                    if name not in used]
     assert not unused, unused
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level private functions and classes, and private methods: the
+    `_`-prefixed names that are not dunders, with their definition nodes."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds) and private(node.name):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and private(item.name):
+                    yield item
+
+
+def _referenced_names(node: ast.AST):
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_no_unreferenced_private_definitions():
+    # a private name counts as used only where code outside its own body
+    # reads it, as a name or as an attribute, in some module of the package
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "wblow").glob("*.py"))}
+    references = Counter(name for tree in trees.values() for name in _referenced_names(tree))
+    dead = []
+    for filename, tree in trees.items():
+        for node in _private_definitions(tree):
+            inside = sum(1 for name in _referenced_names(node) if name == node.name)
+            if references[node.name] == inside:
+                dead.append(f"{filename}:{node.lineno} {node.name}")
+    assert not dead, dead

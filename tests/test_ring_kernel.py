@@ -1,15 +1,17 @@
 """The Poly kernel against plain Fraction loops, and against sympy.
 
 The reference functions below are the straightforward Fraction
-implementations of ``*``, ``+``, ``diff`` and ``substitute``: every
-coefficient is multiplied and added as a Fraction and every result goes
+implementations of ``*``, ``+``, ``diff``, ``substitute`` and ``divides``:
+every coefficient is multiplied and added as a Fraction and every result goes
 through the validating ``Poly`` constructor.  The kernel computes on integer
 numerators over one shared denominator, builds no Fraction, and builds its
 results through the trusted constructor; it must agree with the reference
 value for value and in the order of the terms, and every result must be
 canonical.  Weighted orders and leading terms, which the
 centre computes as integer dot products with the reduced weights, are checked
-against Fraction sums over the weights 1/a_i.
+against Fraction sums over the weights 1/a_i, and the reduced weights and
+their gcd, which the centre reads off the exponents with integer gcd and lcm,
+against the weights 1/a_i sorted as Fractions with their Fraction gcd.
 """
 
 import itertools
@@ -19,7 +21,7 @@ from math import gcd
 
 import pytest
 
-from wblow.ring import INF, Poly
+from wblow.ring import INF, Poly, divides, resultant, univariate_gcd
 from wblow.polyvector import Polyvector, is_poisson, jacobian_poisson, schouten
 from wblow.centre import Centre
 from wblow.blowup import _shift_t_down, check_centre, check_lift, pullback_polyvector
@@ -251,6 +253,187 @@ def test_kernel_builds_no_fraction(monkeypatch):
     assert results[8:10] == [ref_diff(a, "x"), ref_diff(b, "z")]
     assert results[10] == ref_substitute(lifted, blowdown)
     assert results[11] == ref_substitute(a, shift)
+
+
+def _fraction_count(monkeypatch, call):
+    """(Fractions built by ``call()``, its result)."""
+    calls = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    try:
+        result = call()
+    finally:
+        monkeypatch.undo()
+    return calls[0], result
+
+
+def test_elimination_and_orders_build_counted_fractions(monkeypatch):
+    """Exact counts: division, resultants and gcds build no Fraction (the
+    Fraction division, and results rebuilt from Fractions, built 53, 3 and
+    3 here), and an order on a fresh unbased centre builds two, the gcd of
+    the weights and the order itself (sorted Fraction weights built 21)."""
+    x, y = (Poly.var(("x", "y"), v) for v in ("x", "y"))
+    f = F(1, 2) * x ** 2 - F(2, 3) * x * y + F(5, 6) * y ** 2 - 1
+    q = F(3, 4) * x - y + F(1, 5)
+    g = f * q
+    counted, quotient = _fraction_count(monkeypatch, lambda: divides(f, g))
+    assert counted == 0 and quotient == q
+    counted, value = _fraction_count(monkeypatch, lambda: resultant(f, q, "y"))
+    assert counted == 0 and value == ref_resultant_value(f, q)
+    t = Poly.var(("t",), "t")
+    a = (t - F(1, 2)) * (F(2, 3) * t + 1) * (t + 3)
+    b = (t - F(1, 2)) * (F(3, 7) * t - 2) * (t + 3)
+    counted, common = _fraction_count(monkeypatch, lambda: univariate_gcd(a, b))
+    assert counted == 0 and common == (t - F(1, 2)) * (t + 3)
+    centre = Centre.from_exponents(("x", "y", "z"), (2, F(3, 2), INF))
+    h = Poly(("x", "y", "z"), {(3, 0, 1): F(1, 2), (1, 2, 0): -3, (0, 1, 4): F(2, 5)})
+    counted, order = _fraction_count(monkeypatch, lambda: centre.ord_poly(h))
+    assert counted == 2 and order == F(2, 3)
+
+
+def ref_resultant_value(f: Poly, g: Poly) -> Poly:
+    """res_y(f, g) for f of degree 2 and g of degree 1 in y: with g = b1*y +
+    b0, the Sylvester determinant a2*b0^2 - a1*b0*b1 + a0*b1^2."""
+    a0, a1, a2 = f.coefficients_in("y")
+    b0, b1 = g.coefficients_in("y")
+    return a2 * b0 * b0 - a1 * b0 * b1 + a0 * b1 * b1
+
+
+# --- division against the Fraction loop --------------------------------------------
+
+def ref_divides(f: Poly, g: Poly):
+    """Single-divisor division with Fraction coefficients, every step a
+    Fraction quotient of remainder and leading coefficient."""
+    if f.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    divisor = f.terms
+    lead_exp = max(divisor, key=lambda e: (sum(e), e))
+    lead_coeff = divisor[lead_exp]
+    quotient = {}
+    remainder = dict(g.terms)
+    while remainder:
+        exponent = max(remainder, key=lambda e: (sum(e), e))
+        diff = tuple(a - b for a, b in zip(exponent, lead_exp))
+        if any(d < 0 for d in diff):
+            return None
+        factor = remainder[exponent] / lead_coeff
+        quotient[diff] = factor
+        for fe, fc in divisor.items():
+            target = tuple(a + b for a, b in zip(diff, fe))
+            new = remainder.get(target, F(0)) - factor * fc
+            if new == 0:
+                remainder.pop(target, None)
+            else:
+                remainder[target] = new
+    return Poly(f.variables, quotient, _min_cap(f.cap, g.cap))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_divides_against_the_fraction_loop(seed):
+    """Divisible pairs f, f*q and perturbed ones, with negative leading
+    coefficients, 20-digit denominators, constant divisors and caps."""
+    rng = random.Random(seed)
+    variables = NAMES[:rng.randint(1, 3)]
+    f = _random(rng, variables, terms=4, degree=3)
+    if seed % 6 == 0:
+        f = Poly.const(variables, _coefficient(rng))
+    if f.is_zero():
+        f = Poly.const(variables, -F(7, 10 ** 20 + 1))
+    lead = max(f.terms, key=lambda e: (sum(e), e))
+    if seed % 3 == 1 and f.terms[lead] > 0:
+        f = -f
+    q = _random(rng, variables, terms=4, degree=3)
+    divisible = f * q
+    perturbed = divisible + _random(rng, variables, terms=2, degree=4)
+    for g in (divisible, perturbed):
+        if seed % 4 == 3:
+            cap = rng.randint(1, 6)
+            f_cut, g_cut = f.with_cap(rng.choice((cap, None))), g.with_cap(cap)
+        else:
+            f_cut, g_cut = f, g
+        if f_cut.is_zero():
+            continue
+        result, reference = divides(f_cut, g_cut), ref_divides(f_cut, g_cut)
+        assert result == reference
+        if result is not None:
+            assert_canonical(result)
+            if f_cut.cap is None and g_cut.cap is None:
+                assert f_cut * result == g_cut
+    assert divides(f, divisible) == q
+
+
+# --- centre weights against sorted Fractions -------------------------------------------
+
+def ref_weight_views(centre: Centre):
+    """The weights as sorted Fractions with their Fraction gcd; the views
+    of WeightData, the weights by variable, the reduced ones and the reduced
+    centre."""
+    weights = tuple(F(0) if a is INF else 1 / F(a) for a in centre.exponents)
+    nonzero = sorted((w for w in weights if w != 0), reverse=True)
+    num, den = 0, 1
+    for v in nonzero:
+        num, den = gcd(num * v.denominator, v.numerator * den), den * v.denominator
+        common = gcd(num, den)
+        num, den = num // common, den // common
+    g = F(num, den)
+    padded = nonzero + [F(0)] * (len(weights) - len(nonzero))
+    kappa = [F(0)]
+    for w in padded:
+        kappa.append(kappa[-1] + w)
+    return {
+        "weight_seq": tuple(nonzero),
+        "exponent_seq": tuple(1 / w for w in nonzero),
+        "kappa": tuple(kappa),
+        "gcd": g,
+        "reduced_weight_seq": tuple(int(w / g) for w in padded),
+        "weights_by_variable": weights,
+        "reduced_weights_by_variable": tuple(int(w / g) for w in weights),
+        "reduced": Centre(centre.variables,
+                          tuple(a if a is INF else a * g for a in centre.exponents),
+                          centre.base_point),
+    }
+
+
+def _exponent_centres():
+    values = [F(p, q) for p in range(1, 8) for q in range(1, 4)] + [INF]
+    for a, b in itertools.product(values, repeat=2):
+        yield ("x", "y"), (a, b)
+    rng = random.Random(7)
+    for _ in range(300):
+        yield ("x", "y", "z"), tuple(rng.choice(values) for _ in range(3))
+
+
+def test_weight_data_against_sorted_fractions():
+    checked = 0
+    for variables, exponents in _exponent_centres():
+        for point in (None, tuple(F(k - 1, 2) for k in range(len(variables)))):
+            centre = Centre.from_exponents(variables, exponents, point)
+            if centre.is_trivial():
+                with pytest.raises(ValueError, match="trivial"):
+                    centre.weight_data()
+                assert centre.weights_by_variable() == (F(0),) * len(variables)
+                continue
+            expected = ref_weight_views(centre)
+            data = centre.weight_data()
+            for view in ("weight_seq", "exponent_seq", "kappa", "gcd", "reduced_weight_seq"):
+                assert getattr(data, view) == expected[view], (centre, view)
+            for j in range(len(variables) + 3):
+                assert data.kappa_at(j) == expected["kappa"][min(j, len(variables))]
+            assert centre.weights_by_variable() == expected["weights_by_variable"]
+            assert centre.reduced_weights_by_variable() == \
+                expected["reduced_weights_by_variable"]
+            assert centre.reduced() == expected["reduced"]
+            assert all(type(w) is Fraction for w in
+                       data.weight_seq + data.exponent_seq + data.kappa + (data.gcd,)
+                       + centre.weights_by_variable())
+            assert all(type(r) is int for r in data.reduced_weight_seq)
+            checked += 1
+    assert checked == 2 * (22 * 22 - 1) + 2 * 300
 
 
 # --- against sympy -----------------------------------------------------------------
