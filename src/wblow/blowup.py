@@ -195,10 +195,9 @@ def check_centre(sigma: Polyvector, centre: Centre) -> CentreReport:
     report.poisson = poisson
     report.codegenerate = codegenerate
     report.conilpotent = conilpotent
-    report.order = centre.ord_polyvector(sigma)
-    report.exceptional_tangent = report.order >= 0
-
     lift = check_lift(sigma, centre)
+    report.order = lift.order
+    report.exceptional_tangent = lift.exceptional_tangent
     report.lift_ok = lift.lift_ok
     assert report.lift_ok == report.codegenerate, \
         "order-based lift conditions disagree with (CD1)+(CD2)"
@@ -411,9 +410,14 @@ def slice_chart(centre: Centre, name: str) -> SliceChart:
 
 def strict_transform_in_chart(f: Poly, centre: Centre, name: str) -> Poly:
     """Strict transform equation in the slice chart ``name`` = 1."""
-    chart = slice_chart(centre, name)
     proper = pullback_function(f, centre).proper_part
     assert isinstance(proper, Poly)
+    return _restrict_to_slice(proper, slice_chart(centre, name))
+
+
+def _restrict_to_slice(proper: Poly, chart: SliceChart) -> Poly:
+    """A proper part on the extended chart, restricted to a slice chart."""
+    name = chart.slice_variable
     sliced = proper.substitute({name: Poly.const(proper.variables, 1)})
     return sliced.drop_variables([name]).extend_variables(chart.variables)
 
@@ -427,7 +431,8 @@ def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
 
     Returns (points, certain).  ``certain`` is False when non-rational common
     zeros may exist (detected through residual factors of the eliminant), in
-    which case the returned list may be incomplete.
+    which case the returned list may be incomplete, and on a singular line
+    (f in one variable with a repeated factor), where the list is empty.
     """
     if len(f.variables) != 2:
         raise ValueError("rational_singular_points expects a two-variable chart")
@@ -436,19 +441,11 @@ def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
     if fu.is_zero() and fv.is_zero():
         return [], True  # nonzero constant: empty smooth curve
     if fu.is_zero() or fv.is_zero():
-        # f is univariate in one variable: singular locus is a union of lines
-        name = v if fu.is_zero() else u
-        g = univariate_gcd(*(p.drop_variables([u if fu.is_zero() else v])
-                             for p in (f, f.diff(name))))
-        if g.total_degree() <= 0:
-            return [], True
-        roots = rational_roots(g)
-        certain = len(roots) >= g.total_degree()
-        points: List[Point] = []
-        for r in roots:
-            point = (Fraction(0), r) if fu.is_zero() else (r, Fraction(0))
-            points.append(point)
-        return points, certain
+        # f is univariate (fu + fv is its derivative): each repeated factor
+        # is a whole line of singular points, which no finite list describes
+        other = u if fu.is_zero() else v
+        g = univariate_gcd(*(p.drop_variables([other]) for p in (f, fu + fv)))
+        return [], g.total_degree() <= 0
 
     eliminants = []
     for left, right in ((f, fu), (f, fv), (fu, fv)):
@@ -466,7 +463,7 @@ def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
         return [], True
     u_candidates = rational_roots(eliminant)
     accounted = 0
-    points = []
+    points: List[Point] = []
     for u0 in sorted(set(u_candidates)):
         const_u = {u: Poly.const(f.variables, u0)}
         slice_f = f.substitute(const_u).drop_variables([u])

@@ -272,6 +272,7 @@ class SingularityClass:
     milnor: Optional[Union[int, str]] = None
     witness_centre: Optional[Centre] = None
     preparation: List[Tuple[str, Poly]] = field(default_factory=list)
+    prepared: Optional[Poly] = None          # the germ after ``preparation``
     diagnostics: List[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -444,10 +445,10 @@ def classify_surface(f: Poly) -> SingularityClass:
     if f.constant_term() != 0:
         raise ValueError("the germ must vanish at the origin; translate first")
     if f.min_total_degree() == 1:
-        return SingularityClass(SMOOTH)
+        return SingularityClass(SMOOTH, prepared=f)
 
     prepared, steps, morse, root_type = _prepare(f)
-    report = SingularityClass(OTHER_CLASS, preparation=steps)
+    report = SingularityClass(OTHER_CLASS, preparation=steps, prepared=prepared)
     if len(morse) == 3:
         report.kind, report.index, report.milnor = A_CLASS, 1, 1
     elif len(morse) == 2:
@@ -626,11 +627,10 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
     report = TripleReport(point=point)
     surface = classify_surface(f0)
     report.surface_class = surface
-    prepared_f = f0
+    prepared_f = surface.prepared
     prepared_sigma = sigma0
-    for name, shift in surface.preparation:
-        prepared_f = shear(prepared_f, name, shift)
-        prepared_sigma = shear(prepared_sigma, name, shift)
+    for step in surface.preparation:
+        prepared_sigma = shear(prepared_sigma, *step)
 
     # isolatedness does not depend on the coordinates; in the prepared ones
     # a zero line straightened onto an axis is found.  For a nonzero multiple
@@ -724,18 +724,18 @@ class NormalFormReport:
 
 
 def _series_in(base: Poly, coefficients: Sequence[Union[int, Fraction]],
-               lowest_power: int, cap: Optional[int]) -> Poly:
-    """sum coefficients[i] * base^(lowest_power + i), truncated at cap.
+               cap: Optional[int]) -> Poly:
+    """sum coefficients[i] * base^(1 + i), truncated at cap.
 
     Refused with ValueError, before expanding, when the highest power may
     have more than ``ring.MAX_TERMS`` terms, as the parser refuses a power.
     """
     if coefficients:
-        bound = _expansion_bound(base, exponent=lowest_power + len(coefficients) - 1)
+        bound = _expansion_bound(base, exponent=len(coefficients))
         if bound > MAX_TERMS:
             raise ValueError(f"expansion of up to {bound} terms exceeds the limit {MAX_TERMS}")
     total = Poly.zero(base.variables, cap)
-    power = base.with_cap(cap) ** lowest_power if coefficients else None
+    power = base.with_cap(cap)
     for i, c in enumerate(coefficients):
         if c:
             total = total + power.scale(Fraction(c))
@@ -777,11 +777,7 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
                 f"cap {cap} too small to certify: needs at least k + 2 = {k + 2}"])
         z = Poly.var(V, "z").with_cap(cap)
         # z^(k+1) / (1 + lam z^k) as a geometric series below the cap
-        series = Poly.zero(V, cap)
-        m = 0
-        while k + 1 + m * k < cap:
-            series = series + (z ** (k + 1)) * (z ** (m * k)).scale((-lam) ** m)
-            m += 1
+        series = z * _series_in(z ** k, [(-lam) ** m for m in range((cap - 2) // k)], cap)
         field_part = Polyvector(1, V, {(0,): Poly.var(V, "x").with_cap(cap), (2,): series})
         sigma = wedge(field_part, Polyvector.basis_vector(V, "y").map_coefficients(
             lambda c: c.with_cap(cap)))
@@ -801,8 +797,8 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
             f = f.extend_variables(V)
         if f.degree_in("x") > 0 or f.constant_term() != 0:
             raise ValueError("the pencil parameter must be x-free and vanish at 0")
-        A = _series_in(f, params.get("a_coefficients", ()), 1, None)
-        B = _series_in(f, params.get("b_coefficients", ()), 1, None)
+        A = _series_in(f, params.get("a_coefficients", ()), None)
+        B = _series_in(f, params.get("b_coefficients", ()), None)
         sigma = (Polyvector(2, V, {(1, 2): Poly.var(V, "x") + A})
                  + jacobian_poisson(B))
         checks["poisson"] = is_poisson(sigma)[0]
@@ -815,20 +811,14 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
         # integrability reduces to the vanishing of dA ^ dB
         jac = A.diff("y") * B.diff("z") - A.diff("z") * B.diff("y")
         checks["poisson_iff_pencil"] = checks["poisson"] == jac.is_zero()
-        generators = [Poly.var(V, "x") + A]
-        if not B.is_zero():
-            generators.append(f)
-            ok = all(
-                ideal_member_structured(coeff, generators[0], f)
-                for coeff in sigma.terms.values())
-        else:
-            ok = all(divides(generators[0], coeff) is not None
-                     for coeff in sigma.terms.values())
-        checks["coefficients_in_ideal"] = ok
+        plane = None if B.is_zero() else f
+        checks["coefficients_in_ideal"] = all(
+            ideal_member_structured(coeff, Poly.var(V, "x") + A, plane)
+            for coeff in sigma.terms.values())
 
     elif kind == WHITNEY_FAMILY:
         W = (Poly.var(V, "x") ** 2 - Poly.var(V, "y") ** 2 * Poly.var(V, "z"))
-        A = _series_in(W, params.get("a_coefficients", ()), 1, None)
+        A = _series_in(W, params.get("a_coefficients", ()), None)
         sigma = jacobian_poisson(W) + Polyvector(2, V, {(1, 2): W * A})
         checks["poisson"] = is_poisson(sigma)[0]
         centre = Centre.from_exponents(V, (2, 3, 3))

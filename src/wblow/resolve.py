@@ -14,8 +14,10 @@ threefolds split by the linearized Lie algebra class (abelian points take the
 unweighted point centre; Heisenberg points take the associated centre or a
 b-completion of the bivector's vanishing surface, depending on the dimension
 of that vanishing locus), and surfaces in threefolds take the associated
-centre away from invariant (2,3,3), where the singular locus splits into
-type-D points and a curve blown up unweighted.  Every selected centre is
+centre away from invariant (2,3,3), the surface classes D and the Whitney
+umbrella, which are selected in the prepared coordinates of the class: an
+isolated type-D point at its witness centre, a singular curve by the
+unweighted centre on it.  Every selected centre is
 certified conilpotent; unrecognised inputs are refused with diagnostics, not
 approximated.
 """
@@ -41,12 +43,13 @@ from .polyvector import (
 from .centre import Centre
 from .blowup import (
     CentreReport,
+    _restrict_to_slice,
     check_centre,
+    exceptional_name,
     pullback_function,
     pullback_polyvector,
     rational_singular_points,
     slice_chart,
-    strict_transform_in_chart,
 )
 from .invariant import (
     InvariantSeq,
@@ -56,6 +59,8 @@ from .invariant import (
     plane_curve_invariant,
 )
 from .classify import (
+    D_CLASS,
+    WHITNEY_UMBRELLA,
     detect_duval_point,
     detect_nonnilpotent_point,
     line_in_zero_locus,
@@ -213,13 +218,13 @@ def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
                   + plane.preparation_log,
         )
         node.children.append(point_node)
+        proper = pullback_function(plane.prepared, centre).proper_part
         for name in centre.support():
-            transform = strict_transform_in_chart(plane.prepared, centre, name)
             chart = slice_chart(centre, name)
-            fresh = next(v for v in chart.variables if v not in centre.variables)
-            child = _resolve_chart(transform, f"{point_node.chart_id}:{name}",
-                                   point_node.chart_id, plane.invariant,
-                                   budget - 1, exceptional=fresh)
+            child = _resolve_chart(_restrict_to_slice(proper, chart),
+                                   f"{point_node.chart_id}:{name}",
+                                   point_node.chart_id, plane.invariant, budget - 1,
+                                   exceptional=exceptional_name(centre.variables))
             child.slice_variable = name
             child.residual_group_order = chart.residual_group_order
             point_node.children.append(child)
@@ -461,14 +466,14 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
 
     The coordinates are normal-form coordinates.  Du Val points of the
     triple are terminal.  Away from them, the associated monomial centre is
-    selected unless the invariant is (2,3,3), where the singular locus
-    splits into isolated type-D points (associated centre) and
-    one-dimensional components (unweighted centre on the curve, certified
-    through the logarithmic tangency argument).  A singular line off the
-    coordinate axes is first straightened by the preparation of the surface
-    class, recorded as the selection's coordinate change.  Every selected
-    centre passes the blowup-step certificate.  Returns the one selection at
-    the origin, as a list.
+    selected unless the surface class is D or the Whitney umbrella, those of
+    invariant (2,3,3).  These are selected in the prepared coordinates of
+    the class, its preparation recorded as the selection's coordinate
+    change: an isolated type-D point at the class's witness centre (refused
+    when there is none), a one-dimensional singular locus by the unweighted
+    centre on the curve, certified through the logarithmic tangency
+    argument.  Every selected centre passes the blowup-step certificate.
+    Returns the one selection at the origin, as a list.
     """
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
@@ -483,10 +488,9 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
             "Du Val point of the triple: no codegenerate centre exists "
             "(weight sums exceed one)")]
 
-    result = max_monomial_centre(f)
-    invariant = result.invariant
-    if invariant.finite_entries() != (Fraction(2), Fraction(3), Fraction(3)):
-        centre = result.centre
+    surface = duval.surface_class
+    if surface.kind not in (D_CLASS, WHITNEY_UMBRELLA):
+        centre = max_monomial_centre(f).centre
         reduced = centre.reduced()
         if all(a == 1 for a in reduced.exponents if not is_infinite(a)):
             centre = reduced  # unweighted up to rescaling: report the reduction
@@ -495,22 +499,21 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
             "invariant differs from (2,3,3): the associated centre is "
             "conilpotent away from Du Val and Whitney points")]
 
+    change = surface.preparation
+    for step in change:
+        sigma = shear(sigma, *step)
+    f = surface.prepared
     line = line_in_zero_locus([f] + [f.diff(v) for v in variables])
     if line is None:
+        if surface.witness_centre is None:
+            raise RefusalError(f"no witness centre for the {surface.label()} point: "
+                               + "; ".join(surface.diagnostics))
         return [_certified_selection(
-            INV_233_SURFACE, sigma, [f], result.centre,
+            INV_233_SURFACE, sigma, [f], surface.witness_centre,
             "invariant (2,3,3) at an isolated type-D point that is not a Du "
-            "Val point of the triple: associated centre")]
-    change: List[Tuple[str, Poly]] = []
-    if sum(1 for d in line if d) != 1:
-        # the preparation of the surface class moves the singular line
-        # onto the axis of the Hessian kernel
-        change = duval.surface_class.preparation
-        for step in change:
-            sigma, f = shear(sigma, *step), shear(f, *step)
-        line = line_in_zero_locus([f] + [f.diff(v) for v in variables])
-        assert line is not None and sum(1 for d in line if d) == 1, \
-            f"the preparation {change} leaves the singular line {line} off the axes"
+            "Val point of the triple: associated centre", coordinate_change=change)]
+    assert sum(1 for d in line if d) == 1, \
+        f"the preparation {change} leaves the singular line {line} off the axes"
     # one-dimensional singular locus: unweighted centre on the curve
     support = [v for v, d in zip(variables, line) if d == 0]
     return [_certified_selection(
@@ -578,6 +581,8 @@ def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
     tangent = None
     proper_poisson = None
     tangent_to_transforms = None
+    proper_parts = [pullback_function(equation, centre).proper_part
+                    for equation in equations]
 
     if sigma is not None:
         centre_report = check_centre(sigma, centre)
@@ -596,23 +601,18 @@ def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
         proper_poisson = is_poisson(proper)[0]
         if not proper_poisson:
             raise StepAbort("lifted bivector is no longer Poisson")
-        transforms = []
-        for equation in equations:
-            transform = pullback_function(equation, centre).proper_part
-            assert isinstance(transform, Poly)
-            transforms.append(transform)
         # tangency to the ideal generated by the strict transforms, not to
         # each hypersurface separately (the subvariety may be a complete
         # intersection)
-        tangent_to_transforms = sigma_tangent_to_ideal(proper, transforms)
+        tangent_to_transforms = sigma_tangent_to_ideal(proper, proper_parts)
         if not tangent_to_transforms:
             raise StepAbort("lifted bivector not tangent to the strict transform")
 
     after: List[Tuple[str, Optional[InvariantSeq]]] = []
     decreased: Optional[bool] = True
     for name in centre.support():
-        transforms = [strict_transform_in_chart(equation, centre, name)
-                      for equation in equations]
+        chart = slice_chart(centre, name)
+        transforms = [_restrict_to_slice(p, chart) for p in proper_parts]
         if any(t.constant_term() != 0 for t in transforms):
             after.append((name, None))  # unit ideal: the chart is resolved
             continue

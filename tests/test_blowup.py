@@ -269,6 +269,7 @@ def test_slice_needs_positive_weight():
 
 def test_smoothness_examples():
     assert rational_singular_points(parse_poly("y^2 - 1", V2)) == ([], True)
+    assert rational_singular_points(parse_poly("y - x^2", V2)) == ([], True)
     cusp = parse_poly("y^2 - x^3", V2)
     assert rational_singular_points(cusp) == ([(F(0), F(0))], True)
     node = parse_poly("y^2 - x^2", V2)
@@ -296,3 +297,16 @@ def test_irrational_singular_locus_is_indeterminate():
     # two smooth branches crossing only at x^2 = 2: no rational witness
     f = parse_poly("y^2 - (x^2 - 2)^2", V2)
     assert rational_singular_points(f) == ([], False)
+    # nodes at (0, +-sqrt(2)), off the x-axis
+    assert rational_singular_points(parse_poly("(y^2 - 2)^2 - x^2", V2)) == ([], False)
+
+
+@pytest.mark.parametrize("text, certain", [
+    ("y^2", False),                  # the line y = 0
+    ("(x - 1)^2*(x + 2)", False),    # the line x = 1
+    ("x^3 - x^2", False),            # the line x = 0
+    ("y*(y - 1)", True),             # two parallel smooth lines
+])
+def test_univariate_curves_certify_no_finite_answer_for_a_singular_line(text, certain):
+    # a repeated factor of a univariate f is a whole line of singular points
+    assert rational_singular_points(parse_poly(text, V2)) == ([], certain)

@@ -1,10 +1,12 @@
 """Resolution driver, centre selection, and step certification."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from wblow.ring import parse_poly
+from wblow import classify
+from wblow.ring import Poly, parse_poly
 from wblow.polyvector import Polyvector, jacobian_poisson, parse_polyvector
 from wblow.centre import Centre, parse_centre
 from wblow.invariant import lex_compare
@@ -247,6 +249,66 @@ def test_select_32_sheared_whitney_straightened():
     assert choice.certificate.ok()
     straight = parse_poly("x^2 - y^2*z", V3)
     assert choice.sigma == jacobian_poisson(straight)
+
+
+@pytest.mark.parametrize("text, change", [
+    ("x^2 + y^2*z + z^3", []),
+    ("x^2 + y^2*z + z^4", []),
+    ("x^2 + (y + 2*z)^2*z + z^4", [("y", "-2*z")]),
+])
+def test_select_32_isolated_type_d_point(text, change):
+    # f*J(f) vanishes on the surface, so the D point is not Du Val for the
+    # triple; it is selected at the witness centre in the prepared coordinates
+    f = parse_poly(text, V3)
+    [choice] = select_centre_32(jacobian_poisson(f).scale(f), f)
+    assert choice.case == "inv_233_surface"
+    assert str(choice.centre) == "x:2 y:3 z:3"
+    assert choice.coordinate_change == [(v, parse_poly(s, V3)) for v, s in change]
+    assert choice.certificate.ok()
+
+
+def test_select_32_refuses_type_d_point_without_witness(monkeypatch):
+    original = classify.classify_surface
+
+    def without_witness(f):
+        surface = original(f)
+        surface.witness_centre = None
+        return surface
+
+    monkeypatch.setattr(classify, "classify_surface", without_witness)
+    f = parse_poly("x^2 + y^2*z + z^3", V3)
+    with pytest.raises(RefusalError, match="no witness centre for the D4 point"):
+        select_centre_32(jacobian_poisson(f).scale(f), f)
+
+
+def _moved(f, matrix):
+    """f(M x): each variable replaced by its row of M applied to (x, y, z)."""
+    rows = [sum((Poly.var(V3, v).scale(a) for v, a in zip(V3, row)), Poly.zero(V3))
+            for row in matrix]
+    return f.substitute(dict(zip(V3, rows)))
+
+
+def test_select_32_moved_whitney_umbrellas_are_certified():
+    # the class and its preparation do not depend on the coordinates, so
+    # every linear move of the Whitney umbrella gets a certified centre
+    rng = random.Random(7)
+    W = parse_poly("x^2 - y^2*z", V3)
+    matrices = []
+    while len(matrices) < 25:
+        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
+        if _det3(m):
+            matrices.append(m)
+    for m in matrices:
+        f = _moved(W, m)
+        [choice] = select_centre_32(jacobian_poisson(f), f)
+        assert choice.case == "inv_233_surface", m
+        assert choice.certificate.ok(), m
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def test_select_32_normal_crossings():

@@ -21,9 +21,10 @@ from math import gcd
 
 import pytest
 
-from wblow.ring import INF, Poly, divides, resultant, univariate_gcd
+from wblow import blowup, resolve
+from wblow.ring import INF, Poly, divides, parse_poly, resultant, univariate_gcd
 from wblow.polyvector import Polyvector, is_poisson, jacobian_poisson, schouten
-from wblow.centre import Centre
+from wblow.centre import Centre, parse_centre
 from wblow.blowup import _shift_t_down, check_centre, check_lift, pullback_polyvector
 
 F = Fraction
@@ -253,6 +254,38 @@ def test_kernel_builds_no_fraction(monkeypatch):
     assert results[8:10] == [ref_diff(a, "x"), ref_diff(b, "z")]
     assert results[10] == ref_substitute(lifted, blowdown)
     assert results[11] == ref_substitute(a, shift)
+
+
+def _call_count(monkeypatch, owners, name, call):
+    """How often ``call()`` calls the function or method ``name``, patched
+    on every owner that binds it."""
+    calls = [0]
+    original = getattr(owners[0], name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counting)
+    call()
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_blowup_step_pulls_each_equation_back_once(monkeypatch):
+    """Every slice chart is cut from one pullback per equation, and the
+    centre report reads its order off its own lift report."""
+    owners = [blowup, resolve]
+    W = parse_poly("x^2 - y^2*z", ("x", "y", "z"))
+    sigma, centre = jacobian_poisson(W), parse_centre("x:1 y:1 z:inf")
+    step = lambda: resolve.certify_blowup_step(sigma, [W], centre)
+    assert _call_count(monkeypatch, owners, "pullback_function", step) == 1
+    cusp = parse_poly("y^2 - x^3", ("x", "y"))
+    curve = lambda: resolve.resolve_plane_curve(cusp)
+    assert _call_count(monkeypatch, owners, "pullback_function", curve) == 1
+    report = lambda: check_centre(sigma, centre)
+    assert _call_count(monkeypatch, [Centre], "ord_polyvector", report) == 2
 
 
 def _fraction_count(monkeypatch, call):
