@@ -616,7 +616,10 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
     Three conditions: the bivector has an isolated zero; the surface germ is
     of type A, D or E; and at the quasi-homogeneity exponents of that class
     the leading term of the bivector is a constant multiple of the Jacobian
-    structure of the leading term of the equation.
+    structure of the leading term of the equation.  That centre is reported
+    as the witness.  A bivector that is a constant multiple of the Jacobian
+    structure of the whole equation meets the third condition without one:
+    the answer is True with ``duval_witness_centre`` None.
     """
     if not is_tangent(sigma, f):
         raise ValueError("the bivector is not tangent to the surface")
@@ -638,8 +641,9 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
     # sign, so the Milnor verdict classify_surface computed is the answer.
     coefficients = list(prepared_sigma.terms.values())
     mu = surface.milnor
-    if mu is not None and _constant_ratio(prepared_sigma,
-                                          jacobian_poisson(prepared_f)) is not None:
+    jacobian_multiple = mu is not None and _constant_ratio(
+        prepared_sigma, jacobian_poisson(prepared_f)) is not None
+    if jacobian_multiple:
         isolated = None if mu == INDETERMINATE else mu != UNBOUNDED
     elif coefficients:
         isolated, _ = local_dimension_is_zero(coefficients)
@@ -668,6 +672,11 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
             report.duval = True
             report.duval_witness_centre = centre
             return report
+    if jacobian_multiple:
+        # c*J(f) = J(c*f) is the Jacobian structure of the Du Val germ c*f in
+        # any coordinates: Du Val without a class-centre witness
+        report.duval = True
+        return report
     report.duval = False
     report.diagnostics.append("no class centre matches the leading term of the bivector")
     return report

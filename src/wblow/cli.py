@@ -11,6 +11,7 @@ deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -121,7 +122,9 @@ def _count_up_to(limit: int):
     return count
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+# built on the first call, not at import, then reused: parse_args returns a fresh Namespace
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wblow",
         description="Exact weighted-blowup calculus for Poisson structures "
@@ -189,9 +192,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     nf.add_argument("--unit", default=None)
     corpus_parser = subs.add_parser("corpus")
     corpus_parser.add_argument("name", choices=sorted(CORPORA))
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as stop:
         return EXIT_USAGE if stop.code not in (0, None) else EXIT_OK
 

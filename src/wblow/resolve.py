@@ -61,6 +61,7 @@ from .invariant import (
 from .classify import (
     D_CLASS,
     WHITNEY_UMBRELLA,
+    SingularityClass,
     detect_duval_point,
     detect_nonnilpotent_point,
     line_in_zero_locus,
@@ -473,7 +474,9 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
     when there is none), a one-dimensional singular locus by the unweighted
     centre on the curve, certified through the logarithmic tangency
     argument.  Every selected centre passes the blowup-step certificate.
-    Returns the one selection at the origin, as a list.
+    When the Du Val verdict is indeterminate, a certified centre still
+    rules a Du Val point out, but a failed certificate is a refusal, not
+    StepAbort.  Returns the one selection at the origin, as a list.
     """
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
@@ -487,8 +490,20 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
             TERMINAL_DUVAL, None, None,
             "Du Val point of the triple: no codegenerate centre exists "
             "(weight sums exceed one)")]
+    try:
+        return _select_away_from_duval(sigma, f, duval.surface_class)
+    except StepAbort as abort:
+        if duval.duval is False:
+            raise
+        # a certified centre would have ruled a Du Val point out; a failed one does not
+        raise RefusalError("Du Val verdict indeterminate ("
+                           + "; ".join(duval.diagnostics) + f") and {abort}") from abort
 
-    surface = duval.surface_class
+
+def _select_away_from_duval(sigma: Polyvector, f: Poly, surface: SingularityClass
+                            ) -> List[CentreSelection]:
+    """The certified selection of ``select_centre_32`` at a point that is not Du Val."""
+    variables = sigma.variables
     if surface.kind not in (D_CLASS, WHITNEY_UMBRELLA):
         centre = max_monomial_centre(f).centre
         reduced = centre.reduced()

@@ -329,6 +329,20 @@ def test_duval_with_unit_factor():
     assert report.duval_witness_centre.exponents == (F(2), F(2), F(2))
 
 
+@pytest.mark.parametrize("scale", [1, F(-3, 2)])
+@pytest.mark.parametrize("text, label", [("x^2 + (y + z^2)^2*z + z^6", "D7"),
+                                         ("(x + z^2)^2 + y^2 + z^10 + x^3", "A5")])
+def test_duval_jacobian_multiple_needs_no_class_centre(scale, text, label):
+    # at no permutation of the class exponents is the prepared form of order
+    # one, but c*J(f) is the Jacobian structure of c*f in any coordinates
+    f = parse_poly(text, V3)
+    report = detect_duval_point(jacobian_poisson(f).scale(scale), f, ORIGIN)
+    assert report.surface_class.label() == label
+    assert report.duval is True and report.isolated_sigma_zero is True
+    assert report.duval_witness_centre is None
+    assert report.diagnostics == []
+
+
 def test_duval_negative_cases():
     whitney = parse_poly("x^2 - y^2*z", V3)
     report = detect_duval_point(jacobian_poisson(whitney), whitney, ORIGIN)

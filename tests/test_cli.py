@@ -1,11 +1,19 @@
 """Command-line interface: examples, exit codes, machine output."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from wblow import cli
 from wblow.cli import MAX_COEFFICIENTS, MAX_DEGREE_BOUND, MAX_RESOLVE_STEPS, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -227,6 +235,18 @@ def test_select_centre_heisenberg_refusal_exit(capsys):
     assert "Heisenberg slot has coefficient 2" in err
 
 
+@pytest.mark.parametrize("surface", ["(x+y^2)^2 + y^2 + z^14", "x^2 - (y + z^2)^2*z"],
+                         ids=["A13 moved", "Whitney umbrella on a parabola"])
+def test_select_centre_indeterminate_duval_verdict_exits_3(capsys, surface):
+    # isolatedness of J(f) is indeterminate at the default bound and the
+    # associated centre fails its certificate: no witness for exit 1
+    code, out, _ = run(capsys, "jacobian", surface)
+    assert code == 0
+    code, out, err = run(capsys, "select-centre", "--sigma", out.strip(), "--surface", surface)
+    assert code == 3 and out == ""
+    assert err.startswith("refused: Du Val verdict indeterminate")
+
+
 def test_select_centre_terminal_prints_no_verdict(capsys):
     # the A1 triple is a Du Val point: terminal, no centre was certified
     code, out, _ = run(capsys, "--machine", "select-centre",
@@ -314,3 +334,68 @@ def test_corpus_commands(capsys):
         code, out, _ = run(capsys, "corpus", name)
         assert code == 0, (name, out)
         assert "passed" in out
+
+
+# --- the parser is built once per process ---------------------------------------
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_built_once_across_calls(monkeypatch, capsys, fresh_parser):
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "wblow":  # subparsers get "wblow <command>"
+            built.append(self)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "order", "--centre", "x:2 y:3 z:inf", "x^5")[0] == 0
+    assert run(capsys, "resolve-curve", "y^2 - x^3")[0] == 0
+    assert run(capsys, "classify", "x^2 + y^3 + z^5")[0] == 0
+    assert run(capsys, "validate-invariant", "2,3,4")[0] == 0
+    assert run(capsys, "order", "--bogus")[0] == 2
+    assert len(built) == 1
+    assert cli._parser.cache_info().currsize == 1
+
+
+def test_import_builds_no_parser():
+    code = "import wblow.cli; print(wblow.cli._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
+
+
+def test_append_default_not_shared_between_calls(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: seen.append(args) or 0)
+    assert main(["select-centre", "--sigma", "x*@y^@z",
+                 "--curve", "x", "--curve", "y^2 - z^3"]) == 0
+    assert main(["select-centre", "--sigma", "x*@y^@z", "--surface", "x^2 + y^2 + z^2"]) == 0
+    assert seen[0].curve == ["x", "y^2 - z^3"]
+    assert seen[1].curve == [] and seen[1].surface == "x^2 + y^2 + z^2"
+    assert seen[0] is not seen[1]
+
+
+def test_usage_error_after_success(capsys):
+    assert run(capsys, "order", "--centre", "x:2 y:3 z:inf", "x^5")[0] == 0
+    code, out, err = run(capsys, "order", "x^5")
+    assert code == 2 and out == ""
+    assert "--centre" in err
+    assert run(capsys, "order", "--centre", "x:2 y:3 z:inf", "x^5")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["resolve-curve", "--help"]],
+                         ids=["top level", "subcommand"])
+def test_help_is_stable(capsys, argv):
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == 0 and first[1].startswith("usage: wblow")
+    assert second == first

@@ -1,6 +1,7 @@
 """Invariant constraints, lex order, monomial maxima, plane-curve invariants."""
 
-import itertools
+import bisect
+import math
 import random
 from fractions import Fraction
 
@@ -191,28 +192,45 @@ def _brute_force_lex_max(f: Poly, grid):
                 bound = min(bound, F(J[v]))
         bounds.append(bound)
     candidates = [[a for a in grid if a <= bounds[v]] + [INF] for v in range(n)]
-    # float screening with exact confirmation: the tolerance is orders of
-    # magnitude above the representation error of these small fractions, so
-    # no feasible assignment can be screened out; accepted ones are re-checked
-    # with exact arithmetic
-    weight_table = [[0.0 if a is INF else 1.0 / float(a) for a in column]
-                    for column in candidates]
-    exact_table = [[F(0) if a is INF else F(1) / a for a in column]
-                   for column in candidates]
-    best = None
-    for positions in itertools.product(*(range(len(c)) for c in candidates)):
-        approx = [sum(weight_table[v][positions[v]] * J[v] for v in range(n))
-                  for J in support]
-        if min(approx) < 1.0 - 1e-9 or min(approx) > 1.0 + 1e-9:
-            continue
-        weights = [exact_table[v][positions[v]] for v in range(n)]
-        orders = [sum((w * j for w, j in zip(weights, J)), F(0)) for J in support]
-        if min(orders) != 1:
-            continue
-        assignment = [candidates[v][positions[v]] for v in range(n)]
+    # integer screening: every weight 1/a is a multiple of 1/scale, so each
+    # weighted order times scale is an exact integer, summed variable by
+    # variable; the sum for each monomial only grows
+    scale = math.lcm(*(a.numerator for column in candidates for a in column if a is not INF))
+    contributions = [[tuple(0 if a is INF else scale // a.numerator * a.denominator * J[v]
+                            for J in support) for a in column]
+                     for v, column in enumerate(candidates)]
+    accepted = []
+
+    def extend(v, partial, prefix):
+        if v == n - 1:
+            # the column ascends in a, so the minimal order falls along it:
+            # the assignments of minimal order one are one run of positions
+            column = contributions[v]
+            falling = lambda k: -min(map(int.__add__, partial, column[k]))
+            positions = range(len(column))
+            low = bisect.bisect_left(positions, -scale, key=falling)
+            high = bisect.bisect_right(positions, -scale, key=falling)
+            accepted.extend(prefix + (a,) for a in candidates[v][low:high])
+            return
+        for a, contribution in zip(candidates[v], contributions[v]):
+            orders = tuple(map(int.__add__, partial, contribution))
+            if min(orders) <= scale:  # else no monomial can come back to order one
+                extend(v + 1, orders, prefix + (a,))
+
+    extend(0, (0,) * len(support), ())
+    by_key = {}
+    for assignment in accepted:
         key = tuple(sorted([a for a in assignment if a is not INF]))
+        by_key.setdefault(key, []).append(assignment)
+    best = None
+    for key in by_key:
         if best is None or lex_compare(key, best) > 0:
             best = key
+    # exact confirmation of every assignment that attains the maximum
+    for assignment in by_key.get(best, []):
+        weights = [F(0) if a is INF else 1 / a for a in assignment]
+        orders = [sum((w * j for w, j in zip(weights, J)), F(0)) for J in support]
+        assert min(orders) == 1, assignment
     return best
 
 

@@ -342,6 +342,43 @@ def test_select_32_duval_terminal():
     assert selections[0].certificate is None
 
 
+# the ADE normal forms of the triangular-move draw, in the order drawn
+DRAWN_ADE_FORMS = [("A", 1), ("A", 2), ("A", 3), ("A", 6), ("A", 9), ("A", 12),
+                   ("D", 4), ("D", 5), ("D", 7), ("D", 10),
+                   ("E6", None), ("E7", None), ("E8", None)]
+
+
+def _triangularly_moved_ade_germs():
+    """Each ADE form moved six times: x -> x + a*y^2 + b*z^2 + c*y*z, then
+    y -> y + d*z^2, with a, b, c, d in -3..3 from one seeded draw."""
+    rng = random.Random(11)
+    x, y, z = (Poly.var(V3, v) for v in V3)
+    for family, n in DRAWN_ADE_FORMS:
+        f = classify.DUVAL_EQUATIONS[family](n, V3)
+        for _ in range(6):
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+            moved = f.substitute({"x": x + y * y.scale(a) + z * z.scale(b) + y * z.scale(c)})
+            yield f"{family}{n or ''}", moved.substitute({"y": y + z * z.scale(d)})
+
+
+def test_select_32_triangularly_moved_duval_triples_are_terminal():
+    # (J(f), f) is a Du Val point in any coordinates: no class centre has to
+    # match, the Jacobian multiple is the certificate
+    germs = list(_triangularly_moved_ade_germs())
+    assert len(germs) == 78
+    for label, f in germs:
+        [choice] = select_centre_32(jacobian_poisson(f), f)
+        assert choice.case == "terminal_duval", (label, f)
+
+
+@pytest.mark.parametrize("text", ["(x+y^2)^2 + y^2 + z^14", "x^2 - (y + z^2)^2*z"],
+                         ids=["A13 moved", "Whitney umbrella on a parabola"])
+def test_select_32_refuses_indeterminate_duval_verdict(text):
+    f = parse_poly(text, V3)
+    with pytest.raises(RefusalError, match="Du Val verdict indeterminate"):
+        select_centre_32(jacobian_poisson(f), f)
+
+
 # --- step certification -------------------------------------------------------------------------
 
 def test_certify_whitney_step():
