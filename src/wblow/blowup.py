@@ -486,3 +486,27 @@ def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
         # candidate non-rational u-coordinates remain unexamined
         return points, False
     return points, True
+
+
+def exceptional_singular_points(f: Poly, t: str) -> Tuple[List[Point], bool]:
+    """Rational singular points of a two-variable curve on the divisor t = 0.
+
+    With f = g(u) + h(u)*t + O(t^2), the point (u0, 0) is singular exactly
+    when g(u0) = g'(u0) = h(u0) = 0, that is at a root of gcd(g, g', h).
+    Returns (points, certain) as :func:`rational_singular_points` does:
+    ``certain`` is False when the gcd has a root that is not rational, or
+    is zero (t^2 divides f, so the whole divisor is singular).
+    """
+    if len(f.variables) != 2:
+        raise ValueError("exceptional_singular_points expects a two-variable chart")
+    coeffs = f.coefficients_in(t)
+    g = coeffs[0]
+    h = coeffs[1] if len(coeffs) > 1 else Poly.zero(g.variables)
+    common = univariate_gcd(univariate_gcd(g, g.diff(g.variables[0])), h)
+    if common.is_zero():
+        return [], False
+    roots = rational_roots(common)
+    zero = Fraction(0)
+    points: List[Point] = [(zero, u0) if f.variables[0] == t else (u0, zero)
+                           for u0 in sorted(set(roots))]
+    return points, len(roots) == common.total_degree()

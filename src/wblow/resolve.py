@@ -46,6 +46,7 @@ from .blowup import (
     _restrict_to_slice,
     check_centre,
     exceptional_name,
+    exceptional_singular_points,
     pullback_function,
     pullback_polyvector,
     rational_singular_points,
@@ -155,6 +156,17 @@ def resolve_plane_curve(f: Poly, max_steps: int = 6) -> ResolutionNode:
     decreases from parent to child; a chart where it does not is refused
     (RefusalError).  Leaves are certified smooth, or marked indeterminate
     when a singular locus is not rational.
+
+    The root chart is searched on the whole plane; a blowup chart only on
+    its exceptional divisor E = {t = 0} (see
+    :func:`~wblow.blowup.exceptional_singular_points`).  This is exact: the
+    preparation (a translation, a shear, a polynomial shift) is an
+    automorphism of the plane and a weighted blowup is an isomorphism off its
+    centre, so a slice chart minus E is étale over the parent chart minus
+    the blown-up point.  A singular point off E is therefore the image of a
+    singular point of an ancestor chart other than the one blown up, which
+    a sibling branch resolves; and the resolver descends only from charts
+    whose search is certain, so that ancestor point is rational and listed.
     """
     if len(f.variables) != 2:
         raise ValueError("resolve_plane_curve expects a two-variable chart")
@@ -170,23 +182,13 @@ def resolve_plane_curve(f: Poly, max_steps: int = 6) -> ResolutionNode:
 def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
                    parent_invariant: Optional[InvariantSeq],
                    budget: int, exceptional: Optional[str] = None) -> ResolutionNode:
-    all_points, certain = rational_singular_points(equation)
-    points = list(all_points)
-    copies = []
-    if exceptional is not None:
-        # singular points off the exceptional divisor are isomorphic copies of
-        # other germs of the original curve; they are resolved in the sibling
-        # branches rooted at those germs
-        index = equation.variables.index(exceptional)
-        points = [p for p in all_points if p[index] == 0]
-        copies = [p for p in all_points if p[index] != 0]
+    if exceptional is None:
+        points, certain = rational_singular_points(equation)
+    else:
+        points, certain = exceptional_singular_points(equation, exceptional)
     node = ResolutionNode(chart_id, parent_id, equation,
                           SMOOTH_LEAF if not points else SINGULAR,
                           singular_points=list(points))
-    for copy in copies:
-        node.notes.append(
-            f"singular point {tuple(str(c) for c in copy)} is a copy of a germ "
-            "resolved in a sibling branch")
     if not certain:
         node.status = INDETERMINATE_STATUS
         node.notes.append("singular locus not certified rational")

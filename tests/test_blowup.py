@@ -11,6 +11,7 @@ from wblow.centre import Centre, parse_centre
 from wblow.blowup import (
     check_centre,
     check_lift,
+    exceptional_singular_points,
     pullback_function,
     pullback_polyvector,
     rational_singular_points,
@@ -310,3 +311,30 @@ def test_irrational_singular_locus_is_indeterminate():
 def test_univariate_curves_certify_no_finite_answer_for_a_singular_line(text, certain):
     # a repeated factor of a univariate f is a whole line of singular points
     assert rational_singular_points(parse_poly(text, V2)) == ([], certain)
+
+
+# on the chart (u, t) with f = g(u) + h(u)*t + O(t^2), the singular points on
+# t = 0 are the roots of gcd(g, g', h)
+@pytest.mark.parametrize("text, points, certain", [
+    ("3 + u*t", [], True),                          # f|E a nonzero constant
+    ("u^2 + t", [], True),                          # double root of f|E, h(0) != 0: smooth
+    ("(u^2 - 2)^2 + t^2", [], False),               # nodes at u = +-sqrt(2) on E
+    ("(u - 1)^2*(u^2 - 2)^2 + t^2", [1], False),    # a rational node beside them
+    ("(u - 1)^2 - t^3", [1], True),                 # a cusp at u0 = 1
+    ("(u + 1/2)^2*(u - 3) + t^2*u", [F(-1, 2)], True),
+    ("u^2 - t^2*(t - 1)^2", [0], True),             # the node at t = 1 is not searched
+    ("u^2 - (t^2 - 2)^2", [], True),                # nor the irrational ones off E
+    ("t*(u - 2) + t^2", [2], True),                 # E a component, crossed at u = 2
+    ("t^2*(u - 2) + t^3", [], False),               # E a double component
+])
+def test_exceptional_singular_points(text, points, certain):
+    for chart in (("u", "t"), ("t", "u")):
+        f = parse_poly(text, chart)
+        expected = [(F(u0), F(0)) if chart[0] == "u" else (F(0), F(u0)) for u0 in points]
+        assert exceptional_singular_points(f, "t") == (expected, certain)
+        found, everywhere = rational_singular_points(f)
+        on_divisor = [p for p in found if p[chart.index("t")] == 0]
+        if everywhere:
+            assert (on_divisor, True) == (expected, certain)
+        else:
+            assert set(on_divisor) <= set(expected)

@@ -5,14 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from wblow import blowup as blowup_module
 from wblow import classify
-from wblow.ring import Poly, parse_poly
+from wblow import resolve as resolve_module
+from wblow.blowup import exceptional_name, exceptional_singular_points, rational_singular_points
+from wblow.ring import Poly, parse_poly, resultant
 from wblow.polyvector import Polyvector, jacobian_poisson, parse_polyvector
 from wblow.centre import Centre, parse_centre
 from wblow.invariant import lex_compare
 from wblow.resolve import (
     RefusalError,
     StepAbort,
+    _is_squarefree,
     _recognise_heisenberg_form,
     certify_blowup_step,
     count_blowups,
@@ -118,6 +122,88 @@ def test_deterministic_node_ids():
     first = resolve_plane_curve(parse_poly("y^2 - x^3", V2))
     second = resolve_plane_curve(parse_poly("y^2 - x^3", V2))
     assert first.to_dict() == second.to_dict()
+
+
+# the (2,3,3,5) products: the branch crossing off the origin has irrational
+# preimages in the origin's charts, off their exceptional divisors
+PRODUCTS_2335 = [f"(y^2 - {c1}*x^3)*(y^3 - {c2}*x^5)" for c1 in (3, 5, 7) for c2 in (3, 5, 7)]
+
+
+def _seeded_curves(seed: int = 17, count: int = 24):
+    """Two-branch products (y^a - c*x^b)*(y^a' - c'*x^b') and one-branch
+    curves y^a - c*x^b moved by y -> y + d*x^k, k > b/a."""
+    rng = random.Random(seed)
+    y, x = Poly.var(V2, "y"), Poly.var(V2, "x")
+    out = []
+    for _ in range(count):
+        a, b = rng.choice([(1, 2), (1, 3), (2, 3), (2, 5), (3, 4), (3, 5)])
+        branch = y ** a - x ** b * rng.choice([1, 2, 3, 5, 7])
+        if rng.random() < 0.5:
+            a2, b2 = rng.choice([(1, 4), (1, 5), (2, 3), (2, 5), (3, 4)])
+            out.append(branch * (y ** a2 - x ** b2 * rng.choice([2, 3, 5])))
+        else:
+            shift = x ** (b // a + 1) * rng.choice([-3, -1, 2, 5])
+            out.append(branch.substitute({"y": y + shift}))
+    return out
+
+
+def _blowup_charts(node):
+    """Every chart below a blown-up point, with its exceptional coordinate."""
+    for child in node.children:
+        if node.centre is not None:
+            yield child, exceptional_name(node.centre.variables)
+        yield from _blowup_charts(child)
+
+
+def test_exceptional_search_matches_the_global_one_on_e():
+    curves = [parse_poly(text, V2) for _, text in CORPUS]
+    curves += [parse_poly(text, V2) for text in PRODUCTS_2335 + ["y^2 - x^2*(x - 1)^2"]]
+    curves += [f for f in _seeded_curves() if _is_squarefree(f)]
+    equal = superset = 0
+    for f in curves:
+        for chart, t in _blowup_charts(resolve_plane_curve(f, max_steps=8)):
+            on_e, certain = exceptional_singular_points(chart.equation, t)
+            found, everywhere = rational_singular_points(chart.equation)
+            index = chart.equation.variables.index(t)
+            found_on_e = [p for p in found if p[index] == 0]
+            if everywhere:
+                assert (on_e, certain) == (found_on_e, True), (str(f), chart.chart_id)
+                equal += 1
+            else:
+                assert set(found_on_e) <= set(on_e), (str(f), chart.chart_id)
+                superset += 1
+    assert equal and superset
+
+
+@pytest.mark.parametrize("text", PRODUCTS_2335)
+def test_products_2335_resolve_completely(text):
+    tree = resolve_plane_curve(parse_poly(text, V2))
+    assert resolution_is_complete(tree)
+    assert count_blowups(tree) == 2
+    assert not any(node.notes for node, _ in _blowup_charts(tree))
+
+
+def test_one_global_singular_point_search_per_tree(monkeypatch):
+    """Only the root chart runs the elimination; blowup charts run none."""
+    searches, before, after = [0], [0], [0]
+
+    def counting_resultant(*args):
+        (after if searches[0] else before)[0] += 1
+        return resultant(*args)
+
+    def counting_search(f):
+        searches[0] += 1
+        return rational_singular_points(f)
+
+    monkeypatch.setattr(resolve_module, "resultant", counting_resultant)
+    monkeypatch.setattr(blowup_module, "resultant", counting_resultant)
+    monkeypatch.setattr(resolve_module, "rational_singular_points", counting_search)
+    tree = resolve_plane_curve(parse_poly("(y^2 - 3*x^3)*(y^3 - 5*x^5)", V2))
+    assert resolution_is_complete(tree) and count_blowups(tree) == 2
+    assert searches[0] == 1
+    # _is_squarefree takes one resultant per variable; from the root search
+    # on, its three are the only ones
+    assert (before[0], after[0]) == (2, 3)
 
 
 # --- centre selection: curves in threefolds ---------------------------------------------
