@@ -417,9 +417,7 @@ def strict_transform_in_chart(f: Poly, centre: Centre, name: str) -> Poly:
 
 def _restrict_to_slice(proper: Poly, chart: SliceChart) -> Poly:
     """A proper part on the extended chart, restricted to a slice chart."""
-    name = chart.slice_variable
-    sliced = proper.substitute({name: Poly.const(proper.variables, 1)})
-    return sliced.drop_variables([name]).extend_variables(chart.variables)
+    return proper.specialise(chart.slice_variable, 1).extend_variables(chart.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +463,7 @@ def rational_singular_points(f: Poly) -> Tuple[List[Point], bool]:
     accounted = 0
     points: List[Point] = []
     for u0 in sorted(set(u_candidates)):
-        const_u = {u: Poly.const(f.variables, u0)}
-        slice_f = f.substitute(const_u).drop_variables([u])
-        slice_fu = fu.substitute(const_u).drop_variables([u])
-        slice_fv = fv.substitute(const_u).drop_variables([u])
+        slice_f, slice_fu, slice_fv = (p.specialise(u, u0) for p in (f, fu, fv))
         common = univariate_gcd(univariate_gcd(slice_f, slice_fu), slice_fv)
         if common.is_zero():
             return [], False

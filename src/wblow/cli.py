@@ -29,6 +29,7 @@ from .blowup import (
 )
 from .invariant import (
     InvariantSeq,
+    UNCHECKED,
     VALID,
     max_monomial_centre,
     plane_curve_invariant,
@@ -331,6 +332,8 @@ def _dispatch(args) -> int:
         lines = [sequence.status if sequence.witness is None
                  else f"{sequence.status} at prefix {sequence.witness}"]
         _emit(report, lines, machine)
+        if sequence.status == UNCHECKED:
+            return EXIT_INDETERMINATE
         return EXIT_OK if sequence.status == VALID else EXIT_NEGATIVE
 
     if command == "classify":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ring import INF, ExtRational, Poly, format_ext, is_infinite, parse_ext
@@ -102,42 +103,57 @@ def lex_compare(a: Union[InvariantSeq, Sequence[ExtRational]],
 # the numerical constraints and the small-invariant trichotomy
 # ---------------------------------------------------------------------------
 
-def _partial_sums_reachable(entries: Sequence[Fraction], j: int) -> bool:
-    """Whether 1 = sum n_i/a_i is solvable with n_i >= 0 integers and n_j > 0."""
-    a_j = entries[j - 1]
-    bound_j = int(a_j)  # n_j / a_j <= 1
-    prefix = entries[:j - 1]
+# numerators one validate_invariant call may generate before it answers UNCHECKED
+VALIDATION_BUDGET = 100_000
 
-    reachable = {Fraction(0)}
+
+def _partial_sums_reachable(entries: Sequence[Fraction], j: int, budget: int
+                            ) -> Tuple[Optional[bool], int]:
+    """Whether 1 = sum n_i/a_i is solvable with n_i >= 0 integers and n_j > 0.
+
+    The sums over the prefix a_1..a_(j-1) that do not exceed one are kept as
+    a set of integer numerators over L, the lcm of the prefix's numerators:
+    n/a_i = n*q_i*(L/p_i) / L for a_i = p_i/q_i.  Some n_j >= 1 completes the
+    sum s/L to one exactly when s < L and L*q_j divides (L - s)*p_j.  Returns
+    the verdict and the number of numerators generated; the verdict is None
+    when more than ``budget`` would be generated.
+    """
+    prefix = entries[:j - 1]
+    scale = lcm(*(a.numerator for a in prefix))
+    reachable = {0}
+    generated = 0
     for a in prefix:
+        step = a.denominator * (scale // a.numerator)
         new = set()
         for s in reachable:
-            n = 0
-            while True:
-                value = s + Fraction(n) / a
-                if value > 1:
-                    break
-                new.add(value)
-                n += 1
+            generated += (scale - s) // step + 1
+            if generated > budget:
+                return None, generated
+            new.update(range(s, scale + 1, step))
         reachable = new
-    for n in range(1, bound_j + 1):
-        if Fraction(1) - Fraction(n) / a_j in reachable:
-            return True
-    return False
+    p, q = entries[j - 1].numerator, entries[j - 1].denominator
+    return any(s < scale and (scale - s) * p % (scale * q) == 0 for s in reachable), generated
 
 
 def validate_invariant(seq: InvariantSeq) -> InvariantSeq:
     """Check the occurrence constraints prefix by prefix.
 
     For every j up to the finite length there must exist non-negative
-    integers n_1..n_j with sum n_i/a_i = 1 and n_j nonzero; the search is
-    complete with the bound n_i <= floor(a_i).  Returns a copy carrying the
-    verdict, with the failing prefix length as witness.
+    integers n_1..n_j with sum n_i/a_i = 1 and n_j nonzero.  Returns a copy
+    carrying the verdict, with the failing prefix length as witness; the
+    status stays UNCHECKED when the search would generate more than
+    ``VALIDATION_BUDGET`` numerators (the sets grow with the product of the
+    entries' numerators).
     """
     finite = seq.finite_entries()
+    budget = VALIDATION_BUDGET
     for j in range(1, len(finite) + 1):
-        if not _partial_sums_reachable(finite, j):
+        reachable, generated = _partial_sums_reachable(finite, j, budget)
+        if reachable is None:
+            return InvariantSeq(seq.entries, UNCHECKED)
+        if not reachable:
             return InvariantSeq(seq.entries, INVALID, j)
+        budget -= generated
     return InvariantSeq(seq.entries, VALID)
 
 
@@ -155,6 +171,8 @@ def canonical_numerics(seq: InvariantSeq) -> Dict[str, bool]:
     if finite[0] <= 1:
         raise ValueError("the trichotomy requires a_1 > 1")
     checked = validate_invariant(seq)
+    if checked.status == UNCHECKED:
+        raise ValueError("validity not checked: the search budget ran out")
     if checked.status != VALID:
         raise ValueError(f"not a valid invariant (fails at prefix {checked.witness})")
 
@@ -225,67 +243,82 @@ def max_monomial_centre(f: Union[Poly, Sequence[Poly]]) -> MonomialCentreResult:
 
     The result is the exact maximum over monomial centres, which is a lex
     lower bound for the coordinate-free invariant; the validity check is run
-    and a warning recorded when it fails.
+    and a warning recorded when it fails or is not checked.
     """
     generators = [f] if isinstance(f, Poly) else list(f)
     if not generators or all(g.is_zero() for g in generators):
         raise ValueError("the zero ideal has no associated centre")
     variables = generators[0].variables
+    origin = (0,) * len(variables)
     for g in generators:
         if g.variables != variables:
             raise ValueError("generators must share one chart")
-        if g.constant_term() != 0:
+        if origin in g.nums:
             raise ValueError("the ideal is the unit ideal at the origin")
     polyhedron = NewtonPolyhedron.of(generators)
     points = polyhedron.minimal_points
     n = len(variables)
 
     # branch over the carrier of each successive maximal weight; collect the
-    # per-variable weights along the winning branch
-    def search(done: Dict[int, Fraction], remaining: Tuple[int, ...]
-               ) -> Optional[Dict[int, Fraction]]:
+    # per-variable weights along the winning branch as integer numerators
+    # over one denominator per branch
+    def search(done: Dict[int, int], den: int, remaining: Tuple[int, ...]
+               ) -> Optional[Tuple[Dict[int, int], int]]:
         if not remaining:
-            return dict(done)
-        m = Fraction(0)
+            return dict(done), den
+        # the next weight m = top/bottom: the largest (1 - finished)/load
+        top, bottom = 0, 1
         for p in points:
-            finished = sum((done[i] * p[i] for i in done), Fraction(0))
+            finished = sum(w * p[i] for i, w in done.items())
             load = sum(p[i] for i in remaining)
             if load == 0:
-                if finished < 1:
+                if finished < den:
                     return None
                 continue
-            m = max(m, (1 - finished) / load)
-        if m <= 0:
-            return {**done, **{i: Fraction(0) for i in remaining}}
-        best_weights: Optional[Tuple[Fraction, ...]] = None
-        best_result: Optional[Dict[int, Fraction]] = None
+            if (den - finished) * bottom > top * den * load:
+                top, bottom = den - finished, den * load
+        if top <= 0:
+            return {**done, **{i: 0 for i in remaining}}, den
+        common = gcd(top, bottom)
+        top, bottom = top // common, bottom // common
+        wider = lcm(den, bottom)
+        done = {i: w * (wider // den) for i, w in done.items()}
+        weight = top * (wider // bottom)
+        best: Optional[Tuple[Dict[int, int], int]] = None
+        best_key: List[int] = []
         # ties between carriers break towards the lexicographically smallest
         # variable name, for determinism independent of chart declaration order
         for i in sorted(remaining, key=lambda k: variables[k]):
-            result = search({**done, i: m}, tuple(r for r in remaining if r != i))
+            result = search({**done, i: weight}, wider,
+                            tuple(r for r in remaining if r != i))
             if result is None:
                 continue
-            key = tuple(sorted(result.values(), reverse=True))
-            if best_weights is None or key < best_weights:
-                best_weights, best_result = key, result
-        return best_result
+            # the sorted weights, compared over the product of both denominators
+            key = sorted(result[0].values(), reverse=True)
+            if best is None or [w * best[1] for w in key] < [w * result[1] for w in best_key]:
+                best, best_key = result, key
+        return best
 
-    assignment = search({}, tuple(range(n)))
-    if assignment is None:
+    found = search({}, 1, tuple(range(n)))
+    if found is None:
         raise ValueError("no admissible monomial centre exists")
+    assignment, den = found
     weights = [assignment[i] for i in range(n)]
-    orders = [sum((w * e for w, e in zip(weights, p)), Fraction(0)) for p in points]
-    assert all(o >= 1 for o in orders) and min(orders) == 1, \
+    orders = [sum(w * e for w, e in zip(weights, p)) for p in points]
+    assert all(o >= den for o in orders) and min(orders) == den, \
         "maximal monomial centre is not admissible"
 
-    exponents = tuple(INF if w == 0 else Fraction(1) / w for w in weights)
+    exponents = tuple(INF if w == 0 else Fraction(den, w) for w in weights)
     centre = Centre(variables, exponents)
     sequence = InvariantSeq(tuple(sorted((a for a in exponents if not is_infinite(a)))))
     checked = validate_invariant(sequence)
     warning = None
-    if checked.status != VALID:
+    if checked.status == INVALID:
         warning = (f"monomial-restricted sequence fails the invariant constraints "
                    f"at prefix {checked.witness}; it is only a lower bound")
+    elif checked.status == UNCHECKED:
+        warning = ("monomial-restricted sequence not checked against the invariant "
+                   "constraints (search budget exhausted); it is only a lower bound")
     return MonomialCentreResult(centre, checked, True, warning)
 
 
@@ -354,7 +387,7 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
         # v -> v + c*u gives u^d the coefficient h(1, c), h the tangent cone:
         # a nonzero polynomial in c of degree at most d with the root c = 0,
         # so one of the first d nonzero integers 1, -1, 2, -2, ... works
-        cone = [(e[1], a) for e, a in f.terms.items() if sum(e) == d]
+        cone = [(e[1], n) for e, n in f.nums.items() if sum(e) == d]
         c = next(c for k in range(1, d + 1) for c in (k, -k)
                  if sum(a * c ** j for j, a in cone) != 0)
         work = shear(f, v, Poly.var(f.variables, u).scale(c))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ring import Point, Poly, is_infinite, resultant
+from .ring import Point, Poly, is_infinite, resultant, univariate_gcd
 from .polyvector import (
     ABELIAN,
     HEISENBERG,
@@ -130,20 +130,26 @@ class ResolutionNode:
 
 
 def _is_squarefree(f: Poly) -> bool:
-    """Squarefree test through resultants with the derivative, per variable.
+    """Squarefree test of a two-variable f by one resultant in v = f.variables[1].
 
-    Only the zero test of each resultant is used, never its value; a repeated
-    factor ends the subresultant sequence at its first zero pseudo-remainder.
-    On a chart where only ``name`` occurs the resultant has degree zero and
-    is zero exactly when f has a repeated factor.
+    Write f = c(u)*g with c the content of f in v (the gcd of its
+    coefficients in v) and g primitive in v.  A repeated factor free of v
+    divides c twice, as it cannot divide g; the univariate test
+    gcd(c, c') = 1 rules it out.  A factor q of positive v-degree with q^2
+    dividing f divides f and f_v, so res_v(f, f_v) is zero; conversely a
+    common factor q of f and f_v of positive v-degree divides g and g_v,
+    hence q^2 divides g.  Only the zero test of the resultant is used; a
+    repeated factor ends the subresultant sequence at its first zero
+    pseudo-remainder.
     """
-    for name in f.variables:
-        derivative = f.diff(name)
-        if derivative.is_zero():
-            continue
-        if resultant(f, derivative, name).is_zero():
-            return False
-    return True
+    u, v = f.variables
+    rows = f.coefficients_in(v)
+    content = rows[0]
+    for row in rows[1:]:
+        content = univariate_gcd(content, row)
+    if univariate_gcd(content, content.diff(u)).total_degree() > 0:
+        return False
+    return len(rows) < 3 or not resultant(f, f.diff(v), v).is_zero()
 
 
 def resolve_plane_curve(f: Poly, max_steps: int = 6) -> ResolutionNode:
@@ -167,25 +173,32 @@ def resolve_plane_curve(f: Poly, max_steps: int = 6) -> ResolutionNode:
     singular point of an ancestor chart other than the one blown up, which
     a sibling branch resolves; and the resolver descends only from charts
     whose search is certain, so that ancestor point is rational and listed.
+
+    A certain root search proves f squarefree, so :func:`_is_squarefree`
+    runs only when the search is not certain.  A repeated factor of positive
+    v-degree divides f, f_u and f_v, so all three v-resultants of the search
+    vanish and, with no eliminant, it is not certain.  A repeated factor p(u)
+    divides every eliminant: at a rational root of p the slice of f is zero
+    and the search answers not certain, and an irrational root of p is never
+    accounted for by the rational roots.
     """
     if len(f.variables) != 2:
         raise ValueError("resolve_plane_curve expects a two-variable chart")
     if f.is_zero():
         raise ValueError("the zero polynomial does not define a curve")
-    if not _is_squarefree(f):
+    search = rational_singular_points(f)
+    if not search[1] and not _is_squarefree(f):
         raise ValueError("the curve equation must be squarefree")
 
-    root = _resolve_chart(f, "r", None, None, max_steps)
+    root = _resolve_chart(f, "r", None, None, max_steps, search)
     return root
 
 
 def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
-                   parent_invariant: Optional[InvariantSeq],
-                   budget: int, exceptional: Optional[str] = None) -> ResolutionNode:
-    if exceptional is None:
-        points, certain = rational_singular_points(equation)
-    else:
-        points, certain = exceptional_singular_points(equation, exceptional)
+                   parent_invariant: Optional[InvariantSeq], budget: int,
+                   search: Tuple[List[Point], bool]) -> ResolutionNode:
+    """The subtree of one chart, from the (points, certain) of its search."""
+    points, certain = search
     node = ResolutionNode(chart_id, parent_id, equation,
                           SMOOTH_LEAF if not points else SINGULAR,
                           singular_points=list(points))
@@ -222,12 +235,13 @@ def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
         )
         node.children.append(point_node)
         proper = pullback_function(plane.prepared, centre).proper_part
+        exceptional = exceptional_name(centre.variables)
         for name in centre.support():
             chart = slice_chart(centre, name)
-            child = _resolve_chart(_restrict_to_slice(proper, chart),
-                                   f"{point_node.chart_id}:{name}",
+            transform = _restrict_to_slice(proper, chart)
+            child = _resolve_chart(transform, f"{point_node.chart_id}:{name}",
                                    point_node.chart_id, plane.invariant, budget - 1,
-                                   exceptional=exceptional_name(centre.variables))
+                                   exceptional_singular_points(transform, exceptional))
             child.slice_variable = name
             child.residual_group_order = chart.residual_group_order
             point_node.children.append(child)

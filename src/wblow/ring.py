@@ -10,7 +10,7 @@ a dictionary mapping exponent tuples to nonzero ints, and a positive int.
 ``Poly.terms`` is a plain dictionary built from them on each read, mapping
 the same exponents to ``Fraction`` coefficients:
 ``{(2, 0, 0): Fraction(2, 3), (0, 2, 1): Fraction(-1, 3)}``; it is for
-printing and outside readers, and the library computes on ``nums`` and
+outside readers, and the library computes and prints from ``nums`` and
 ``den``.  The zero polynomial has no numerators.  All arithmetic is exact;
 no floating point is used anywhere in the package: a coefficient that is not
 an ``int`` or a ``Fraction`` is refused with ``TypeError``.
@@ -23,10 +23,10 @@ so ``den == 1`` for zero.  Equal polynomials therefore have equal fields,
 and equality and hashing compare them.  ``Poly.__init__`` is the one
 validating entry: it checks and normalises outside input.  The results of
 ``+``, ``-``, ``*``, ``**``, ``scale``, ``diff``, ``substitute``,
-``divides``, ``resultant`` and ``univariate_gcd``, the re-charted copies of
-``with_cap``, ``extend_variables``, ``drop_variables`` and
-``coefficients_in``, and ``var``, ``const`` and ``zero`` once the chart is
-checked, are valid by construction and go through the trusted
+``specialise``, ``divides``, ``resultant`` and ``univariate_gcd``, the
+re-charted copies of ``with_cap``, ``extend_variables``, ``drop_variables``
+and ``coefficients_in``, and ``var``, ``const`` and ``zero`` once the chart
+is checked, are valid by construction and go through the trusted
 ``Poly._from_numerators``, which divides out the content shared with the
 denominator, by one ``gcd``, only when ``den > 1``.  No Fraction is built in
 these operations.
@@ -549,6 +549,33 @@ class Poly:
             total += value
         return total / self.den
 
+    def specialise(self, name: str, value: Union[int, Fraction]) -> "Poly":
+        """Set ``name`` to the rational ``value``: the polynomial on the chart
+        without ``name``, equal to ``substitute`` by the constant followed by
+        ``drop_variables``.  With ``value`` = p/q and K the degree in ``name``,
+        a numerator n*name^k becomes n*p^k*q^(K-k) over den*q^K.  A truncated
+        polynomial is refused unless ``value`` is zero, as ``substitute``
+        refuses a constant image."""
+        i = self._index(name)
+        p, q = _ratio(value)
+        if self.cap is not None and p:
+            raise ValueError(f"cannot substitute {name} -> series with constant term "
+                             "into a truncated polynomial")
+        top = max((e[i] for e in self.nums), default=0)
+        out: Dict[Exponent, int] = {}
+        for exponent, n in self.nums.items():
+            k = exponent[i]
+            if k and not p:
+                continue
+            rest = exponent[:i] + exponent[i + 1:]
+            total = out.get(rest, 0) + n * p ** k * q ** (top - k)
+            if total:
+                out[rest] = total
+            else:
+                del out[rest]
+        return Poly._from_numerators(self.variables[:i] + self.variables[i + 1:], out,
+                                     self.den * q ** top, self.cap)
+
     def coefficients_in(self, name: str) -> List["Poly"]:
         """Coefficient list [c_0, ..., c_d] of self viewed in K[others][name]."""
         i = self._index(name)
@@ -598,23 +625,25 @@ class Poly:
     def __str__(self) -> str:
         if not self.nums:
             return "0"
+        den = self.den
         pieces: List[str] = []
-        for exponent, coeff in sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]),
-                                      reverse=True):
+        for exponent, n in sorted(self.nums.items(), key=lambda t: _grlex_key(t[0]),
+                                  reverse=True):
             factors: List[str] = []
             for v, k in zip(self.variables, exponent):
                 if k == 1:
                     factors.append(v)
                 elif k > 1:
                     factors.append(f"{v}^{k}")
-            magnitude = abs(coeff)
-            if not factors or magnitude != 1:
-                factors.insert(0, str(magnitude))
+            g = _int_gcd(n, den)
+            magnitude, d = abs(n) // g, den // g
+            if not factors or magnitude != 1 or d != 1:
+                factors.insert(0, str(magnitude) if d == 1 else f"{magnitude}/{d}")
             body = "*".join(factors)
             if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(body if n > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(pieces)
 
 

@@ -132,6 +132,17 @@ def test_negative_verdicts():
     assert main(["lift", "--centre", "x:2 y:3 z:3", "--sigma", "@x^@y^@z"]) == 1
 
 
+def test_validate_invariant_out_of_budget_exits_3(capsys):
+    # the sums of 1/2 and n/1000003 number about a million: not checked
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "--machine", "validate-invariant", "2,1000003,1000033")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert json.loads(out) == {"command": "validate-invariant",
+                               "entries": "2,1000003,1000033",
+                               "status": "unchecked", "witness": None}
+
+
 def test_indeterminate_exit_code(capsys):
     code, _, _ = run(capsys, "resolve-curve", "y^2 - (x^2 - 2)^2")
     assert code == 3
@@ -315,6 +326,14 @@ def test_blowup_slice_chart_cli(capsys):
                        "y^2 - x^3")
     assert code == 0
     assert out.strip() == "y^2 - 1"
+
+
+def test_blowup_slice_of_a_truncated_series_is_refused(capsys):
+    # setting x = 1 in a series truncated at degree 6 would keep only y^2
+    code, out, err = run(capsys, "blowup", "--centre", "x:1 y:2", "--slice", "x",
+                         "--cap", "6", "y^2 - x^3")
+    assert code == 2 and out == ""
+    assert "constant term into a truncated polynomial" in err
 
 
 def test_verify_duval_normal_form_cli(capsys):

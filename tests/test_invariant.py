@@ -11,8 +11,11 @@ from wblow.ring import INF, Poly, parse_poly
 from wblow.centre import Centre, parse_centre
 from wblow.invariant import (
     INVALID,
+    UNCHECKED,
+    VALIDATION_BUDGET,
     InvariantSeq,
     VALID,
+    _partial_sums_reachable,
     canonical_numerics,
     is_admissible,
     lex_compare,
@@ -50,6 +53,75 @@ def test_validate_first_entry_integer():
 def test_validate_rejects_non_monotone():
     with pytest.raises(ValueError):
         seq("3,2")
+
+
+def _reachable_by_fractions(entries, j):
+    """Whether 1 = sum n_i/a_i has a solution with n_j > 0, by Fraction sums
+    over the prefix bounded by one: the oracle of the integer search."""
+    reachable = {F(0)}
+    for a in entries[:j - 1]:
+        new = set()
+        for s in reachable:
+            n = 0
+            while s + F(n) / a <= 1:
+                new.add(s + F(n) / a)
+                n += 1
+        reachable = new
+    a_j = entries[j - 1]
+    return any(1 - F(n) / a_j in reachable for n in range(1, int(a_j) + 1))
+
+
+def test_partial_sums_match_the_fraction_search():
+    rng = random.Random(18)
+    verdicts = []
+    for _ in range(3000):
+        entries = sorted(F(rng.randint(1, 14), rng.choice((1, 1, 2, 3, 4)))
+                         for _ in range(rng.randint(1, 4)))
+        j = rng.randint(1, len(entries))
+        found, generated = _partial_sums_reachable(entries, j, VALIDATION_BUDGET)
+        assert found == _reachable_by_fractions(entries, j), (entries, j)
+        assert 0 <= generated <= VALIDATION_BUDGET
+        verdicts.append(found)
+    assert 500 < sum(verdicts) < 2500
+
+
+def test_validation_budget_leaves_large_entries_unchecked():
+    # the sets of sums grow with the product of the entries' numerators
+    entries = seq("2,1000003,1000033").finite_entries()
+    assert _partial_sums_reachable(entries, 3, VALIDATION_BUDGET)[0] is None
+    assert _partial_sums_reachable(entries, 2, VALIDATION_BUDGET) == (True, 3)
+    assert validate_invariant(seq("2,1000003,1000033")).status == UNCHECKED
+    # short prefixes stay within the budget, either way
+    assert validate_invariant(seq("2,1000003")).status == VALID
+    failed = validate_invariant(seq("2,1000003/2"))
+    assert failed.status == INVALID and failed.witness == 2
+    assert validate_invariant(seq("2,7919,7927")).status == VALID
+    big = Poly(V3, {(2, 0, 0): 1, (0, 1000003, 0): 1, (0, 0, 1000033): 1})
+    result = max_monomial_centre(big)
+    assert result.invariant.status == UNCHECKED
+    assert "not checked" in result.warning and "fails" not in result.warning
+
+
+def _fractions_built(monkeypatch, call):
+    calls = [0]
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls[0] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    call()
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_invariant_search_builds_few_fractions(monkeypatch):
+    # the search runs on integer numerators; only the returned weights are Fractions
+    sequences = [seq(text) for text in ("2,3,9/2", "2,3,11/2", "2,2,13", "2,7919,7927")]
+    assert _fractions_built(monkeypatch, lambda: [validate_invariant(s) for s in sequences]) == 0
+    f = parse_poly("x^2 + y^2 + z^13", V3)
+    assert _fractions_built(monkeypatch, lambda: max_monomial_centre(f)) <= 60
 
 
 GRID = sorted({F(p, q) for q in range(1, 7) for p in range(1, 12 * q + 1)})

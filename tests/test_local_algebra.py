@@ -26,7 +26,7 @@ from wblow.classify import (
     local_quotient_dimension,
     milnor_number,
 )
-from wblow.ring import Poly
+from wblow.ring import Poly, parse_poly
 
 from conftest import V2, V3
 
@@ -187,11 +187,31 @@ def test_stabilisation_stops_where_the_reference_does(flavour, variables, seed, 
 
 
 def _schedule(bound):
-    """6, 12, 24, ... capped at bound + 1."""
-    degrees = [min(6, bound + 1)]
-    while degrees[-1] < bound + 1:
-        degrees.append(min(2 * degrees[-1], bound + 1))
+    """6, 12, 24, ... capped at bound + 1, and the cap at once when the
+    doubled degree is within a quarter of it."""
+    last = bound + 1
+    degrees = [min(6, last)]
+    while degrees[-1] < last:
+        doubled = 2 * degrees[-1]
+        degrees.append(last if 5 * doubled >= 4 * last else min(doubled, last))
     return degrees
+
+
+@pytest.mark.parametrize("bound, degrees", [(12, [6, 13]), (16, [6, 12, 17]),
+                                            (24, [6, 12, 25])])
+def test_schedule_goes_straight_to_a_near_cap(bound, degrees, monkeypatch):
+    # A40 stabilises at j = 41, beyond every bound here: the whole schedule runs
+    f = parse_poly("x^2 + y^2 + z^41", V3)
+    seen = []
+    original = classify_module._local_dimensions
+
+    def recording(gens, degree):
+        seen.append(degree)
+        return original(gens, degree)
+
+    monkeypatch.setattr(classify_module, "_local_dimensions", recording)
+    assert local_dimension_is_zero([f.diff(v) for v in V3], bound) == (None, None)
+    assert seen == degrees == _schedule(bound)
 
 
 def test_wide_exponent_does_not_overflow_the_packing():

@@ -26,7 +26,7 @@ from wblow.resolve import (
     select_centre_32,
 )
 
-from conftest import V2, V3
+from conftest import V2, V3, random_nonzero_poly
 
 F = Fraction
 CORPUS = [("node", "y^2 - x^2"), ("cusp", "y^2 - x^3"), ("tacnode", "y^2 - x^4"),
@@ -95,6 +95,50 @@ def test_one_variable_chart_resolves_without_blowups(text):
 def test_one_variable_chart_must_be_squarefree(text):
     with pytest.raises(ValueError, match="must be squarefree"):
         resolve_plane_curve(parse_poly(text, V2))
+
+
+def _squarefree_per_variable(f):
+    """The squarefree test by one resultant with the derivative per
+    variable, the oracle of the one-resultant ``_is_squarefree``."""
+    for name in f.variables:
+        derivative = f.diff(name)
+        if not derivative.is_zero() and resultant(f, derivative, name).is_zero():
+            return False
+    return True
+
+
+def _non_squarefree_products(seed=18, count=1000):
+    """Products a^2*b with a nonconstant in both variables, in x alone or in
+    y alone, and b nonzero."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        chart = rng.choice([V2, V2, ("x",), ("y",)])
+        a = random_nonzero_poly(rng, chart, max_degree=2, max_terms=3)
+        if a.total_degree() < 1:
+            continue
+        a = a.extend_variables(V2)
+        out.append(a * a * random_nonzero_poly(rng, V2, max_degree=2, max_terms=3))
+    return out
+
+
+def test_an_uncertain_search_on_every_non_squarefree_product():
+    # a certain root search proves squarefreeness, which the resolver relies on
+    for f in _non_squarefree_products():
+        assert rational_singular_points(f)[1] is False, str(f)
+        with pytest.raises(ValueError, match="must be squarefree"):
+            resolve_plane_curve(f)
+
+
+def test_one_resultant_squarefree_test_matches_one_per_variable():
+    rng = random.Random(19)
+    curves = _non_squarefree_products(seed=20, count=200)
+    curves += [random_nonzero_poly(rng, V2, max_degree=4, max_terms=5) for _ in range(400)]
+    curves += [random_nonzero_poly(rng, V2, 2, 3) * random_nonzero_poly(rng, V2, 2, 3)
+               for _ in range(200)]
+    verdicts = [_is_squarefree(f) for f in curves]
+    assert verdicts == [_squarefree_per_variable(f) for f in curves]
+    assert not any(verdicts[:200]) and sum(verdicts) > 300
 
 
 def test_irrational_singularities_marked_indeterminate():
@@ -183,27 +227,42 @@ def test_products_2335_resolve_completely(text):
     assert not any(node.notes for node, _ in _blowup_charts(tree))
 
 
-def test_one_global_singular_point_search_per_tree(monkeypatch):
-    """Only the root chart runs the elimination; blowup charts run none."""
-    searches, before, after = [0], [0], [0]
+def _resultants_by_phase(monkeypatch, text):
+    """Resultants taken before, inside and after the one global search, for
+    the tree of ``text``."""
+    phase, counts = ["before"], {"before": 0, "search": 0, "after": 0}
 
     def counting_resultant(*args):
-        (after if searches[0] else before)[0] += 1
+        counts[phase[0]] += 1
         return resultant(*args)
 
     def counting_search(f):
-        searches[0] += 1
-        return rational_singular_points(f)
+        assert phase[0] == "before", "more than one global search"
+        phase[0] = "search"
+        found = rational_singular_points(f)
+        phase[0] = "after"
+        return found
 
     monkeypatch.setattr(resolve_module, "resultant", counting_resultant)
     monkeypatch.setattr(blowup_module, "resultant", counting_resultant)
     monkeypatch.setattr(resolve_module, "rational_singular_points", counting_search)
-    tree = resolve_plane_curve(parse_poly("(y^2 - 3*x^3)*(y^3 - 5*x^5)", V2))
+    tree = resolve_plane_curve(parse_poly(text, V2))
+    assert phase[0] == "after"
+    return tree, (counts["before"], counts["search"], counts["after"])
+
+
+def test_one_global_singular_point_search_per_tree(monkeypatch):
+    """Only the root chart runs the elimination; blowup charts run none.  A
+    certain root search proves the curve squarefree, so its three
+    resultants are the only ones; an uncertain one adds the one resultant
+    of _is_squarefree."""
+    tree, counts = _resultants_by_phase(monkeypatch, "(y^2 - 3*x^3)*(y^3 - 5*x^5)")
     assert resolution_is_complete(tree) and count_blowups(tree) == 2
-    assert searches[0] == 1
-    # _is_squarefree takes one resultant per variable; from the root search
-    # on, its three are the only ones
-    assert (before[0], after[0]) == (2, 3)
+    assert counts == (0, 3, 0)
+    # two parabolas crossing at the irrational points (+-sqrt(2), 0)
+    tree, counts = _resultants_by_phase(monkeypatch, "y^2 - (x^2 - 2)^2")
+    assert tree.status == "indeterminate" and not tree.children
+    assert counts == (0, 3, 1)
 
 
 # --- centre selection: curves in threefolds ---------------------------------------------

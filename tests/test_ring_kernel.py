@@ -187,6 +187,34 @@ def test_substitute(seed):
             for v, p in zip(variables, point) if p})
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_specialise_is_substitute_then_drop(seed):
+    """Setting a variable to 0, -2 or 3/5 on the integer numerators equals
+    substituting the constant and dropping the variable, on polynomials with
+    denominators 2, 3 and 6; a truncated one is refused unless the value is
+    zero, as substitute refuses a constant image."""
+    rng = random.Random(seed)
+    variables = NAMES[:rng.randint(1, 4)]
+    terms = {tuple(rng.randint(0, 3) for _ in variables):
+             F(rng.randint(-9, 9), rng.choice((1, 2, 3, 6))) for _ in range(rng.randint(0, 6))}
+    a = Poly(variables, terms)
+    capped = a.with_cap(rng.randint(1, 8))
+    for name in variables:
+        for value in (0, -2, F(3, 5)):
+            image = {name: Poly.const(variables, value)}
+            result = a.specialise(name, value)
+            assert_canonical(result)
+            assert result == a.substitute(image).drop_variables([name])
+            if value:
+                for refused in (lambda: capped.specialise(name, value),
+                                lambda: capped.substitute(image)):
+                    with pytest.raises(ValueError, match="constant term"):
+                        refused()
+            else:
+                assert capped.specialise(name, 0) == \
+                    capped.substitute(image).drop_variables([name])
+
+
 def test_cancellation_and_caps():
     x = Poly.var(("x", "y"), "x")
     y = Poly.var(("x", "y"), "y")
@@ -224,9 +252,30 @@ def test_canonical_after_each_operation():
     assert [p.den for p, _ in cases] == [1, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1]
 
 
+def _fraction_str(p: Poly) -> str:
+    """The printed form read off the Fraction coefficients, term by term."""
+    pieces = []
+    for exponent, coeff in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]),
+                                  reverse=True):
+        factors = [v if k == 1 else f"{v}^{k}" for v, k in zip(p.variables, exponent) if k]
+        if not factors or abs(coeff) != 1:
+            factors.insert(0, str(abs(coeff)))
+        sign = ("" if coeff > 0 else "-") if not pieces else ("+ " if coeff > 0 else "- ")
+        pieces.append(sign + "*".join(factors))
+    return " ".join(pieces) or "0"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_printing_matches_the_fraction_form(seed):
+    _, _, a, b = _pair(seed)
+    for p in (a, b, a * b, -a):
+        assert str(p) == _fraction_str(p)
+
+
 def test_kernel_builds_no_fraction(monkeypatch):
-    """Products, sums, differences, integer scaling, derivatives and
-    substitutions compute on integers only, even with denominators 2, 3, 6."""
+    """Products, sums, differences, integer scaling, derivatives,
+    substitutions, specialisations and printing compute on integers only,
+    even with denominators 2, 3, 6."""
     variables = ("x", "y", "z")
     a = Poly(variables, {(2, 1, 0): F(1, 2), (0, 1, 1): F(-2, 3), (1, 0, 0): F(5, 6)})
     b = Poly(variables, {(1, 1, 0): F(3, 2), (0, 0, 2): F(1, 3), (0, 0, 0): F(7, 6)})
@@ -235,6 +284,7 @@ def test_kernel_builds_no_fraction(monkeypatch):
     blowdown = {v: Poly.var(extended, v) * t ** w for v, w in zip(variables, (3, 2, 1))}
     lifted = a.extend_variables(extended)
     shift = {"x": Poly.var(variables, "x") + Poly.const(variables, F(1, 2))}
+    value = F(3, 5)
     calls = [0]
     original = Fraction.__new__
 
@@ -244,7 +294,8 @@ def test_kernel_builds_no_fraction(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     results = [a * b, b * a, a * a, a + b, a - b, b - b, a.scale(6), a.scale(-4),
-               a.diff("x"), b.diff("z"), lifted.substitute(blowdown), a.substitute(shift)]
+               a.diff("x"), b.diff("z"), lifted.substitute(blowdown), a.substitute(shift),
+               a.specialise("y", value), b.specialise("x", 2), str(a), str(b)]
     assert calls[0] == 0
     F(1, 3)
     assert calls[0] == 1
@@ -254,6 +305,9 @@ def test_kernel_builds_no_fraction(monkeypatch):
     assert results[8:10] == [ref_diff(a, "x"), ref_diff(b, "z")]
     assert results[10] == ref_substitute(lifted, blowdown)
     assert results[11] == ref_substitute(a, shift)
+    for result, p, name, at in ((results[12], a, "y", value), (results[13], b, "x", 2)):
+        assert result == p.substitute({name: Poly.const(variables, at)}).drop_variables([name])
+    assert results[14:] == [_fraction_str(a), _fraction_str(b)]
 
 
 def _call_count(monkeypatch, owners, name, call):
