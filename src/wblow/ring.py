@@ -1133,11 +1133,11 @@ class _ExprParser:
     plain polynomial parse rejects any '@' token.
     """
 
-    def __init__(self, text: str, variables: Sequence[str], allow_wedge: bool):
-        self.text = text
+    def __init__(self, tokens: Sequence[Tuple[str, str, int]], variables: Sequence[str],
+                 allow_wedge: bool):
         self.variables = tuple(variables)
         self.allow_wedge = allow_wedge
-        self.tokens = tokenize(text)
+        self.tokens = tokens
         self.pos = 0
 
     def peek(self) -> Tuple[str, str, int]:
@@ -1244,9 +1244,15 @@ class _ExprParser:
         raise ParseError(f"unexpected token {token[1]!r}", token[2])
 
 
-def parse_poly(text: str, variables: Sequence[str]) -> Poly:
-    """Parse an expression into a canonical Poly over the given chart."""
-    terms = _ExprParser(text, variables, allow_wedge=False).parse()
+def parse_poly(text: str, variables: Sequence[str],
+               tokens: Optional[Sequence[Tuple[str, str, int]]] = None) -> Poly:
+    """Parse an expression into a canonical Poly over the given chart.
+
+    ``tokens``, when given, is ``tokenize(text)`` computed by the caller.
+    """
+    if tokens is None:
+        tokens = tokenize(text)
+    terms = _ExprParser(tokens, variables, allow_wedge=False).parse()
     total = Poly.zero(tuple(variables))
     for coeff, _ in terms:
         total = total + coeff

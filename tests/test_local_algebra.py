@@ -5,7 +5,10 @@ against sympy's Groebner bases.
 below k once, on their lowest monomials, and reads dim O/(I + m^j) for every
 j <= k from the pivots.  The reference below is the direct definition: for
 each degree j on its own, the same shifts truncated below j, reduced in
-``Fraction`` on their grlex-highest monomial.  The Milnor oracle is global:
+``Fraction`` on their grlex-highest monomial, with no shift skipped: the
+syzygy criterion of ``_local_dimensions`` must change no dimension, and the
+flavours ``duplicate``, ``shifted``, ``many`` and ``unit_last`` hand it
+generators that earlier ones make partly or wholly redundant.  The Milnor oracle is global:
 for a quasi-homogeneous germ with an isolated critical point the Jacobian
 ideal has no other zero, so mu is the dimension of Q[x, y, z]/(df), which
 sympy reads off the staircase of a Groebner basis.
@@ -99,7 +102,8 @@ def _power(n, i, k):
     return tuple(k if j == i else 0 for j in range(n))
 
 
-FLAVOURS = ("isolated", "deep", "random", "unit", "non_isolated", "wide")
+ADDED_TO_ISOLATED = ("duplicate", "shifted", "many", "unit_last")
+FLAVOURS = ("isolated", "deep", "random", "unit", "non_isolated", "wide", *ADDED_TO_ISOLATED)
 
 
 def generator_set(flavour, variables, seed):
@@ -108,11 +112,16 @@ def generator_set(flavour, variables, seed):
     terms of higher degree, so that they stabilise late; ``random`` ones are
     arbitrary; ``unit`` sets hold a generator with a constant term;
     ``non_isolated`` ones share a linear factor; ``wide`` ones hold a pure
-    power of exponent 60, far above the truncation degrees."""
+    power of exponent 60, far above the truncation degrees.  The rest add to
+    an ``isolated`` set: ``duplicate`` a copy (even seeds) or a rational
+    multiple (odd seeds) of one of its generators, ``shifted`` a monomial
+    multiple x^a*g of one, ``many`` two random generators (more generators
+    than variables), and ``unit_last`` a unit with more terms than any other
+    generator, so that it is reduced last."""
     rng = random.Random(f"{flavour}:{len(variables)}:{seed}")
     n = len(variables)
     gens = []
-    if flavour in ("isolated", "deep", "wide", "unit"):
+    if flavour in ("isolated", "deep", "wide", "unit", *ADDED_TO_ISOLATED):
         for i in range(n):
             if flavour == "deep":
                 terms = _tail(rng, n, 5, 6)
@@ -127,6 +136,21 @@ def generator_set(flavour, variables, seed):
             gens.append({_power(n, n - 1, 60): _coefficient(rng),
                          _power(n, 0, 3): _coefficient(rng)})
             gens[rng.randrange(n)][_power(n, rng.randrange(n), 60)] = _coefficient(rng)
+        if flavour == "duplicate":
+            factor = F(1) if seed % 2 == 0 else _coefficient(rng)
+            gens.append({e: factor * c for e, c in rng.choice(gens).items()})
+        if flavour == "shifted":
+            shift = _monomial(rng, n, 1, 3)
+            gens.append({tuple(a + b for a, b in zip(e, shift)): c
+                         for e, c in rng.choice(gens).items()})
+        if flavour == "many":
+            gens.extend({_monomial(rng, n, 1, 4): _coefficient(rng), **_tail(rng, n)}
+                        for _ in range(2))
+        if flavour == "unit_last":
+            unit = {(0,) * n: _coefficient(rng)}
+            while len(unit) <= max(map(len, gens)):
+                unit[_monomial(rng, n, 1, 3)] = _coefficient(rng)
+            gens.append(unit)
     else:
         gens = [_tail(rng, n, 1, 4, 4) for _ in range(rng.randint(1, n + 1))]
     polys = [Poly(variables, g) for g in gens]
@@ -151,7 +175,7 @@ def test_dimensions_match_the_per_degree_reference(flavour, variables, seed):
     assert dims == [reference_dimension(generators, j) for j in range(k + 1)]
     for j in (1, 4, k):
         assert local_quotient_dimension(generators, j) == dims[j]
-    if flavour == "unit":
+    if flavour in ("unit", "unit_last"):
         assert dims == [0] * (k + 1)
     if flavour == "non_isolated":
         # a common factor through the origin: the quotient grows with j
@@ -230,6 +254,41 @@ def test_monomial_ideal_dimensions_are_staircase_counts():
     staircase = [e for e in itertools.product(range(2), range(3), range(4))]
     assert dims == [sum(1 for e in staircase if sum(e) < j) for j in range(13)]
     assert dims[7] == dims[12] == 24
+
+
+# --- the syzygy skip -----------------------------------------------------------------
+
+# the polynomial map of ROADMAP item 1(b), invertible at the origin (its
+# linear part has determinant -7), so it keeps the Milnor number
+MOVE = {"x": "x + 2*y - z + y*z", "y": "y - 3*z + x^2", "z": "z + x - y"}
+
+
+def _moved(f):
+    return f.substitute({v: parse_poly(image, V3) for v, image in MOVE.items()})
+
+
+def test_almost_no_row_reduces_to_zero(monkeypatch):
+    # without the skip, 1492 of the 2448 rows of this reduction were zero
+    gradient = [_moved(DUVAL_EQUATIONS["A"](13, V3)).diff(v) for v in V3]
+    rows, zero = [0], [0]
+    original = classify_module.insert_row
+
+    def counting(pivots, row):
+        rank = len(pivots)
+        original(pivots, row)
+        rows[0] += 1
+        zero[0] += len(pivots) == rank
+
+    monkeypatch.setattr(classify_module, "insert_row", counting)
+    dims = _local_dimensions(gradient, 17)
+    assert dims[14] == dims[15] == 13
+    assert 20 * zero[0] < rows[0]
+
+
+@pytest.mark.parametrize("family, n, bound", [("A", 13, 16), ("D", 16, 18), ("A", 25, 28)])
+def test_moved_ade_milnor_numbers_at_raised_bounds(family, n, bound):
+    f = DUVAL_EQUATIONS[family](n, V3)
+    assert milnor_number(_moved(f), bound) == milnor_number(f, bound) == n
 
 
 # --- Milnor numbers against the Groebner quotient --------------------------------------
