@@ -417,7 +417,7 @@ def strict_transform_in_chart(f: Poly, centre: Centre, name: str) -> Poly:
 
 def _restrict_to_slice(proper: Poly, chart: SliceChart) -> Poly:
     """A proper part on the extended chart, restricted to a slice chart."""
-    return proper.specialise(chart.slice_variable, 1).extend_variables(chart.variables)
+    return proper.specialise(chart.slice_variable, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -343,10 +343,13 @@ def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
     """Shears taking the quadratic form q to a diagonal form (Lagrange).
 
     Each round takes the first variable u whose square occurs and removes
-    the cross terms u*w by u -> u + shift; when no square occurs, a cross
-    term v*w is turned into a square by v -> v + w first.  Returns the steps
-    in order and the pivots, the Morse coordinates: their number is the rank
-    of q over Q.  A diagonal q gives no steps.
+    the cross terms u*w by u -> u + shift.  When no square occurs, a cross
+    term c*v*w is a hyperbolic pivot: with q = c*v*w + v*L + w*M + R, the
+    shears v -> v - M/c and w -> w - L/c leave c*v*w + R - L*M/c, and both v
+    and w become Morse coordinates.  Returns the steps in order and the
+    pivots, the Morse coordinates: their number is the rank of q over Q.  A
+    diagonal q, or one that is c*v*w plus a form in the other variables,
+    gives no steps.
     """
     variables = q.variables
     steps: List[Tuple[str, Poly]] = []
@@ -355,18 +358,23 @@ def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
         squares = [v for v in variables
                    if tuple(2 if w == v else 0 for w in variables) in q.nums]
         if squares:
-            pivot = squares[0]
+            pivots = squares[:1]
+            found = subleading_shift(q, pivots[0])
+            shifts = [] if found is None else [(pivots[0], found[0])]
         else:
             exponent = min(q.nums)
-            source, pivot = [v for v, e in zip(variables, exponent) if e]
-            steps.append((source, Poly.var(variables, pivot)))
-            q = shear(q, *steps[-1])
-        found = subleading_shift(q, pivot)
-        if found is not None:
-            steps.append((pivot, found[0]))
-            q = shear(q, *steps[-1])
-        morse.append(pivot)
-        q = q.coefficients_in(pivot)[0].extend_variables(variables)
+            pivots = [v for v, e in zip(variables, exponent) if e]
+            c = q.terms[exponent]
+            # -M/c = (c*v - dq/dw)/c; the first shear keeps dq/dv - c*w = L
+            shifts = [(v, (Poly.var(variables, v).scale(c) - q.diff(w)).scale(1 / c))
+                      for v, w in (pivots, pivots[::-1])]
+        for step in shifts:
+            if not step[1].is_zero():
+                steps.append(step)
+                q = shear(q, *step)
+        morse.extend(pivots)
+        for pivot in pivots:
+            q = q.coefficients_in(pivot)[0].extend_variables(variables)
     return steps, morse
 
 
@@ -540,6 +548,7 @@ class TripleReport:
     duval_witness_centre: Optional[Centre] = None
     isolated_sigma_zero: Optional[bool] = None
     surface_class: Optional[SingularityClass] = None
+    prepared_sigma: Optional[Polyvector] = None  # in the surface's prepared coordinates
     diagnostics: List[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -643,46 +652,47 @@ def detect_nonnilpotent_point(sigma: Polyvector, y_generators: Sequence[Poly],
 def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport:
     """Decide whether a surface triple has a Du Val point at ``point``.
 
-    Three conditions: the bivector has an isolated zero; the surface germ is
-    of type A, D or E; and at the quasi-homogeneity exponents of that class
-    the leading term of the bivector is a constant multiple of the Jacobian
-    structure of the leading term of the equation.  That centre is reported
-    as the witness.  A bivector that is a constant multiple of the Jacobian
-    structure of the whole equation meets the third condition without one:
-    the answer is True with ``duval_witness_centre`` None.
+    Three conditions, read in the prepared coordinates of the surface class,
+    where the sheared bivector is kept as ``prepared_sigma``: the bivector
+    has an isolated zero; the surface germ is of type A, D or E; and the
+    bivector is Jacobian for some volume form.  The third holds when, at the
+    quasi-homogeneity exponents of the class, the leading term of the
+    bivector is a constant multiple of the Jacobian structure of the leading
+    term of the equation; that centre is reported as the witness.  It also
+    holds, with ``duval_witness_centre`` None, for a unit multiple u*J(f)
+    with u(0) != 0: that is the Jacobian structure of f for the volume form
+    u^-1*dx^dy^dz.  An isolated Du Val germ that matches neither is not
+    certified either way: ``duval`` stays None, with a diagnostic.
     """
     if not is_tangent(sigma, f):
         raise ValueError("the bivector is not tangent to the surface")
     if f.evaluate(point) != 0:
         raise ValueError(f"point {point} does not lie on the surface")
-    sigma0 = sigma.translate(point)
     f0 = f.translate(point)
     report = TripleReport(point=point)
-    surface = classify_surface(f0)
-    report.surface_class = surface
+    surface = report.surface_class = classify_surface(f0)
     prepared_f = surface.prepared
-    prepared_sigma = sigma0
+    prepared_sigma = sigma.translate(point)
     for step in surface.preparation:
         prepared_sigma = shear(prepared_sigma, *step)
+    report.prepared_sigma = prepared_sigma
 
     # isolatedness does not depend on the coordinates; in the prepared ones
-    # a zero line straightened onto an axis is found.  For a nonzero multiple
-    # of J(prepared_f) the coefficients are the partials of prepared_f up to
-    # sign, so the Milnor verdict classify_surface computed is the answer.
-    coefficients = list(prepared_sigma.terms.values())
+    # a zero line straightened onto an axis is found.  For a unit multiple of
+    # J(prepared_f) the coefficients are the partials of prepared_f up to a
+    # unit, so the Milnor verdict classify_surface computed is the answer.
     mu = surface.milnor
-    jacobian_multiple = mu is not None and _constant_ratio(
-        prepared_sigma, jacobian_poisson(prepared_f)) is not None
+    jacobian_multiple = mu is not None and _is_unit_multiple(
+        prepared_sigma, jacobian_poisson(prepared_f))
     if jacobian_multiple:
         isolated = None if mu == INDETERMINATE else mu != UNBOUNDED
-    elif coefficients:
-        isolated, _ = local_dimension_is_zero(coefficients)
+    elif not prepared_sigma.is_zero():
+        isolated, _ = local_dimension_is_zero(list(prepared_sigma.terms.values()))
     else:
         isolated = False
     report.isolated_sigma_zero = bool(isolated)
     if isolated is None:
         report.diagnostics.append("isolatedness of the bivector zero is indeterminate")
-        report.duval = None
         return report
     if not (isolated and surface.is_du_val()):
         report.duval = False
@@ -696,37 +706,28 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
             continue
         lead_f = centre.leading_term_poly(prepared_f)
         lead_sigma = centre.leading_term_polyvector(prepared_sigma)
-        target = jacobian_poisson(lead_f)
-        ratio = _constant_ratio(lead_sigma, target)
-        if ratio is not None:
+        if _is_unit_multiple(lead_sigma, jacobian_poisson(lead_f)):
             report.duval = True
             report.duval_witness_centre = centre
             return report
     if jacobian_multiple:
-        # c*J(f) = J(c*f) is the Jacobian structure of the Du Val germ c*f in
-        # any coordinates: Du Val without a class-centre witness
         report.duval = True
         return report
-    report.duval = False
-    report.diagnostics.append("no class centre matches the leading term of the bivector")
+    report.diagnostics.append("no class centre matches the leading term of the bivector, "
+                              "which is no unit multiple of J(f)")
     return report
 
 
-def _constant_ratio(left: Polyvector, right: Polyvector) -> Optional[Fraction]:
-    """The nonzero constant c with left = c * right, if one exists."""
+def _is_unit_multiple(left: Polyvector, right: Polyvector) -> bool:
+    """Whether left = u*right with u(0) != 0: one exact division of a
+    component and one comparison.  Between quasi-homogeneous leading terms
+    of one weighted degree u is a nonzero constant."""
     if right.is_zero() or left.is_zero():
-        return None
+        return False
     indices, coeff = next(iter(right.terms.items()))
     other = left.terms.get(indices)
-    if other is None:
-        return None
-    exponent, value = next(iter(coeff.nums.items()))
-    if exponent not in other.nums:
-        return None
-    ratio = Fraction(other.nums[exponent] * coeff.den, value * other.den)
-    if left != right.scale(ratio):
-        return None
-    return ratio
+    unit = None if other is None else divides(coeff, other)
+    return unit is not None and unit.constant_term() != 0 and left == right.scale(unit)
 
 
 # ---------------------------------------------------------------------------

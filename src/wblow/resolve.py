@@ -13,11 +13,11 @@ selection for Poisson triples at the origin of normal-form coordinates: curves i
 threefolds split by the linearized Lie algebra class (abelian points take the
 unweighted point centre; Heisenberg points take the associated centre or a
 b-completion of the bivector's vanishing surface, depending on the dimension
-of that vanishing locus), and surfaces in threefolds take the associated
-centre away from invariant (2,3,3), the surface classes D and the Whitney
-umbrella, which are selected in the prepared coordinates of the class: an
-isolated type-D point at its witness centre, a singular curve by the
-unweighted centre on it.  Every selected centre is
+of that vanishing locus).  Surfaces in threefolds are selected, every class,
+in the prepared coordinates of their surface class: the associated centre
+away from invariant (2,3,3) (the classes D and the Whitney umbrella), and at
+it an isolated type-D point's witness centre or, on a singular curve, the
+unweighted centre on the curve.  Every selected centre is
 certified conilpotent; unrecognised inputs are refused with diagnostics, not
 approximated.
 """
@@ -62,7 +62,7 @@ from .invariant import (
 from .classify import (
     D_CLASS,
     WHITNEY_UMBRELLA,
-    SingularityClass,
+    TripleReport,
     detect_duval_point,
     detect_nonnilpotent_point,
     line_in_zero_locus,
@@ -481,18 +481,18 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
 def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
     """Centre selection for a surface in a threefold at the origin; translate first.
 
-    The coordinates are normal-form coordinates.  Du Val points of the
-    triple are terminal.  Away from them, the associated monomial centre is
-    selected unless the surface class is D or the Whitney umbrella, those of
-    invariant (2,3,3).  These are selected in the prepared coordinates of
-    the class, its preparation recorded as the selection's coordinate
-    change: an isolated type-D point at the class's witness centre (refused
-    when there is none), a one-dimensional singular locus by the unweighted
-    centre on the curve, certified through the logarithmic tangency
-    argument.  Every selected centre passes the blowup-step certificate.
-    When the Du Val verdict is indeterminate, a certified centre still
-    rules a Du Val point out, but a failed certificate is a refusal, not
-    StepAbort.  Returns the one selection at the origin, as a list.
+    Du Val points of the triple are terminal.  Away from them every class is
+    selected in the prepared coordinates of ``classify_surface``, its
+    preparation recorded as the selection's coordinate change: the
+    associated monomial centre of the prepared germ, unless the class is D
+    or the Whitney umbrella, those of invariant (2,3,3), where an isolated
+    type-D point takes the class's witness centre (refused when there is
+    none) and a one-dimensional singular locus the unweighted centre on the
+    curve, certified through the logarithmic tangency argument.  Every
+    selected centre passes the blowup-step certificate.  When the Du Val
+    verdict is None, a certified centre still rules a Du Val point out, but
+    a failed certificate is a refusal, not StepAbort.  Returns the one
+    selection at the origin, as a list.
     """
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
@@ -507,7 +507,7 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
             "Du Val point of the triple: no codegenerate centre exists "
             "(weight sums exceed one)")]
     try:
-        return _select_away_from_duval(sigma, f, duval.surface_class)
+        return _select_away_from_duval(duval)
     except StepAbort as abort:
         if duval.duval is False:
             raise
@@ -516,25 +516,23 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
                            + "; ".join(duval.diagnostics) + f") and {abort}") from abort
 
 
-def _select_away_from_duval(sigma: Polyvector, f: Poly, surface: SingularityClass
-                            ) -> List[CentreSelection]:
-    """The certified selection of ``select_centre_32`` at a point that is not Du Val."""
-    variables = sigma.variables
+def _select_away_from_duval(duval: TripleReport) -> List[CentreSelection]:
+    """The certified selection of ``select_centre_32`` at a point that is not
+    Du Val, in the prepared coordinates of the surface class."""
+    surface = duval.surface_class
+    sigma, f, change = duval.prepared_sigma, surface.prepared, surface.preparation
     if surface.kind not in (D_CLASS, WHITNEY_UMBRELLA):
-        centre = max_monomial_centre(f).centre
+        # a witness is the monomial centre of the prepared germ, found once
+        centre = surface.witness_centre or max_monomial_centre(f).centre
         reduced = centre.reduced()
         if all(a == 1 for a in reduced.exponents if not is_infinite(a)):
             centre = reduced  # unweighted up to rescaling: report the reduction
         return [_certified_selection(
             GENERIC_ASSOC, sigma, [f], centre,
             "invariant differs from (2,3,3): the associated centre is "
-            "conilpotent away from Du Val and Whitney points")]
+            "conilpotent away from Du Val and Whitney points", coordinate_change=change)]
 
-    change = surface.preparation
-    for step in change:
-        sigma = shear(sigma, *step)
-    f = surface.prepared
-    line = line_in_zero_locus([f] + [f.diff(v) for v in variables])
+    line = line_in_zero_locus([f] + [f.diff(v) for v in f.variables])
     if line is None:
         if surface.witness_centre is None:
             raise RefusalError(f"no witness centre for the {surface.label()} point: "
@@ -546,9 +544,9 @@ def _select_away_from_duval(sigma: Polyvector, f: Poly, surface: SingularityClas
     assert sum(1 for d in line if d) == 1, \
         f"the preparation {change} leaves the singular line {line} off the axes"
     # one-dimensional singular locus: unweighted centre on the curve
-    support = [v for v, d in zip(variables, line) if d == 0]
+    support = [v for v, d in zip(f.variables, line) if d == 0]
     return [_certified_selection(
-        INV_233_SURFACE, sigma, [f], Centre.unweighted(variables, support),
+        INV_233_SURFACE, sigma, [f], Centre.unweighted(f.variables, support),
         "invariant (2,3,3) with a one-dimensional singular locus: "
         "unweighted centre on the curve (logarithmic tangency keeps "
         "every bracket at non-negative order)", coordinate_change=change)]

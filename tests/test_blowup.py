@@ -9,8 +9,10 @@ from wblow.ring import INF, parse_poly
 from wblow.polyvector import Polyvector, jacobian_poisson, parse_polyvector
 from wblow.centre import Centre, parse_centre
 from wblow.blowup import (
+    _restrict_to_slice,
     check_centre,
     check_lift,
+    exceptional_name,
     exceptional_singular_points,
     pullback_function,
     pullback_polyvector,
@@ -123,6 +125,25 @@ def test_pullback_linear_function():
     result = pullback_function(parse_poly("x", V2), c)
     assert result.min_t_exponent == 1
     assert result.proper_part == parse_poly("x", result.variables)
+
+
+def test_pullback_at_a_based_centre_is_the_pullback_of_the_translated_germ():
+    f = parse_poly("(y - 2)^2 - (x + 1)^3 + x*y", V2)
+    based = parse_centre("x:3 y:2 @ (-1,2)")
+    result = pullback_function(f, based)
+    expected = pullback_function(f.translate((F(-1), F(2))), Centre.from_exponents(V2, (3, 2)))
+    assert result.min_t_exponent == expected.min_t_exponent
+    assert result.proper_part == expected.proper_part
+    assert result.variables == expected.variables
+
+
+def test_exceptional_name_avoids_a_taken_t():
+    assert exceptional_name(("x", "y")) == "t"
+    assert exceptional_name(("x", "t")) == "t1"
+    assert exceptional_name(("t", "t1", "y")) == "t2"
+    result = pullback_function(parse_poly("x^2 - t^3", ("x", "t")),
+                               Centre.from_exponents(("x", "t"), (3, 2)))
+    assert result.variables == ("x", "t", "t1")
 
 
 def test_pullback_whitney_233():
@@ -259,6 +280,17 @@ def test_node_slice_chart():
     c = Centre.from_exponents(V2, (1, 1))
     s = strict_transform_in_chart(parse_poly("y^2 - x^2", V2), c, "x")
     assert s == parse_poly("y^2 - 1", s.variables)
+
+
+@pytest.mark.parametrize("centre", ["x:2 y:3 z:3", "x:1 y:1 z:inf"])
+def test_restriction_lives_on_the_slice_chart(centre):
+    # specialising the slice variable leaves the other extended variables in
+    # order: the slice chart's own, with no re-charting
+    c = parse_centre(centre)
+    proper = pullback_function(parse_poly("x^2 - y^2*z", V3), c).proper_part
+    for name in c.support():
+        chart = slice_chart(c, name)
+        assert _restrict_to_slice(proper, chart).variables == chart.variables
 
 
 def test_slice_needs_positive_weight():

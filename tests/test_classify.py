@@ -11,8 +11,10 @@ from wblow.polyvector import (
     ABELIAN,
     HEISENBERG,
     SPLIT_NONABELIAN,
+    Polyvector,
     jacobian_poisson,
     parse_polyvector,
+    shear,
 )
 from wblow.centre import Centre
 from wblow.classify import (
@@ -21,6 +23,7 @@ from wblow.classify import (
     DUVAL_EQUATIONS,
     TRIPLE_ROOT,
     ZERO_CUBIC,
+    _diagonalise,
     _prepare,
     binary_cubic_type,
     classify_surface,
@@ -162,6 +165,7 @@ def test_classify_exact_invariants():
             ("x*y", "2,2", "x:2 y:2 z:inf"),
             ("x^2 + y^2 + z^2", "2,2,2", "x:2 y:2 z:2"),
             ("x^2 + y^2 + z^4", "2,2,4", "x:2 y:2 z:4"),
+            ("x*y + z^7", "2,2,7", "x:2 y:2 z:7"),
             ("x^2 + y^2*z + z^4", "2,3,3", "x:2 y:3 z:3"),
             ("x^2 - y^2*z", "2,3,3", "x:2 y:3 z:3"),
             ("x^2 + y^3 + y*z^3", "2,3,9/2", "x:2 y:3 z:9/2")]:
@@ -174,7 +178,7 @@ def test_classify_prepares_normal_forms_by_the_identity():
     forms = [DUVAL_EQUATIONS["A"](n, V3) for n in (1, 2, 5)] \
         + [DUVAL_EQUATIONS["D"](n, V3) for n in (4, 5, 9)] \
         + [DUVAL_EQUATIONS[e](None, V3) for e in ("E6", "E7", "E8")] \
-        + [parse_poly("x^2 - y^2*z", V3)]
+        + [parse_poly(text, V3) for text in ("x^2 - y^2*z", "x*y", "x*y + z^4")]
     for f in forms:
         assert classify_surface(f).preparation == [], f
 
@@ -352,6 +356,48 @@ def test_duval_negative_cases():
     assert report.duval is False
 
 
+def _triangularly_moved(f, a):
+    """x -> x + a*(y^2 + z^2 + y*z), then y -> y + a*z^2."""
+    y, z = Poly.var(V3, "y"), Poly.var(V3, "z")
+    moved = shear(f, "x", (y * y + z * z + y * z).scale(a))
+    return shear(moved, "y", (z * z).scale(a))
+
+
+def test_duval_unit_multiple_without_class_centre():
+    # moved A4 is prepared to the centre x:2 y:2 z:4, where no permutation of
+    # the class exponents (2, 2, 5) has order one; (1 + x)*J(f) is the
+    # Jacobian structure of f for the volume form dx^dy^dz/(1 + x)
+    f = _triangularly_moved(DUVAL_EQUATIONS["A"](4, V3), 1)
+    report = detect_duval_point(jacobian_poisson(f).scale(parse_poly("1 + x", V3)), f, ORIGIN)
+    assert report.surface_class.label() == "A4" and report.surface_class.witness_centre is None
+    assert report.duval is True and report.duval_witness_centre is None
+    assert report.diagnostics == []
+
+
+def test_duval_unmatched_bivector_is_not_certified_either_way():
+    # J(f) + f*J(x), the bivector of the 1-form df + f*dx = e^-x*d(e^x*f), is
+    # Jacobian for the equation e^x*f, which no polynomial test sees: on the
+    # normal form its class centre is the witness; after the move neither a
+    # class centre nor a unit multiple matches, and the verdict is None
+    x = Poly.var(V3, "x")
+    f = DUVAL_EQUATIONS["A"](4, V3)
+    report = detect_duval_point(jacobian_poisson(f) + jacobian_poisson(x).scale(f), f, ORIGIN)
+    assert report.duval is True and str(report.duval_witness_centre) == "x:2 y:2 z:5"
+    f = _triangularly_moved(f, 1)
+    report = detect_duval_point(jacobian_poisson(f) + jacobian_poisson(x).scale(f), f, ORIGIN)
+    assert report.isolated_sigma_zero is True and report.surface_class.label() == "A4"
+    assert report.duval is None and report.duval_witness_centre is None
+    assert report.diagnostics == ["no class centre matches the leading term of the "
+                                  "bivector, which is no unit multiple of J(f)"]
+
+
+def test_duval_zero_bivector_has_no_isolated_zero():
+    f = DUVAL_EQUATIONS["A"](2, V3)
+    report = detect_duval_point(Polyvector(2, V3, {}), f, ORIGIN)
+    assert report.isolated_sigma_zero is False and report.duval is False
+    assert report.prepared_sigma.is_zero()
+
+
 def test_duval_away_from_origin():
     f = parse_poly("(x - 1)^2 + y^2 + z^3", V3)
     sigma = jacobian_poisson(f)
@@ -425,12 +471,56 @@ def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
     assert report.diagnostics == []
 
 
+@pytest.mark.parametrize("text, steps, morse, diagonal", [
+    ("x*y", [], ["x", "y"], "x*y"),
+    ("y*z - x*y", [("z", "x")], ["y", "z"], "y*z"),
+    ("x*y + x*z + 2*y*z", [("y", "-1/2*x"), ("z", "-1/2*x")], ["y", "z", "x"],
+     "2*y*z - 1/2*x^2"),
+])
+def test_diagonalise_hyperbolic_pivot(text, steps, morse, diagonal):
+    # a form with no square keeps its cross term c*v*w; v and w absorb the
+    # other cross terms and both become Morse coordinates
+    q = parse_poly(text, V3)
+    got_steps, got_morse = _diagonalise(q)
+    assert got_steps == [(v, parse_poly(s, V3)) for v, s in steps]
+    assert got_morse == morse
+    for step in got_steps:
+        q = shear(q, *step)
+    assert q == parse_poly(diagonal, V3)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_diagonalise_forms_without_squares(seed):
+    # every cross term of the result joins two Morse coordinates that occur
+    # nowhere else, and the number of Morse coordinates is the rank of q
+    rng = random.Random(seed)
+    coefficients = [rng.randint(-3, 3) for _ in range(3)]
+    q = sum((Poly.var(V3, v) * Poly.var(V3, w)).scale(c)
+            for (v, w), c in zip((("x", "y"), ("x", "z"), ("y", "z")), coefficients))
+    if q.is_zero():
+        return
+    steps, morse = _diagonalise(q)
+    for step in steps:
+        q = shear(q, *step)
+    for exponent in q.nums:
+        if max(exponent) == 1:
+            pair = {i for i, e in enumerate(exponent) if e}
+            assert all(not pair & {i for i, e in enumerate(other) if e}
+                       for other in q.nums if other != exponent)
+    # a nonzero symmetric matrix with zero diagonal has rank 2 or 3: rank one
+    # would make it +-v*v^T, whose diagonal v_i^2 vanishes only for v = 0
+    a, b, c = coefficients
+    rank = 3 if _det3([[0, a, b], [a, 0, c], [b, c, 0]]) else 2
+    assert len(morse) == rank and sorted(morse) == sorted(set(morse))
+
+
 def test_duval_isolatedness_of_other_bivectors_is_stabilised(monkeypatch):
-    # a unit times J(f) is not a constant multiple: its zero set is tested
+    # a unit times J(f) vanishes where J(f) does near the origin, so the
+    # Milnor verdict of classify_surface is the one stabilisation
     f = parse_poly("x^2 + y^2 + z^3", V3)
     calls = _count_stabilisations(monkeypatch)
     report = detect_duval_point(jacobian_poisson(f).scale(parse_poly("1 + x", V3)), f, ORIGIN)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert report.isolated_sigma_zero is True and report.duval is True
 
 

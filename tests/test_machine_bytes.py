@@ -31,11 +31,18 @@ Intended changes recorded in these digests, relative to the previous ones:
   complete tree instead of 3: a blowup chart is searched for singular
   points only on its exceptional divisor, so the irrational points at
   y = +-sqrt(3) off it no longer make the origin's charts indeterminate,
-  and the notes on singular points copied from a sibling branch are gone.
+  and the notes on singular points copied from a sibling branch are gone;
+* ``classify x*y`` prints ``"preparation":[]`` instead of
+  ``["x -> x + y","y -> -1/2*x + y"]``: a quadratic form with no square is
+  diagonalised by a hyperbolic pivot, which leaves c*v*w as it is, not by
+  turning v*w into a square.
 
 The call on ``y^2 - x^64`` pins an output that the integer elimination
 kernel left unchanged.  The product above is searched by elimination on
-its input chart only; its blowup charts need none.
+its input chart only; its blowup charts need none.  The calls of `lt` (on a
+polynomial, and on a bivector truncated by ``--cap``), `schouten`,
+`jacobian --vars` and `blowup` without ``--slice`` pin outputs that no
+change has altered; they are here so that the paths stay covered.
 """
 
 import hashlib
@@ -95,6 +102,11 @@ COMMAND_CALLS = [
     ["select-centre", "--sigma", "x^2*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"],
     ["select-centre", "--sigma", "x*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"],
     ["select-centre", "--sigma", "2*x*@y^@z", "--curve", "x", "--curve", "y^2 - z^3"],
+    ["lt", "--centre", "x:2 y:3 z:3", "x^2 - y^2*z + y^4"],
+    ["lt", "--centre", "x:2 y:3 z:3", "--cap", "6", "2*x*@y^@z - y^2*@x^@y + z^7*@x^@z"],
+    ["schouten", "x*@y^@z", "y*z*@x"],
+    ["jacobian", "--vars", "u,v,w", "u^2 + v^3"],
+    ["blowup", "--centre", "x:3 y:2", "y^2 - x^3"],
 ]
 
 # argv after --machine: (exit code, SHA-256 of stdout)
@@ -126,7 +138,7 @@ EXPECTED = {
     ("classify", "(x + z^2)^2 + y^2 + z^10 + x^3"):
         (0, "86bd852ad7f830d31f1bd6f37bca5d4075ada2fdb5d3c3dcc257386beb6387c1"),
     ("classify", "x*y"):
-        (0, "e53db1c11a396a499764d5ebb6fa64ea15965b0fa16647914e042bb3e6a56232"),
+        (0, "fa483352f6061a11383f03cf9ad26ead258f92f000f3b554f9ee76d35ed917e5"),
     ("classify", "x^2 + y^3 + z^6"):
         (1, "8d90dd1460934e25794affc8de4cd7accf08a907b6da2269781e7f1f6f8a0e02"),
     ("classify", "x^2 + y^2*z + z^15"):
@@ -192,6 +204,16 @@ EXPECTED = {
         (0, "de380b947aecbe810e93e3e71dde481a84007714b3b228271adc5ed8c46583c4"),
     ("select-centre", "--sigma", "2*x*@y^@z", "--curve", "x", "--curve", "y^2 - z^3"):
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("lt", "--centre", "x:2 y:3 z:3", "x^2 - y^2*z + y^4"):
+        (0, "29716b1bd4aa35da2999d7c82f1c100ef444d0d31616dc5b6c87c0878a15fbc0"),
+    ("lt", "--centre", "x:2 y:3 z:3", "--cap", "6", "2*x*@y^@z - y^2*@x^@y + z^7*@x^@z"):
+        (0, "0ec31ad09587789c518379f395239b0f6d5845c04696a54daeae86ec6077c520"),
+    ("schouten", "x*@y^@z", "y*z*@x"):
+        (0, "4073c6f09a8be41c08c4bcee644ba7bcc4bdbb20bc37cb88009df86c1f379535"),
+    ("jacobian", "--vars", "u,v,w", "u^2 + v^3"):
+        (0, "f9f85b2863b5ef015cf5bbed6a9604c09bae102b784bb3ac1dac8a5f09bb2f74"),
+    ("blowup", "--centre", "x:3 y:2", "y^2 - x^3"):
+        (0, "eb727662f3da3c7cda66e0d55a62e0b21283624c780ebedaf4eedfb0ea89e115"),
 }
 
 

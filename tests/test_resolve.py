@@ -433,17 +433,22 @@ def _moved(f, matrix):
     return f.substitute(dict(zip(V3, rows)))
 
 
-def test_select_32_moved_whitney_umbrellas_are_certified():
-    # the class and its preparation do not depend on the coordinates, so
-    # every linear move of the Whitney umbrella gets a certified centre
+def _seeded_moves():
+    """25 invertible integer matrices with entries in -3..3, from one seed."""
     rng = random.Random(7)
-    W = parse_poly("x^2 - y^2*z", V3)
     matrices = []
     while len(matrices) < 25:
         m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
         if _det3(m):
             matrices.append(m)
-    for m in matrices:
+    return matrices
+
+
+def test_select_32_moved_whitney_umbrellas_are_certified():
+    # the class and its preparation do not depend on the coordinates, so
+    # every linear move of the Whitney umbrella gets a certified centre
+    W = parse_poly("x^2 - y^2*z", V3)
+    for m in _seeded_moves():
         f = _moved(W, m)
         [choice] = select_centre_32(jacobian_poisson(f), f)
         assert choice.case == "inv_233_surface", m
@@ -516,12 +521,98 @@ def test_select_32_triangularly_moved_duval_triples_are_terminal():
         assert choice.case == "terminal_duval", (label, f)
 
 
+def test_select_32_unit_multiples_on_moved_duval_germs_are_terminal():
+    # u*J(f) with u(0) != 0 is the Jacobian structure of f for the volume
+    # form dx^dy^dz/u, whether or not a class centre witnesses it
+    unit = parse_poly("1 + x + y^2", V3)
+    for label, f in _triangularly_moved_ade_germs():
+        [choice] = select_centre_32(jacobian_poisson(f).scale(unit), f)
+        assert choice.case == "terminal_duval", (label, f)
+
+
 @pytest.mark.parametrize("text", ["(x+y^2)^2 + y^2 + z^14", "x^2 - (y + z^2)^2*z"],
                          ids=["A13 moved", "Whitney umbrella on a parabola"])
 def test_select_32_refuses_indeterminate_duval_verdict(text):
     f = parse_poly(text, V3)
     with pytest.raises(RefusalError, match="Du Val verdict indeterminate"):
         select_centre_32(jacobian_poisson(f), f)
+
+
+def test_select_32_moved_normal_crossings_are_certified():
+    # x*y and its shear (x + 2*z)*(y - z) are selected in the prepared
+    # coordinates of their class, as every linear move of x*y is
+    f = parse_poly("(x + 2*z)*(y - z)", V3)
+    [choice] = select_centre_32(jacobian_poisson(f), f)
+    assert choice.case == "generic_assoc" and choice.certificate.ok()
+    for m in _seeded_moves():
+        f = _moved(parse_poly("x*y", V3), m)
+        [choice] = select_centre_32(jacobian_poisson(f), f)
+        assert choice.case == "generic_assoc", m
+        assert choice.certificate.ok(), m
+
+
+# the triple draw: twelve surface germs (A2, A4, D4, D6, E6, E7, E8, E12, a
+# J10 germ, the Whitney umbrella, normal crossings and a non-simple germ),
+# each unmoved and moved by x -> x + a*(y^2 + z^2 + y*z), then y -> y + a*z^2,
+# with the bivector f*J(f) and (1 + x)*J(f)
+DRAW_DUVAL = ["x^2 + y^2 + z^3", "x^2 + y^2 + z^5", "x^2 + y^2*z + z^3", "x^2 + y^2*z + z^5",
+              "x^2 + y^3 + z^4", "x^2 + y^3 + y*z^3", "x^2 + y^3 + z^5"]
+DRAW_OTHER = ["x^2 + y^3 + z^7", "x^2 + y^3 + z^6 + y*z^4", "x^2 - y^2*z", "x*y",
+              "x^2 + y^2*z^2 + z^5"]
+DRAW_MOVES = (0, 1, 3, -1)
+UNIT = "1 + x"
+
+
+def _drawn_move(f, a):
+    x, y, z = (Poly.var(V3, v) for v in V3)
+    moved = f.substitute({"x": x + (y * y + z * z + y * z).scale(a)})
+    return moved.substitute({"y": y + (z * z).scale(a)})
+
+
+@pytest.fixture(scope="module")
+def triple_draw():
+    """(germ, a, multiplier) -> the one selection, or the refusal or abort raised."""
+    outcomes = {}
+    for text in DRAW_DUVAL + DRAW_OTHER:
+        for a in DRAW_MOVES:
+            f = _drawn_move(parse_poly(text, V3), a)
+            for multiplier in ("f", UNIT):
+                unit = f if multiplier == "f" else parse_poly(UNIT, V3)
+                try:
+                    [outcomes[text, a, multiplier]] = select_centre_32(
+                        jacobian_poisson(f).scale(unit), f)
+                except (RefusalError, StepAbort) as error:
+                    outcomes[text, a, multiplier] = error
+    return outcomes
+
+
+def test_select_32_draw_is_terminal_or_certified(triple_draw):
+    # a unit multiple of J(f) on a Du Val germ is terminal in any coordinates
+    # (28 of 96); every other triple is certified, or refused where its
+    # singular curve is a parabola (moved x*y and Whitney umbrellas with
+    # (1 + x)*J(f)); no step aborts
+    assert len(triple_draw) == 96
+    refused = {"x^2 - y^2*z", "x*y"}
+    for (text, a, multiplier), outcome in triple_draw.items():
+        assert not isinstance(outcome, StepAbort), (text, a, multiplier, outcome)
+        if isinstance(outcome, RefusalError):
+            assert text in refused and a and multiplier == UNIT, (text, a, outcome)
+            continue
+        terminal = text in DRAW_DUVAL and multiplier == UNIT
+        assert (outcome.case == "terminal_duval") == terminal, (text, a, multiplier)
+        assert terminal or outcome.certificate.ok(), (text, a, multiplier)
+    assert sum(isinstance(o, RefusalError) for o in triple_draw.values()) == 6
+
+
+def test_select_32_draw_cases(triple_draw):
+    for a in DRAW_MOVES:
+        assert triple_draw["x^2 + y^2 + z^5", a, UNIT].case == "terminal_duval"
+        assert triple_draw["x^2 + y^2 + z^3", a, "f"].case == "generic_assoc"
+    # moved E12 is prepared to x:2 y:3 z:6, not its class centre x:2 y:3 z:7:
+    # the residual curve needs its own Tschirnhausen shift
+    for a in DRAW_MOVES[1:]:
+        for multiplier in ("f", UNIT):
+            assert str(triple_draw["x^2 + y^3 + z^7", a, multiplier].centre) == "x:2 y:3 z:6"
 
 
 # --- step certification -------------------------------------------------------------------------
