@@ -2,9 +2,10 @@
 
 Milnor numbers come from exact linear algebra on truncated local algebras;
 the classifier is Arnold's determinator (the Hessian rank, the cubic on the
-Hessian kernel and the Milnor number); and the stated local normal forms for
-Poisson structures are verified symbolically (to a stated order where a
-truncation is involved).
+Hessian kernel and the Milnor number), which reads mu off the normal form
+when the germ's leading term at its class centre is that normal form; and
+the stated local normal forms for Poisson structures are verified
+symbolically (to a stated order where a truncation is involved).
 """
 
 from fractions import Fraction
@@ -38,6 +39,16 @@ for text in ("x^2 + y^2 + z^5", "x^2 + y^2*z + z^4", "x^2 + y^3 + y*z^3",
     if result.invariant is not None:
         line += f"  invariant ({result.invariant})"
     print(line)
+
+print()
+print("== beyond the degree bound of the local algebra ==")
+# the local algebra of A19 does not stabilise below the default degree
+# bound 12, but its leading term at x:2 y:2 z:20 is the normal form, a
+# semi-quasi-homogeneous germ, whose mu is that of the normal form
+A19 = parse_poly("x^2 + y^2 + z^20 + x*y*z", V)
+result = classify_surface(A19)
+print("milnor_number:", milnor_number(A19))
+print(f"classify_surface: {result.label()}, mu = {result.milnor}")
 
 print()
 print("== a hidden coordinate change ==")

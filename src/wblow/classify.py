@@ -24,7 +24,11 @@ Milnor number decide between A, D, E, normal crossings, the Whitney umbrella
 and ``other``.  The class fixes the invariant exactly.  One exact linear
 change of coordinates, logged as shears, and one completion of the square
 prepare the germ so that the centre of its class sees the normal form; the
-monomial centre of the prepared form witnesses the invariant.
+monomial centre of the prepared form witnesses the invariant.  When the
+leading term there is the normal form, the germ is semi-quasi-homogeneous
+and has the Milnor number of the normal form (Arnold, Gusein-Zade and
+Varchenko, section 12), which needs no local algebra and no degree bound;
+every other germ goes through ``milnor_number``.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .ring import MAX_TERMS, Point, Poly, _expansion_bound, divides, insert_row
 from .polyvector import (
@@ -101,11 +105,13 @@ def _local_dimensions(generators: Sequence[Poly], degree: int) -> List[int]:
     unchanged.  The code tests the live ``pivots``: a pivot made from a row
     x^b*g_i leads at b or above, and every b done so far lies above a, so
     the live test is the same as one against the pivots of g_1..g_{i-1}
-    (lowest shifts first would need that snapshot).  On the 210 calls of
-    classify seed 1, blocks 0-9, the skip keeps 41,422 of 77,332 rows (584
-    reduce to zero, not 36,494), and the four orders, sparsest or densest
-    generator and highest or lowest shift first, cost within 20% of each
-    other.
+    (lowest shifts first would need that snapshot).  On the 90 calls of
+    classify_surface on A1-A12, D4-D12, E6-E8 moved by x -> x + a*(y^2 +
+    z^2 + y*z), y -> y + a*z^2, a = 1, 3, -1, the skip keeps 20,343 of
+    42,417 rows (408 reduce to zero, not 22,482), and this order, the
+    sparsest generator and highest shift first, was the fastest of the
+    four (best of nine runs on a shared 2-vCPU machine: 0.034 s, the
+    others 0.040-0.050 s, 0.074 s without the skip).
     """
     generators = sorted((g for g in generators if not g.is_zero()),
                         key=lambda g: len(g.nums))
@@ -455,12 +461,64 @@ def _prepare(f: Poly) -> Tuple[Poly, List[Tuple[str, Poly]], List[str], Optional
     return prepared, steps, morse, root_type
 
 
+def _class_centres(f: Poly, kind: str, index: Optional[int]) -> Iterator[Centre]:
+    """The centres at the permutations of the class exponents where f has
+    order one, in the sorted order of the permutations."""
+    for permutation in sorted(set(itertools.permutations(class_exponents(kind, index)))):
+        centre = Centre(f.variables, permutation)
+        if centre.ord_poly(f) == 1:
+            yield centre
+
+
+def _principal_class(prepared: Poly, morse: List[str], root_type: Optional[str]
+                     ) -> Optional[Tuple[str, Optional[int], int]]:
+    """(kind, index, mu) of the A/D/E class whose normal form is the
+    principal part of the prepared germ, or None.
+
+    The candidates follow the determinator: A1 for Hessian rank three;
+    A(m - 1) for rank two, m the smallest pure power of the kernel
+    coordinate; D(m + 1) for a double root, m the smallest pure power of
+    either kernel coordinate (the other one, not the doubled one); E6, E7
+    and E8 for a triple root.  A candidate holds when, at one of its class
+    centres, the germ has order one and its leading term has exactly the
+    support of ``DUVAL_EQUATIONS``, the variables taking the roles x, y, z
+    in the order of their exponents.  Such a leading term has an isolated
+    critical point for any nonzero coefficients, so the germ is
+    semi-quasi-homogeneous and its mu is that of the normal form (Arnold,
+    Gusein-Zade and Varchenko, Singularities of Differentiable Maps I,
+    section 12).  A cubic with distinct roots is the same theorem at
+    x:2 v:3 w:3, where the leading term is c*x^2 plus that cubic: mu is 4.
+    """
+    if len(morse) == 3:
+        return A_CLASS, 1, 1
+    if root_type == DISTINCT_ROOTS:
+        return D_CLASS, 4, 4
+    kernel = [i for i, v in enumerate(prepared.variables) if v not in morse]
+    pure = [[e[i] for e in prepared.nums if e[i] == sum(e)] for i in kernel]
+    powers = [min(p) for p in pure if p]
+    if len(morse) == 2:
+        candidates = [(A_CLASS, m - 1, m - 1) for m in powers]
+    elif root_type == DOUBLE_ROOT:
+        candidates = [(D_CLASS, m + 1, m + 1) for m in powers]
+    elif root_type == TRIPLE_ROOT:
+        candidates = [(E6, None, 6), (E7, None, 7), (E8, None, 8)]
+    else:
+        return None
+    for kind, index, mu in candidates:
+        normal_form = set(DUVAL_EQUATIONS[kind](index, ("x", "y", "z")).nums)
+        for centre in _class_centres(prepared, kind, index):
+            roles = sorted(range(3), key=centre.exponents.__getitem__)
+            lead = centre.leading_term_poly(prepared)
+            if {tuple(e[i] for i in roles) for e in lead.nums} == normal_form:
+                return kind, index, mu
+    return None
+
+
 def classify_surface(f: Poly) -> SingularityClass:
     """Classify a surface germ in three variables at the origin.
 
     Arnold's determinator, from the rank of the Hessian over Q, the cubic
-    part of f on the Hessian kernel and the Milnor number mu (at
-    ``DEFAULT_DEGREE_BOUND``):
+    part of f on the Hessian kernel and the Milnor number mu:
 
     * rank 3: A1;
     * rank 2: A(mu), or normal crossings when mu is unbounded;
@@ -469,12 +527,16 @@ def classify_surface(f: Poly) -> SingularityClass:
       triple root with mu 6, 7 or 8;
     * anything else (rank 0, a vanishing cubic, another mu) is ``other``.
 
-    mu is computed on the prepared form (see ``_prepare``), which is f in
+    mu is read on the prepared form (see ``_prepare``), which is f in
     coordinates related by shears and one square completion, automorphisms
-    that leave mu unchanged; a singular line the preparation straightens
-    onto an axis is found there.  The monomial centre of the prepared form
-    is the witness when it reaches the exact invariant of the class; for
-    ``other`` its lower bound is reported.
+    that leave mu unchanged.  A germ whose leading term at a class centre
+    is the normal form is semi-quasi-homogeneous, with the mu of the normal
+    form at any index (``_principal_class``): A19 is certified, though its
+    local algebra exhausts the default degree bound.  Otherwise mu comes
+    from ``milnor_number`` at ``DEFAULT_DEGREE_BOUND``; a singular line the
+    preparation straightens onto an axis is found there.  The monomial
+    centre of the prepared form is the witness when it reaches the exact
+    invariant of the class; for ``other`` its lower bound is reported.
     """
     if len(f.variables) != 3:
         raise ValueError("classify_surface expects a three-variable chart")
@@ -487,8 +549,9 @@ def classify_surface(f: Poly) -> SingularityClass:
 
     prepared, steps, morse, root_type = _prepare(f)
     report = SingularityClass(OTHER_CLASS, preparation=steps, prepared=prepared)
-    if len(morse) == 3:
-        report.kind, report.index, report.milnor = A_CLASS, 1, 1
+    principal = _principal_class(prepared, morse, root_type)
+    if principal is not None:
+        report.kind, report.index, report.milnor = principal
     elif len(morse) == 2:
         mu = report.milnor = milnor_number(prepared)
         if isinstance(mu, int):
@@ -502,9 +565,7 @@ def classify_surface(f: Poly) -> SingularityClass:
             "the cubic vanishes on the Hessian kernel: not a simple singularity")
     elif root_type is not None:
         mu = report.milnor = milnor_number(prepared)
-        if root_type == DISTINCT_ROOTS:
-            report.kind, report.index = D_CLASS, 4
-        elif root_type == DOUBLE_ROOT and isinstance(mu, int) and mu >= 4:
+        if root_type == DOUBLE_ROOT and isinstance(mu, int) and mu >= 4:
             report.kind, report.index = D_CLASS, mu
         elif root_type == DOUBLE_ROOT and mu == UNBOUNDED:
             report.kind = WHITNEY_UMBRELLA
@@ -681,15 +742,17 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
     # a zero line straightened onto an axis is found.  For a unit multiple of
     # J(prepared_f) the coefficients are the partials of prepared_f up to a
     # unit, so the Milnor verdict classify_surface computed is the answer.
+    # When prepared_f divides every coefficient (the zero bivector too), the
+    # bivector vanishes on the surface through the point.
     mu = surface.milnor
     jacobian_multiple = mu is not None and _is_unit_multiple(
         prepared_sigma, jacobian_poisson(prepared_f))
     if jacobian_multiple:
         isolated = None if mu == INDETERMINATE else mu != UNBOUNDED
-    elif not prepared_sigma.is_zero():
-        isolated, _ = local_dimension_is_zero(list(prepared_sigma.terms.values()))
-    else:
+    elif all(divides(prepared_f, c) is not None for c in prepared_sigma.terms.values()):
         isolated = False
+    else:
+        isolated, _ = local_dimension_is_zero(list(prepared_sigma.terms.values()))
     report.isolated_sigma_zero = bool(isolated)
     if isolated is None:
         report.diagnostics.append("isolatedness of the bivector zero is indeterminate")
@@ -698,12 +761,7 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
         report.duval = False
         return report
 
-    exponents = class_exponents(surface.kind, surface.index)
-    variables = f0.variables
-    for permutation in sorted(set(itertools.permutations(exponents))):
-        centre = Centre(variables, tuple(permutation))
-        if centre.ord_poly(prepared_f) != 1:
-            continue
+    for centre in _class_centres(prepared_f, surface.kind, surface.index):
         lead_f = centre.leading_term_poly(prepared_f)
         lead_sigma = centre.leading_term_polyvector(prepared_sigma)
         if _is_unit_multiple(lead_sigma, jacobian_poisson(lead_f)):

@@ -436,29 +436,30 @@ BEYOND_THE_BOUND = [("A", 13), ("D", 14)]
                          ids=[f"{family}{n or ''}" for family, n in ADE_FORMS + BEYOND_THE_BOUND])
 def test_stabilisation_runs_at_most_three_reductions(monkeypatch, family, n):
     # one reduction per degree of the schedule 6, 13 at the default bound,
-    # however late the germ stabilises (A1 needs no stabilisation): the
-    # doubled degree 12 is within a quarter of the cap 13, so the schedule
-    # goes straight to the cap instead of reducing at 12 and again at 13
+    # however late the germ stabilises: the doubled degree 12 is within a
+    # quarter of the cap 13, so the schedule goes straight to the cap
+    # instead of reducing at 12 and again at 13
     label = f"{family}{n or ''}"
     g = _linear_change(DUVAL_EQUATIONS[family](n, V3), _random_gl3(random.Random(label)))
     calls = _count_stabilisations(monkeypatch)
     degrees = _count_reductions(monkeypatch)
-    result = classify_surface(g)
-    assert len(calls) == (label != "A1")
-    assert degrees == [6, 13][:len(degrees)] and len(degrees) >= len(calls)
+    mu = milnor_number(g)
+    assert len(calls) == 1
+    assert degrees == [6, 13][:len(degrees)] and len(degrees) >= 1
     if (family, n) in BEYOND_THE_BOUND:
-        assert result.milnor == "indeterminate" and degrees == [6, 13]
+        assert mu == "indeterminate" and degrees == [6, 13]
     else:
-        assert result.milnor == (n or int(family[1]))
+        assert mu == (n or int(family[1]))
 
 
 @pytest.mark.parametrize("scale", [1, F(-3, 2)])
 def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
     # sigma = c*J(f): its zero is the critical locus of f, so the Milnor
     # verdict of classify_surface decides isolatedness; one stabilisation
-    # runs instead of two, and the report is the one the second gave; D12
-    # stabilises past degree 6, at the schedule's next degree, the cap 13
-    g = _linear_change(DUVAL_EQUATIONS["D"](12, V3), _random_gl3(random.Random("D12")))
+    # runs instead of two, and the report is the one the second gave.  The
+    # moved D12 misses its class centres, so classify_surface stabilises,
+    # past degree 6, at the schedule's next degree, the cap 13
+    g = _triangularly_moved(DUVAL_EQUATIONS["D"](12, V3), 1)
     calls = _count_stabilisations(monkeypatch)
     degrees = _count_reductions(monkeypatch)
     report = detect_duval_point(jacobian_poisson(g).scale(scale), g, ORIGIN)
@@ -467,8 +468,14 @@ def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
     assert report.surface_class.milnor == 12
     assert report.isolated_sigma_zero is True
     assert report.duval is True
-    assert str(report.duval_witness_centre) == "x:2 y:11/5 z:11"
+    assert report.duval_witness_centre is None
     assert report.diagnostics == []
+    # the linearly changed D12 is certified by its principal part, with no
+    # stabilisation at all, and its class centre is the witness
+    g = _linear_change(DUVAL_EQUATIONS["D"](12, V3), _random_gl3(random.Random("D12")))
+    report = detect_duval_point(jacobian_poisson(g).scale(scale), g, ORIGIN)
+    assert len(calls) == 1 and report.surface_class.milnor == 12
+    assert report.duval is True and str(report.duval_witness_centre) == "x:2 y:11/5 z:11"
 
 
 @pytest.mark.parametrize("text, steps, morse, diagonal", [
@@ -516,8 +523,9 @@ def test_diagonalise_forms_without_squares(seed):
 
 def test_duval_isolatedness_of_other_bivectors_is_stabilised(monkeypatch):
     # a unit times J(f) vanishes where J(f) does near the origin, so the
-    # Milnor verdict of classify_surface is the one stabilisation
-    f = parse_poly("x^2 + y^2 + z^3", V3)
+    # Milnor verdict of classify_surface is the one stabilisation; moved A4
+    # misses its class centres, so classify_surface stabilises
+    f = _triangularly_moved(DUVAL_EQUATIONS["A"](4, V3), 1)
     calls = _count_stabilisations(monkeypatch)
     report = detect_duval_point(jacobian_poisson(f).scale(parse_poly("1 + x", V3)), f, ORIGIN)
     assert len(calls) == 1
@@ -529,11 +537,145 @@ def test_duval_isolatedness_follows_unbounded_and_indeterminate_milnor():
     report = detect_duval_point(jacobian_poisson(whitney), whitney, ORIGIN)
     assert report.surface_class.milnor == "unbounded"
     assert report.isolated_sigma_zero is False and report.duval is False
-    a13 = parse_poly("x^2 + y^2 + z^14", V3)
-    report = detect_duval_point(jacobian_poisson(a13), a13, ORIGIN)
+    a15 = _triangularly_moved(DUVAL_EQUATIONS["A"](15, V3), 1)
+    report = detect_duval_point(jacobian_poisson(a15), a15, ORIGIN)
     assert report.surface_class.milnor == "indeterminate"
     assert report.duval is None
     assert report.diagnostics == ["isolatedness of the bivector zero is indeterminate"]
+
+
+@pytest.mark.parametrize("family, n", [("A", 2), ("A", 4), ("E6", None)])
+@pytest.mark.parametrize("power", [1, 2])
+def test_duval_bivector_divisible_by_f_has_no_isolated_zero(monkeypatch, family, n, power):
+    # f^k*J(f) vanishes on the surface f = 0 through the point: f divides
+    # every coefficient, which certifies a non-isolated zero with no
+    # stabilisation
+    f = DUVAL_EQUATIONS[family](n, V3)
+    calls = _count_stabilisations(monkeypatch)
+    report = detect_duval_point(jacobian_poisson(f).scale(f ** power), f, ORIGIN)
+    assert report.duval is False and report.isolated_sigma_zero is False
+    assert report.diagnostics == [] and calls == []
+
+
+# --- mu from the quasi-homogeneous principal part ------------------------------------------
+
+SCALINGS = (1, -1, 2, -2, F(1, 2), F(-1, 2), F(2, 3), F(-3, 2))
+
+
+def _moved(rng, base, weights, allowed=0):
+    """base with random nonzero rational coefficients, one to three monomials
+    above its weighted order (of degree at least ``allowed`` in x and y), a
+    variable permutation with scalings and, for most, one integer shear of a
+    variable of degree at most 4, as the classify benchmark draws them."""
+    terms = {e: rng.choice(SCALINGS) for e in base.nums}
+    for _ in range(rng.randint(1, 3)):
+        while True:
+            e = tuple(rng.randint(0, 5) for _ in V3)
+            if (sum(e) <= 5 and e[0] + e[1] >= allowed
+                    and 1 < sum(w * k for w, k in zip(weights, e)) <= 2):
+                terms[e] = rng.choice(SCALINGS)
+                break
+    order = rng.sample(V3, 3)
+    g = Poly(V3, terms).substitute({v: Poly.var(V3, w).scale(rng.choice(SCALINGS))
+                                    for v, w in zip(V3, order)})
+    sources = [v for v in V3 if g.degree_in(v) <= 4]
+    if sources and rng.random() < 0.75:
+        source = rng.choice(sources)
+        target = rng.choice([v for v in V3 if v != source])
+        g = shear(g, source, Poly.var(V3, target).scale(rng.choice((1, -1, 2, -2))))
+    return g
+
+
+WIDE_ADE_FORMS = ([("A", n) for n in range(2, 41)] + [("D", n) for n in range(4, 41)]
+                  + [(e, None) for e in ("E6", "E7", "E8")])
+
+
+@pytest.mark.parametrize("family, n", WIDE_ADE_FORMS,
+                         ids=[f"{family}{n or ''}" for family, n in WIDE_ADE_FORMS])
+def test_principal_part_and_local_algebra_agree(family, n):
+    # two routes to mu: the principal part of the prepared germ, and the
+    # local algebra of the same germ wherever the default bound certifies it
+    label = f"{family}{n or ''}"
+    mu = n or int(family[1])
+    rng = random.Random(f"principal {label}")
+    weights = [1 / a for a in class_exponents(family, n)]
+    for _ in range(2):
+        g = _moved(rng, DUVAL_EQUATIONS[family](n, V3), weights)
+        result = classify_surface(g)
+        assert (result.label(), result.milnor) == (label, mu), g
+        if mu <= 10:
+            assert milnor_number(result.prepared) == mu, g
+
+
+@pytest.mark.parametrize("text, label, mu", [
+    ("x^2 + y^2 + x*z^3 + y*z^3 + z^6", "A5", 5),
+    ("x^2 - y^2*z + x*y^2", "whitney_umbrella", "unbounded"),
+    ("(x + 2*z)^2 - y^2*z", "whitney_umbrella", "unbounded"),
+    ("x*y + x^3", "normal_crossings_2", "unbounded"),
+    ("(x + 2*z)*(y - z)", "normal_crossings_2", "unbounded"),
+    ("x^2 + y^3 + z^7", "other", 12),
+], ids=["two weight-one cross terms", "Whitney", "Whitney sheared", "crossings",
+        "crossings sheared", "E12"])
+def test_germs_off_the_normal_forms_reach_the_local_algebra(monkeypatch, text, label, mu):
+    # one square completion leaves y*z^3 at the centre x:2 y:2 z:6; the
+    # non-isolated germs and E12 have no normal form among A, D and E
+    calls = _count_stabilisations(monkeypatch)
+    result = classify_surface(parse_poly(text, V3))
+    assert (result.label(), result.milnor) == (label, mu)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family, n", [("A", 15), ("D", 16)])
+def test_moved_germs_beyond_the_bound_stay_indeterminate(monkeypatch, family, n):
+    # x -> x + y^2 + z^2 + y*z, then y -> y + z^2: the preparation misses
+    # the class centre, and the local algebra exhausts its bound
+    calls = _count_stabilisations(monkeypatch)
+    result = classify_surface(_triangularly_moved(DUVAL_EQUATIONS[family](n, V3), 1))
+    assert (result.label(), result.milnor) == ("other", "indeterminate")
+    assert len(calls) == 1
+
+
+def _workload_like_germs(seed, count):
+    """(label, germ): A2-A15, D4-D16, E6-E8, Whitney umbrellas and crossings,
+    moved as in ``_moved``; the higher monomials of the last two lie in
+    (x, y)^2 and (x, y)^3, which keeps their singular line."""
+    rng = random.Random(seed)
+    families = [("A", (2, 15)), ("D", (4, 16)), ("E6", None), ("E7", None), ("E8", None),
+                ("whitney", None), ("nc", None)]
+    for _ in range(count):
+        family, span = rng.choice(families)
+        n = rng.randint(*span) if span else None
+        if family == "whitney":
+            label, base, allowed = "whitney_umbrella", parse_poly("x^2 - y^2*z", V3), 2
+            weights = (F(1, 2), F(1, 3), F(1, 3))
+        elif family == "nc":
+            label, base, allowed = "normal_crossings_2", parse_poly("x*y", V3), 3
+            weights = (F(1, 2), F(1, 2), F(0))
+        else:
+            label, base, allowed = f"{family}{n or ''}", DUVAL_EQUATIONS[family](n, V3), 0
+            weights = tuple(1 / a for a in class_exponents(family, n))
+        yield label, _moved(rng, base, weights, allowed)
+
+
+def test_ade_germs_skip_the_local_algebra(monkeypatch):
+    # deterministic counts behind the classify throughput: no local algebra
+    # on A/D/E germs, while the non-isolated germs still find their line
+    degrees = _count_reductions(monkeypatch)
+    searches = []
+    original = classify_module.line_in_zero_locus
+    monkeypatch.setattr(classify_module, "line_in_zero_locus",
+                        lambda generators: searches.append(1) or original(generators))
+    germs = list(_workload_like_germs("principal counts", 100))
+    non_isolated = sum(label in ("whitney_umbrella", "normal_crossings_2") for label, _ in germs)
+    assert 0 < non_isolated < 100
+    for label, g in germs:
+        found = len(searches)
+        assert classify_surface(g).label() == label, g
+        if label in ("whitney_umbrella", "normal_crossings_2"):
+            assert len(searches) == found + 1
+        else:
+            assert len(searches) == found
+    assert degrees == []
 
 
 def test_d_series_uses_its_own_exponents():

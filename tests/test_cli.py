@@ -143,15 +143,32 @@ def test_validate_invariant_out_of_budget_exits_3(capsys):
                                "status": "unchecked", "witness": None}
 
 
+# A15 and D16 moved by x -> x + y^2 + z^2 + y*z, then y -> y + z^2: one
+# square completion leaves y*z^2 at the centre x:2 y:2 z:4 of the pure power
+# z^4, so classify reaches the local algebra, which exhausts its bound
+MOVED_A15 = "(x + (y + z^2)^2 + z^2 + (y + z^2)*z)^2 + (y + z^2)^2 + z^16"
+MOVED_D16 = "(x + (y + z^2)^2 + z^2 + (y + z^2)*z)^2 + (y + z^2)^2*z + z^15"
+
+
 def test_indeterminate_exit_code(capsys):
     code, _, _ = run(capsys, "resolve-curve", "y^2 - (x^2 - 2)^2")
     assert code == 3
     # an exhausted Milnor degree bound is no negative verdict
-    for germ in ("x^2 + y^2 + z^20", "x^2 + y^2*z + z^15"):
+    for germ in ("x^2 + y^2 + z^20", "x^2 + y^2*z + z^15", MOVED_A15, MOVED_D16):
         code, out, _ = run(capsys, "--machine", "milnor", germ)
         assert code == 3 and json.loads(out)["milnor"] == "indeterminate"
+    for germ in (MOVED_A15, MOVED_D16):
         code, out, _ = run(capsys, "classify", germ)
         assert code == 3 and out.startswith("other")
+
+
+def test_classify_certifies_mu_where_milnor_is_indeterminate(capsys):
+    # the principal part of the normal form certifies mu without the local
+    # algebra; `milnor` keeps the local algebra as its only route
+    for germ, label, mu in (("x^2 + y^2 + z^20", "A19", 19), ("x^2 + y^2*z + z^15", "D16", 16)):
+        code, out, _ = run(capsys, "--machine", "classify", germ)
+        report = json.loads(out)
+        assert code == 0 and (report["class"], report["milnor"]) == (label, mu)
 
 
 def test_machine_output_is_deterministic_and_reparses(capsys):
@@ -249,8 +266,8 @@ def test_select_centre_heisenberg_refusal_exit(capsys):
     assert "Heisenberg slot has coefficient 2" in err
 
 
-@pytest.mark.parametrize("surface", ["(x+y^2)^2 + y^2 + z^14", "x^2 - (y + z^2)^2*z"],
-                         ids=["A13 moved", "Whitney umbrella on a parabola"])
+@pytest.mark.parametrize("surface", [MOVED_A15, "x^2 - (y + z^2)^2*z"],
+                         ids=["A15 moved", "Whitney umbrella on a parabola"])
 def test_select_centre_indeterminate_duval_verdict_exits_3(capsys, surface):
     # isolatedness of J(f) is indeterminate at the default bound and the
     # associated centre fails its certificate: no witness for exit 1

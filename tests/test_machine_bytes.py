@@ -35,14 +35,24 @@ Intended changes recorded in these digests, relative to the previous ones:
 * ``classify x*y`` prints ``"preparation":[]`` instead of
   ``["x -> x + y","y -> -1/2*x + y"]``: a quadratic form with no square is
   diagonalised by a hyperbolic pivot, which leaves c*v*w as it is, not by
-  turning v*w into a square.
+  turning v*w into a square;
+* ``classify x^2 + y^2*z + z^15`` prints ``D16`` with ``"milnor":16`` and
+  exits 0 instead of ``other``, ``"indeterminate"`` and 3: its leading term
+  at the class centre x:2 y:15/7 z:15 is the normal form, which certifies
+  mu = 16 (a semi-quasi-homogeneous germ) without the local algebra, whose
+  degree bound 12 runs out.  ``milnor`` keeps the local algebra as its
+  only route, so ``milnor x^2 + y^2 + z^20`` stays ``indeterminate``
+  while ``classify`` certifies A19.
 
 The call on ``y^2 - x^64`` pins an output that the integer elimination
 kernel left unchanged.  The product above is searched by elimination on
 its input chart only; its blowup charts need none.  The calls of `lt` (on a
 polynomial, and on a bivector truncated by ``--cap``), `schouten`,
 `jacobian --vars` and `blowup` without ``--slice`` pin outputs that no
-change has altered; they are here so that the paths stay covered.
+change has altered; they are here so that the paths stay covered.  So do
+the calls of `select-centre` on f*J(f) for A2, E6 and D6, whose bivector
+zero is certified non-isolated by the divisibility of every coefficient
+by f.
 """
 
 import hashlib
@@ -58,6 +68,16 @@ CONE_12 = ("x*y*(y - x)*(y + x)*(y - 2*x)*(y + 2*x)*(y - 3*x)*(y + 3*x)"
            "*(x - 2*y)*(x + 2*y)*(x - 3*y)*(x + 3*y)")
 SHEARED_WHITNEY_SIGMA = ("(-y^2 - 4*y*z - 3*z^2)*@x^@y + (2*y*z + 2*z^2)*@x^@z"
                          " + 2*x*@y^@z")
+# f*J(f) on A2, E6 and D6
+F_TIMES_JACOBIAN = {
+    "x^2 + y^2 + z^3": "(3*z^5 + 3*x^2*z^2 + 3*y^2*z^2)*@x^@y + (-2*y*z^3 - 2*x^2*y - 2*y^3)*@x^@z"
+                       " + (2*x*z^3 + 2*x^3 + 2*x*y^2)*@y^@z",
+    "x^2 + y^3 + z^4": "(4*z^7 + 4*y^3*z^3 + 4*x^2*z^3)*@x^@y + (-3*y^2*z^4 - 3*y^5 - 3*x^2*y^2)*@x^@z"
+                       " + (2*x*z^4 + 2*x*y^3 + 2*x^3)*@y^@z",
+    "x^2 + y^2*z + z^5": "(5*z^9 + 6*y^2*z^5 + 5*x^2*z^4 + y^4*z + x^2*y^2)*@x^@y"
+                         " + (-2*y*z^6 - 2*y^3*z^2 - 2*x^2*y*z)*@x^@z"
+                         " + (2*x*z^5 + 2*x*y^2*z + 2*x^3)*@y^@z",
+}
 
 COMMAND_CALLS = [
     ["classify", "x^2 + y^3 + y*z^3"],
@@ -70,6 +90,7 @@ COMMAND_CALLS = [
     ["classify", "x*y"],
     ["classify", "x^2 + y^3 + z^6"],
     ["classify", "x^2 + y^2*z + z^15"],
+    ["classify", "x^2 + y^2 + z^20"],
     ["milnor", "x^2 - y^2*z"],
     ["milnor", "x^2 + y^3 + z^5"],
     ["milnor", "x^2 + y^2 + z^20"],
@@ -102,6 +123,8 @@ COMMAND_CALLS = [
     ["select-centre", "--sigma", "x^2*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"],
     ["select-centre", "--sigma", "x*@x^@y", "--curve", "x", "--curve", "y^2 - z^3"],
     ["select-centre", "--sigma", "2*x*@y^@z", "--curve", "x", "--curve", "y^2 - z^3"],
+    *(["select-centre", "--sigma", sigma, "--surface", f]
+      for f, sigma in F_TIMES_JACOBIAN.items()),
     ["lt", "--centre", "x:2 y:3 z:3", "x^2 - y^2*z + y^4"],
     ["lt", "--centre", "x:2 y:3 z:3", "--cap", "6", "2*x*@y^@z - y^2*@x^@y + z^7*@x^@z"],
     ["schouten", "x*@y^@z", "y*z*@x"],
@@ -142,7 +165,9 @@ EXPECTED = {
     ("classify", "x^2 + y^3 + z^6"):
         (1, "8d90dd1460934e25794affc8de4cd7accf08a907b6da2269781e7f1f6f8a0e02"),
     ("classify", "x^2 + y^2*z + z^15"):
-        (3, "f5d7dbd8769e31089c65b502daeaded6e42dc9a3218bf27cb4089f8685d65daf"),
+        (0, "42aec7fa2ff26cd1f5c7fb566ae341acc35a7b69198ae15de96b404227643117"),
+    ("classify", "x^2 + y^2 + z^20"):
+        (0, "e5a0040252e2239f83a53b95aee8bf83750af57784b03ebbf18ef9381a0c9987"),
     ("milnor", "x^2 - y^2*z"):
         (1, "c29a1b6495331eba209210b21c80f03809d1b0eba981faf6d957b327de93f097"),
     ("milnor", "x^2 + y^3 + z^5"):
@@ -204,6 +229,15 @@ EXPECTED = {
         (0, "de380b947aecbe810e93e3e71dde481a84007714b3b228271adc5ed8c46583c4"),
     ("select-centre", "--sigma", "2*x*@y^@z", "--curve", "x", "--curve", "y^2 - z^3"):
         (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("select-centre", "--sigma", F_TIMES_JACOBIAN["x^2 + y^2 + z^3"], "--surface",
+     "x^2 + y^2 + z^3"):
+        (0, "9d74501acbbf7636eeaab80d5f7bb13b4db81783a3fc9437b59d3adf6d941a55"),
+    ("select-centre", "--sigma", F_TIMES_JACOBIAN["x^2 + y^3 + z^4"], "--surface",
+     "x^2 + y^3 + z^4"):
+        (0, "b8e83d4b5ce5287b25b03c087b3b9ac67bdd293328750843d8b4c814b20c6c9c"),
+    ("select-centre", "--sigma", F_TIMES_JACOBIAN["x^2 + y^2*z + z^5"], "--surface",
+     "x^2 + y^2*z + z^5"):
+        (0, "daa10226ef0dcc4f468bd8f2bf66696603d2e657e9b6e78672892e8a81bd01ac"),
     ("lt", "--centre", "x:2 y:3 z:3", "x^2 - y^2*z + y^4"):
         (0, "29716b1bd4aa35da2999d7c82f1c100ef444d0d31616dc5b6c87c0878a15fbc0"),
     ("lt", "--centre", "x:2 y:3 z:3", "--cap", "6", "2*x*@y^@z - y^2*@x^@y + z^7*@x^@z"):

@@ -530,8 +530,9 @@ def test_select_32_unit_multiples_on_moved_duval_germs_are_terminal():
         assert choice.case == "terminal_duval", (label, f)
 
 
-@pytest.mark.parametrize("text", ["(x+y^2)^2 + y^2 + z^14", "x^2 - (y + z^2)^2*z"],
-                         ids=["A13 moved", "Whitney umbrella on a parabola"])
+@pytest.mark.parametrize("text", ["(x + (y + z^2)^2 + z^2 + (y + z^2)*z)^2 + (y + z^2)^2 + z^16",
+                                  "x^2 - (y + z^2)^2*z"],
+                         ids=["A15 moved", "Whitney umbrella on a parabola"])
 def test_select_32_refuses_indeterminate_duval_verdict(text):
     f = parse_poly(text, V3)
     with pytest.raises(RefusalError, match="Du Val verdict indeterminate"):
