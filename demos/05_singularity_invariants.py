@@ -6,6 +6,7 @@ small invariants are exactly the Du Val / normal-crossings / Whitney list.
 """
 
 from wblow import (
+    CoordinateChange,
     InvariantSeq,
     canonical_numerics,
     is_admissible,
@@ -65,7 +66,8 @@ for k in (1, 2, 3):
 print()
 print("== the result is a lower bound in lex order ==")
 sheared = parse_poly("(x + y)^2", ("x", "y"))
-result = max_monomial_centre(sheared)
-print(f"(x+y)^2 in these coordinates: ({result.invariant}); after the shear "
-      "u = x + y the ideal is (u^2) with invariant (2), which is larger:",
-      lex_compare(InvariantSeq.parse("2"), result.invariant) > 0)
+move = CoordinateChange.shear("x", parse_poly("-y", ("x", "y")))
+result, moved = max_monomial_centre(sheared), max_monomial_centre(move(sheared))
+print(f"(x+y)^2 in these coordinates: ({result.invariant}); after {move} it is "
+      f"{move(sheared)} with invariant ({moved.invariant}), which is larger:",
+      lex_compare(moved.invariant, result.invariant) > 0)

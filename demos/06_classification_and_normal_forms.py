@@ -11,6 +11,7 @@ symbolically (to a stated order where a truncation is involved).
 from fractions import Fraction
 
 from wblow import (
+    CoordinateChange,
     classify_surface,
     detect_duval_point,
     detect_nonnilpotent_point,
@@ -52,10 +53,11 @@ print(f"classify_surface: {result.label()}, mu = {result.milnor}")
 
 print()
 print("== a hidden coordinate change ==")
-sheared = parse_poly("x^2 + y^3 + z^5", V).substitute(
-    {"y": parse_poly("y + 7*z", V)})
-print("sheared E8 equation:", sheared)
-print("still classified as:", classify_surface(sheared).label())
+move = CoordinateChange.shear("y", parse_poly("7*z", V))
+sheared = move(parse_poly("x^2 + y^3 + z^5", V))
+print(f"E8 equation after {move}:", sheared)
+result = classify_surface(sheared)
+print("still classified as:", result.label(), "after the preparation", result.preparation)
 
 print()
 print("== triple detectors ==")

@@ -22,6 +22,7 @@ from .ring import (
     univariate_gcd,
 )
 from .polyvector import (
+    CoordinateChange,
     LieAlgebra3,
     Polyvector,
     interior_product_df,
@@ -31,7 +32,6 @@ from .polyvector import (
     linearize,
     parse_polyvector,
     schouten,
-    shear,
     wedge,
 )
 from .centre import Centre, WeightData, parse_centre

@@ -219,19 +219,21 @@ class Centre:
         return f.translate(self.base_point)
 
     def ord_poly(self, f: Poly) -> ExtRational:
-        return self.ord_poly_with_witness(f)[0]
+        """Minimum weighted order over the support; inf for the zero polynomial."""
+        if f.variables != self.variables:
+            raise ValueError(f"chart mismatch: {f.variables} vs {self.variables}")
+        f = self._recentre_poly(f)
+        return INF if f.is_zero() else self._integer_weights[1] * self._integer_order(f)
 
-    def _integer_order(self, f: Poly) -> Tuple[int, Tuple[int, ...]]:
-        """min of sum r_i e_i over the terms of a nonzero f at the origin, r the
-        reduced weights, with the graded-lex smallest exponent reaching it."""
+    def _integer_order(self, f: Poly) -> int:
+        """min of sum r_i e_i over the terms of a nonzero f, r the reduced weights."""
         weights = self._integer_weights[0]
-        best = witness = None
+        best = None
         for exponent in f.nums:
             value = sum(map(mul, weights, exponent))
-            if best is None or value < best or (value == best
-                                                and _grlex_key(exponent) < _grlex_key(witness)):
-                best, witness = value, exponent
-        return best, witness
+            if best is None or value < best:
+                best = value
+        return best
 
     def ord_poly_with_witness(self, f: Poly) -> Tuple[ExtRational, Optional[Tuple[int, ...]]]:
         """Minimum weighted order over the support, with a minimising monomial.
@@ -240,13 +242,13 @@ class Centre:
         (deterministic tie-break).  Returns (inf, None) for the zero
         polynomial.
         """
-        if f.variables != self.variables:
-            raise ValueError(f"chart mismatch: {f.variables} vs {self.variables}")
-        f = self._recentre_poly(f)
-        if f.is_zero():
-            return INF, None
-        best, witness = self._integer_order(f)
-        return self._integer_weights[1] * best, witness
+        order = self.ord_poly(f)
+        if is_infinite(order):
+            return order, None
+        weights, gcd = self._integer_weights
+        witness = min((e for e in self._recentre_poly(f).nums
+                       if gcd * sum(map(mul, weights, e)) == order), key=_grlex_key)
+        return order, witness
 
     def ord_polyvector(self, xi: Polyvector) -> ExtRational:
         """min over terms of ord(coefficient) - sum of the weights in the index tuple.
@@ -264,7 +266,7 @@ class Centre:
             coeff = self._recentre_poly(coeff)
             if coeff.is_zero():
                 continue
-            value = self._integer_order(coeff)[0] - sum(weights[i] for i in indices)
+            value = self._integer_order(coeff) - sum(weights[i] for i in indices)
             if best is None or value < best:
                 best = value
         if best is None:
@@ -291,7 +293,7 @@ class Centre:
         if f.is_zero():
             raise ValueError("the zero polynomial has no leading term")
         weights = self._integer_weights[0]
-        minimum = self._integer_order(f)[0]
+        minimum = self._integer_order(f)
         return Poly._from_numerators(
             self.variables,
             {e: n for e, n in f.nums.items() if sum(map(mul, weights, e)) == minimum},

@@ -47,13 +47,13 @@ from .polyvector import (
     OTHER,
     SPLIT_NONABELIAN,
     Lie3Class,
+    CoordinateChange,
     Polyvector,
     interior_product_df,
     is_poisson,
     is_tangent,
     jacobian_poisson,
     linearize,
-    shear,
     wedge,
 )
 from .centre import Centre
@@ -68,6 +68,10 @@ from .invariant import (
 DEFAULT_DEGREE_BOUND = 12
 UNBOUNDED = "unbounded"
 INDETERMINATE = "indeterminate"
+
+
+class RefusalError(ValueError):
+    """Input outside the recognised normal forms; diagnostics in the message."""
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,7 @@ class SingularityClass:
     invariant: Optional[InvariantSeq] = None
     milnor: Optional[Union[int, str]] = None
     witness_centre: Optional[Centre] = None
-    preparation: List[Tuple[str, Poly]] = field(default_factory=list)
+    preparation: CoordinateChange = CoordinateChange(())
     prepared: Optional[Poly] = None          # the germ after ``preparation``
     diagnostics: List[str] = field(default_factory=list)
 
@@ -331,34 +335,30 @@ def _homogeneous_part(f: Poly, degree: int) -> Poly:
         f.variables, {e: n for e, n in f.nums.items() if sum(e) == degree}, f.den, None)
 
 
-def _complete_square(f: Poly) -> Optional[Tuple[Poly, Tuple[str, Poly]]]:
+def _complete_square(f: Poly) -> CoordinateChange:
     """One exact Morse step: kill the linear-in-u part when f is quadratic in u."""
-    if f.min_total_degree() != 2:
-        return None
-    for name in f.variables:
-        if f.degree_in(name) != 2:
-            continue
-        found = subleading_shift(f, name)
-        if found is not None:
-            step = (name, found[0])
-            return shear(f, *step), step
-    return None
+    if f.min_total_degree() == 2:
+        for name in f.variables:
+            found = subleading_shift(f, name) if f.degree_in(name) == 2 else None
+            if found is not None:
+                return CoordinateChange.shear(name, found[0])
+    return CoordinateChange(())
 
 
-def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
+def _diagonalise(q: Poly) -> Tuple[CoordinateChange, List[str]]:
     """Shears taking the quadratic form q to a diagonal form (Lagrange).
 
     Each round takes the first variable u whose square occurs and removes
     the cross terms u*w by u -> u + shift.  When no square occurs, a cross
     term c*v*w is a hyperbolic pivot: with q = c*v*w + v*L + w*M + R, the
     shears v -> v - M/c and w -> w - L/c leave c*v*w + R - L*M/c, and both v
-    and w become Morse coordinates.  Returns the steps in order and the
-    pivots, the Morse coordinates: their number is the rank of q over Q.  A
+    and w become Morse coordinates.  Returns the change and the pivots,
+    the Morse coordinates: their number is the rank of q over Q.  A
     diagonal q, or one that is c*v*w plus a form in the other variables,
     gives no steps.
     """
     variables = q.variables
-    steps: List[Tuple[str, Poly]] = []
+    change = CoordinateChange(())
     morse: List[str] = []
     while not q.is_zero():
         squares = [v for v in variables
@@ -366,22 +366,22 @@ def _diagonalise(q: Poly) -> Tuple[List[Tuple[str, Poly]], List[str]]:
         if squares:
             pivots = squares[:1]
             found = subleading_shift(q, pivots[0])
-            shifts = [] if found is None else [(pivots[0], found[0])]
+            step = CoordinateChange(()) if found is None else CoordinateChange.shear(
+                pivots[0], found[0])
         else:
             exponent = min(q.nums)
             pivots = [v for v, e in zip(variables, exponent) if e]
             c = q.terms[exponent]
             # -M/c = (c*v - dq/dw)/c; the first shear keeps dq/dv - c*w = L
-            shifts = [(v, (Poly.var(variables, v).scale(c) - q.diff(w)).scale(1 / c))
-                      for v, w in (pivots, pivots[::-1])]
-        for step in shifts:
-            if not step[1].is_zero():
-                steps.append(step)
-                q = shear(q, *step)
+            shears = (CoordinateChange.shear(v, (Poly.var(variables, v).scale(c)
+                                                 - q.diff(w)).scale(1 / c))
+                      for v, w in (pivots, pivots[::-1]))
+            step = sum(shears, CoordinateChange(()))
+        change, q = change + step, step(q)
         morse.extend(pivots)
         for pivot in pivots:
             q = q.coefficients_in(pivot)[0].extend_variables(variables)
-    return steps, morse
+    return change, morse
 
 
 ZERO_CUBIC = "zero"
@@ -428,37 +428,28 @@ def _class_invariant(kind: str, index: Optional[int]) -> InvariantSeq:
     return validate_invariant(InvariantSeq(entries))
 
 
-def _prepare(f: Poly) -> Tuple[Poly, List[Tuple[str, Poly]], List[str], Optional[str]]:
+def _prepare(f: Poly) -> Tuple[Poly, CoordinateChange, List[str], Optional[str]]:
     """One exact linear change, logged as shears, then one square completion.
 
     The change diagonalises the Hessian, its pivots becoming the Morse
     coordinates.  With one Morse coordinate it also puts the multiple linear
     factor of the cubic on the Hessian kernel onto a kernel coordinate.
-    Returns the prepared form, the steps, the Morse coordinates and the root
-    type of that cubic (None unless the Hessian has rank one).
+    Returns the prepared form, the change, the Morse coordinates and the
+    root type of that cubic (None unless the Hessian has rank one).
     """
-    variables = f.variables
-    steps, morse = _diagonalise(_homogeneous_part(f, 2))
+    change, morse = _diagonalise(_homogeneous_part(f, 2))
     root_type = None
     if len(morse) == 1:
-        cubic = _homogeneous_part(f, 3)
-        for step in steps:
-            cubic = shear(cubic, *step)
-        on_kernel = cubic.coefficients_in(morse[0])[0]
+        on_kernel = change(_homogeneous_part(f, 3)).coefficients_in(morse[0])[0]
         kernel = on_kernel.variables
         root_type, factor = binary_cubic_type(on_kernel)
         if factor is not None and factor[0] != 0 and factor[1] != 0:
             # v -> v - (l_w/l_v) w turns the factor l_v v + l_w w into l_v v
-            steps.append((kernel[0],
-                          Poly.var(variables, kernel[1]).scale(-factor[1] / factor[0])))
-    prepared = f
-    for step in steps:
-        prepared = shear(prepared, *step)
-    completed = _complete_square(prepared)
-    if completed is not None:
-        prepared, step = completed
-        steps.append(step)
-    return prepared, steps, morse, root_type
+            change += CoordinateChange.shear(
+                kernel[0], Poly.var(f.variables, kernel[1]).scale(-factor[1] / factor[0]))
+    prepared = change(f)
+    completion = _complete_square(prepared)
+    return completion(prepared), change + completion, morse, root_type
 
 
 def _class_centres(f: Poly, kind: str, index: Optional[int]) -> Iterator[Centre]:
@@ -547,8 +538,8 @@ def classify_surface(f: Poly) -> SingularityClass:
     if f.min_total_degree() == 1:
         return SingularityClass(SMOOTH, prepared=f)
 
-    prepared, steps, morse, root_type = _prepare(f)
-    report = SingularityClass(OTHER_CLASS, preparation=steps, prepared=prepared)
+    prepared, change, morse, root_type = _prepare(f)
+    report = SingularityClass(OTHER_CLASS, preparation=change, prepared=prepared)
     principal = _principal_class(prepared, morse, root_type)
     if principal is not None:
         report.kind, report.index, report.milnor = principal
@@ -658,7 +649,7 @@ def sigma_tangent_to_ideal(sigma: Polyvector, generators: Sequence[Poly]) -> boo
 
     For a principal ideal this is the divisibility test; for a pair with a
     coordinate-like generator the structured membership above is used.
-    Unrecognised generator shapes raise, by the refusal policy.
+    Unrecognised generator shapes are refused (RefusalError).
     """
     generators = [g for g in generators if not g.is_zero()]
     if not generators:
@@ -683,10 +674,10 @@ def sigma_tangent_to_ideal(sigma: Polyvector, generators: Sequence[Poly]) -> boo
             for coeff in interior_product_df(h, sigma).terms.values())
         if sufficient:
             return True
-        raise ValueError(
+        raise RefusalError(
             "cannot certify tangency: no coordinate-like generator and the "
             "divisibility fallback fails")
-    raise ValueError("tangency is implemented for at most two generators")
+    raise RefusalError("tangency is implemented for at most two generators")
 
 
 def detect_nonnilpotent_point(sigma: Polyvector, y_generators: Sequence[Poly],
@@ -711,7 +702,8 @@ def detect_nonnilpotent_point(sigma: Polyvector, y_generators: Sequence[Poly],
 
 
 def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport:
-    """Decide whether a surface triple has a Du Val point at ``point``.
+    """Decide whether a surface triple has a Du Val point at ``point``; a
+    bivector not tangent to the surface is refused (RefusalError).
 
     Three conditions, read in the prepared coordinates of the surface class,
     where the sheared bivector is kept as ``prepared_sigma``: the bivector
@@ -726,17 +718,14 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
     certified either way: ``duval`` stays None, with a diagnostic.
     """
     if not is_tangent(sigma, f):
-        raise ValueError("the bivector is not tangent to the surface")
+        raise RefusalError("bivector is not tangent to the surface")
     if f.evaluate(point) != 0:
         raise ValueError(f"point {point} does not lie on the surface")
     f0 = f.translate(point)
     report = TripleReport(point=point)
     surface = report.surface_class = classify_surface(f0)
     prepared_f = surface.prepared
-    prepared_sigma = sigma.translate(point)
-    for step in surface.preparation:
-        prepared_sigma = shear(prepared_sigma, *step)
-    report.prepared_sigma = prepared_sigma
+    prepared_sigma = report.prepared_sigma = surface.preparation(sigma.translate(point))
 
     # isolatedness does not depend on the coordinates; in the prepared ones
     # a zero line straightened onto an axis is found.  For a unit multiple of

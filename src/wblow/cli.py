@@ -118,11 +118,6 @@ def _with_cap(value, cap: Optional[int]):
     return value.map_coefficients(lambda c: c.with_cap(cap))
 
 
-def _shears(steps: Sequence[Tuple[str, Poly]]) -> List[str]:
-    """Each shear (name, shift) as 'name -> name + shift'."""
-    return [f"{name} -> {Poly.var(shift.variables, name) + shift}" for name, shift in steps]
-
-
 def _count_up_to(limit: int):
     """An argparse type: an integer from 0 to ``limit``."""
     def count(text: str) -> int:
@@ -359,14 +354,14 @@ def _dispatch(args) -> int:
                   "milnor": result.milnor,
                   "witness_centre": None if result.witness_centre is None
                   else str(result.witness_centre),
-                  "preparation": _shears(result.preparation),
+                  "preparation": result.preparation.lines(),
                   "certification_bound": DEFAULT_DEGREE_BOUND,
                   "diagnostics": result.diagnostics}
         line = result.label()
         if result.invariant is not None:
             line += f" invariant=({result.invariant})"
-        if result.preparation:
-            line += f"  preparation: {', '.join(report['preparation'])}"
+        if result.preparation.steps:
+            line += f"  preparation: {result.preparation}"
         _emit(report, [line], machine)
         if result.kind != "other":
             return EXIT_OK
@@ -426,12 +421,12 @@ def _dispatch(args) -> int:
                       "case": s.case,
                       "centre": None if s.centre is None else str(s.centre),
                       "conilpotent": None if s.report is None else s.report.conilpotent,
-                      "coordinate_change": _shears(s.coordinate_change),
+                      "coordinate_change": s.coordinate_change.lines(),
                       "rationale": s.rationale} for s in selections]}
         lines = [f"{s.case}: no centre" if s.centre is None
                  else f"{s.case}: centre[{s.centre}]  conilpotent={s.report.conilpotent}"
-                 + (f"  coordinate_change: {', '.join(_shears(s.coordinate_change))}"
-                    if s.coordinate_change else "")
+                 + (f"  coordinate_change: {s.coordinate_change}"
+                    if s.coordinate_change.steps else "")
                  for s in selections]
         _emit(report, lines, machine)
         return EXIT_OK

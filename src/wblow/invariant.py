@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ring import INF, ExtRational, Poly, format_ext, is_infinite, parse_ext
 from .centre import Centre
-from .polyvector import shear
+from .polyvector import CoordinateChange
 
 VALID = "valid"
 INVALID = "invalid"
@@ -390,14 +390,14 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
         cone = [(e[1], n) for e, n in f.nums.items() if sum(e) == d]
         c = next(c for k in range(1, d + 1) for c in (k, -k)
                  if sum(a * c ** j for j, a in cone) != 0)
-        work = shear(f, v, Poly.var(f.variables, u).scale(c))
+        work = CoordinateChange.shear(v, Poly.var(f.variables, u).scale(c))(f)
         main = u
         log.append(f"shear {v} -> {v} + {c}*{u}")
 
     found = subleading_shift(work, main) if work.degree_in(main) == d else None
     if found is not None:
         shift, sub, divisor = found
-        work = shear(work, main, shift)
+        work = CoordinateChange.shear(main, shift)(work)
         log.append(f"shift {main} -> {main} - ({sub})/{divisor}")
 
     result = max_monomial_centre(work)

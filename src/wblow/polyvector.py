@@ -1,6 +1,8 @@
 """Polyvector-field calculus: wedge products, the Schouten bracket, interior
 products with exact one-forms, Jacobian bivectors, Poisson and tangency tests,
-and pointwise linearization into three-dimensional Lie algebras.
+pointwise linearization into three-dimensional Lie algebras, and
+``CoordinateChange``, the one change of coordinates for functions and
+bivectors (every preparation of the library is one).
 
 A degree-j polyvector is a finite sum  sum_I  f_I  d/dx_{i_1} ^ ... ^ d/dx_{i_j}
 over strictly increasing index tuples I, with Poly coefficients f_I.  Degree 0
@@ -355,41 +357,80 @@ def is_tangent(xi: Polyvector, f: Poly) -> bool:
     return all(divides(f, coeff) is not None for coeff in contraction.terms.values())
 
 
-def shear(value: Union[Poly, Polyvector], name: str,
-          shift: Poly) -> Union[Poly, Polyvector]:
-    """The change of coordinates ``name`` -> ``name`` + ``shift``.
+@dataclass(frozen=True)
+class CoordinateChange:
+    """A change of coordinates: a sequence of elementary steps, applied in order.
 
-    ``shift`` must not involve ``name``.  A function is substituted; a
-    bivector is transported to the chart of the new coordinate
-    u = ``name`` - ``shift``, its brackets computed from the old ones and
-    then substituted, so that shear(jacobian_poisson(f)) equals
-    jacobian_poisson(shear(f)) (the change has Jacobian one).
+    Each step is ``(name, image)``: ``name`` is replaced by ``image``, which
+    is a shear name + s with s free of ``name``, or a scaling c*name with
+    c != 0, so every step is an automorphism.  Calling the change on a
+    function substitutes the steps in turn.  A bivector is transported to the
+    chart of the new coordinate u = (``name`` - s)/c: its brackets are
+    computed from the old ones and then substituted, so that the change of
+    jacobian_poisson(f) equals jacobian_poisson of the changed f divided by
+    the Jacobian determinant of the change (one for shears, c for a
+    scaling).  Changes compose by ``+``, the left one first.
     """
-    if shift.variables != value.variables:
-        raise ValueError("shift chart does not match")
-    if shift.degree_in(name) > 0:
-        raise ValueError(f"shift may not involve the sheared variable {name!r}")
-    variables = value.variables
-    image = {name: Poly.var(variables, name) + shift}
+
+    steps: Tuple[Tuple[str, Poly], ...]
+
+    @classmethod
+    def shear(cls, name: str, shift: Poly) -> "CoordinateChange":
+        """The step ``name`` -> ``name`` + ``shift``, none for a zero shift;
+        ``shift`` may not involve ``name``."""
+        if shift.degree_in(name) > 0:
+            raise ValueError(f"shift may not involve the sheared variable {name!r}")
+        return cls(() if shift.is_zero() else ((name, Poly.var(shift.variables, name) + shift),))
+
+    @classmethod
+    def scaling(cls, variables: Sequence[str], name: str,
+                c: Union[int, Fraction]) -> "CoordinateChange":
+        """The step ``name`` -> c*``name``, c != 0."""
+        if c == 0:
+            raise ValueError("a scaling needs a nonzero factor")
+        return cls(((name, Poly.var(variables, name).scale(c)),))
+
+    def __add__(self, other: "CoordinateChange") -> "CoordinateChange":
+        return CoordinateChange(self.steps + other.steps)
+
+    def lines(self) -> List[str]:
+        """Each step as 'name -> image'."""
+        return [f"{name} -> {image}" for name, image in self.steps]
+
+    def __str__(self) -> str:
+        return ", ".join(self.lines())
+
+    def __call__(self, value: Union[Poly, Polyvector]) -> Union[Poly, Polyvector]:
+        for name, image in self.steps:
+            if image.variables != value.variables:
+                raise ValueError("coordinate change chart does not match")
+            value = _transport(value, name, image)
+        return value
+
+
+def _transport(value: Union[Poly, Polyvector], name: str,
+               image: Poly) -> Union[Poly, Polyvector]:
+    """One step ``name`` -> ``image`` = c*``name`` + s of a CoordinateChange."""
     if isinstance(value, Poly):
-        return value.substitute(image)
+        return value.substitute({name: image})
     if value.degree != 2:
-        raise ValueError("shear transport is implemented for bivectors")
-    index = variables.index(name)
-    slopes = [(m, shift.diff(v)) for m, v in enumerate(variables)]
-    slopes = [(m, d) for m, d in slopes if not d.is_zero()]
+        raise ValueError("coordinate changes transport functions and bivectors")
+    variables, index = value.variables, value.variables.index(name)
+    c = image.diff(name).constant_term()
+    shift = image - Poly.var(variables, name).scale(c)
+    slopes = [(m, d) for m, d in ((m, shift.diff(v)) for m, v in enumerate(variables)) if d.nums]
 
     def bracket(k: int, l: int) -> Poly:
         """{u_k, u_l} in the old coordinates; only u_index differs from x_index."""
         total = value.bracket_of_coordinates(k, l)
+        if index not in (k, l):
+            return total
         for m, d in slopes:
-            if k == index:
-                total = total - d * value.bracket_of_coordinates(m, l)
-            if l == index:
-                total = total - d * value.bracket_of_coordinates(k, m)
-        return total
+            total = total - d * (value.bracket_of_coordinates(m, l) if k == index
+                                 else value.bracket_of_coordinates(k, m))
+        return total if c == 1 else total.scale(1 / c)
 
-    terms = {(k, l): bracket(k, l).substitute(image)
+    terms = {(k, l): bracket(k, l).substitute({name: image})
              for k in range(len(variables)) for l in range(k + 1, len(variables))}
     return Polyvector(2, variables, terms)
 

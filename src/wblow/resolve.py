@@ -33,12 +33,11 @@ from .polyvector import (
     ABELIAN,
     HEISENBERG,
     SPLIT_NONABELIAN,
+    CoordinateChange,
     Polyvector,
     is_poisson,
-    is_tangent,
     jacobian_poisson,
     _sort_indices,
-    shear,
 )
 from .centre import Centre
 from .blowup import (
@@ -62,6 +61,7 @@ from .invariant import (
 from .classify import (
     D_CLASS,
     WHITNEY_UMBRELLA,
+    RefusalError,
     TripleReport,
     detect_duval_point,
     detect_nonnilpotent_point,
@@ -287,14 +287,9 @@ class CentreSelection:
     centre: Optional[Centre]
     report: Optional[CentreReport]
     rationale: str
-    # the shears (name, shift), name -> name + shift, applied before the centre
-    coordinate_change: List[Tuple[str, Poly]] = field(default_factory=list)
+    coordinate_change: CoordinateChange = CoordinateChange(())  # applied before the centre
     sigma: Optional[Polyvector] = None                    # in the working coordinates
     certificate: Optional["StepCertificate"] = None       # full blowup-step run
-
-
-class RefusalError(ValueError):
-    """Input outside the recognised normal forms; diagnostics in the message."""
 
 
 def _recognise_heisenberg_form(sigma: Polyvector
@@ -385,7 +380,7 @@ def _antiderivative(f: Poly, name: str) -> Poly:
 
 def _certified_selection(case: str, sigma: Polyvector, equations: Sequence[Poly],
                          centre: Centre, rationale: str,
-                         coordinate_change: Sequence[Tuple[str, Poly]] = ()
+                         coordinate_change: CoordinateChange = CoordinateChange(())
                          ) -> CentreSelection:
     """Certify one blowup step at ``centre`` and select it.
 
@@ -397,7 +392,7 @@ def _certified_selection(case: str, sigma: Polyvector, equations: Sequence[Poly]
     """
     certificate = certify_blowup_step(sigma, equations, centre)
     return CentreSelection(case, centre, certificate.centre_report, rationale,
-                           coordinate_change=list(coordinate_change), sigma=sigma,
+                           coordinate_change=coordinate_change, sigma=sigma,
                            certificate=certificate)
 
 
@@ -457,9 +452,9 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
 
     # vanishing locus is the smooth surface x + A = 0: x -> x - A
     # makes it x = 0
-    step = (x_name, -A)
-    sheared = shear(sigma, *step)
-    sheared_generators = [shear(g, *step) for g in y_generators]
+    change = CoordinateChange.shear(x_name, -A)
+    sheared = change(sigma)
+    sheared_generators = [change(g) for g in y_generators]
     plane_candidates = [g for g in sheared_generators
                         if g.degree_in(x_name) == 0 and not g.is_zero()]
     if not plane_candidates:
@@ -475,7 +470,7 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
         HEIS_SURFACE_VANISHING, sheared, sheared_generators, centre,
         f"Heisenberg point with smooth surface vanishing locus: "
         f"b-completion of the unweighted surface centre at b = {b}",
-        coordinate_change=[] if A.is_zero() else [step])]
+        coordinate_change=change)]
 
 
 def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
@@ -497,8 +492,6 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
         raise RefusalError("surface triples live in a shared three-variable chart")
-    if not is_tangent(sigma, f):
-        raise RefusalError("bivector is not tangent to the surface")
 
     duval = detect_duval_point(sigma, f, tuple(Fraction(0) for _ in variables))
     if duval.duval:

@@ -43,7 +43,7 @@ from wblow.resolve import (
     resolve_plane_curve,
 )
 
-from conftest import V2, V3, random_nonzero_poly, random_poly
+from conftest import V2, V3, random_change, random_nonzero_poly, random_poly, undo
 
 F = Fraction
 WHITNEY_SIGMA = "2*x*@y^@z - 2*y*z*@z^@x - y^2*@x^@y"
@@ -300,15 +300,12 @@ def test_criterion_11_triple_detectors():
     origin = (F(0),) * 3
     models = [("x*@x^@y", SPLIT_NONABELIAN), ("x*@y^@z", HEISENBERG),
               ("x^2*@x^@y", ABELIAN)]
-    from test_polyvector import (_apply_linear_change_to_bivector,
-                                 _random_linear_change)
     for text, expected in models:
         sigma = parse_polyvector(text, V3)
         _, lie_class = linearize(sigma, origin)
         assert lie_class == expected
         for _ in range(20):
-            rows = _random_linear_change(rng)
-            moved = _apply_linear_change_to_bivector(sigma, rows)
+            moved = undo(random_change(rng, range(-3, 4), 1))(sigma)
             _, lie_class = linearize(moved, origin)
             assert lie_class == expected
     for family, n in (("A", 1), ("A", 3), ("D", 4), ("D", 5),

@@ -11,10 +11,10 @@ from wblow.polyvector import (
     ABELIAN,
     HEISENBERG,
     SPLIT_NONABELIAN,
+    CoordinateChange,
     Polyvector,
     jacobian_poisson,
     parse_polyvector,
-    shear,
 )
 from wblow.centre import Centre
 from wblow.classify import (
@@ -40,7 +40,7 @@ from wblow.classify import (
     verify_normal_form,
 )
 
-from conftest import V2, V3, random_poly
+from conftest import V2, V3, det, linear_change, random_change, random_poly
 
 F = Fraction
 ORIGIN = (F(0),) * 3
@@ -86,18 +86,7 @@ def test_milnor_invariant_under_linear_substitution(rng):
     f = parse_poly("x^2 + y^3 + z^4", V3)
     expected = 6
     for _ in range(6):
-        while True:
-            rows = [[F(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
-            det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                   - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                   + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-            if det != 0:
-                break
-        images = {
-            V3[i]: sum((Poly.var(V3, V3[j]).scale(rows[i][j]) for j in range(3)),
-                       Poly.zero(V3))
-            for i in range(3)}
-        assert milnor_number(f.substitute(images)) == expected
+        assert milnor_number(random_change(rng, range(-2, 3), 1)(f)) == expected
 
 
 def test_quotient_dimension_unit_ideal():
@@ -147,8 +136,7 @@ def test_classify_stable_under_catalogue_shears(rng):
         for _ in range(4):
             source, target = rng.sample(V3, 2)
             c = rng.choice([1, -1, 2, -2, 3, -3])
-            image = Poly.var(V3, source) + Poly.var(V3, target).scale(c)
-            sheared = f.substitute({source: image})
+            sheared = CoordinateChange.shear(source, Poly.var(V3, target).scale(c))(f)
             assert classify_surface(sheared).label() == expected, (text, source, c)
 
 
@@ -180,7 +168,7 @@ def test_classify_prepares_normal_forms_by_the_identity():
         + [DUVAL_EQUATIONS[e](None, V3) for e in ("E6", "E7", "E8")] \
         + [parse_poly(text, V3) for text in ("x^2 - y^2*z", "x*y", "x*y + z^4")]
     for f in forms:
-        assert classify_surface(f).preparation == [], f
+        assert classify_surface(f).preparation == CoordinateChange(()), f
 
 
 def test_classify_witness_withheld_below_exact_invariant():
@@ -208,26 +196,8 @@ def test_classify_off_catalogue_e_germs(text, label):
     assert report.duval is True
 
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _random_gl3(rng):
-    """An invertible rational matrix with some entry outside -3..3."""
-    entries = (-5, -4, 4, 5, F(-1, 2), -1, 0, 0, 1, 1, 2)
-    while True:
-        m = [[F(rng.choice(entries)) for _ in range(3)] for _ in range(3)]
-        if _det3(m) != 0 and any(abs(e) > 3 for row in m for e in row):
-            return m
-
-
-def _linear_change(f, m):
-    images = {V3[i]: sum((Poly.var(V3, V3[j]).scale(m[i][j]) for j in range(3)),
-                         Poly.zero(V3))
-              for i in range(3)}
-    return f.substitute(images)
+# a linear change with some entry outside -3..3, seeded per test
+GL3_ENTRIES = (-5, -4, 4, 5, F(-1, 2), -1, 0, 0, 1, 1, 2)
 
 
 ADE_FORMS = ([("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
@@ -238,7 +208,7 @@ ADE_FORMS = ([("A", n) for n in range(1, 13)] + [("D", n) for n in range(4, 13)]
                          ids=[f"{family}{n or ''}" for family, n in ADE_FORMS])
 def test_duval_forms_under_random_linear_change(family, n):
     label = f"{family}{n or ''}"
-    g = _linear_change(DUVAL_EQUATIONS[family](n, V3), _random_gl3(random.Random(label)))
+    g = random_change(random.Random(label), GL3_ENTRIES, 1)(DUVAL_EQUATIONS[family](n, V3))
     report = detect_duval_point(jacobian_poisson(g), g, ORIGIN)
     assert report.surface_class.label() == label
     assert report.duval is True
@@ -250,7 +220,7 @@ def test_duval_forms_under_random_linear_change(family, n):
 def test_non_isolated_forms_under_random_linear_change(text, label, seed):
     # the singular line moves off the integer directions; the preparation
     # straightens it onto an axis, where the line certificate finds it
-    g = _linear_change(parse_poly(text, V3), _random_gl3(random.Random(f"{label}{seed}")))
+    g = random_change(random.Random(f"{label}{seed}"), GL3_ENTRIES, 1)(parse_poly(text, V3))
     result = classify_surface(g)
     assert result.label() == label
     assert result.milnor == "unbounded"
@@ -259,7 +229,7 @@ def test_non_isolated_forms_under_random_linear_change(text, label, seed):
 def _quasi_homogeneous_weights(f):
     """Weights w with sum w_i e_i = 1 on the three support monomials (Cramer)."""
     rows = [list(map(F, e)) for e in sorted(f.terms)]
-    return [_det3([row[:i] + [F(1)] + row[i + 1:] for row in rows]) / _det3(rows)
+    return [det([row[:i] + [F(1)] + row[i + 1:] for row in rows]) / det(rows)
             for i in range(3)]
 
 
@@ -356,18 +326,16 @@ def test_duval_negative_cases():
     assert report.duval is False
 
 
-def _triangularly_moved(f, a):
-    """x -> x + a*(y^2 + z^2 + y*z), then y -> y + a*z^2."""
-    y, z = Poly.var(V3, "y"), Poly.var(V3, "z")
-    moved = shear(f, "x", (y * y + z * z + y * z).scale(a))
-    return shear(moved, "y", (z * z).scale(a))
+# x -> x + y^2 + z^2 + y*z, then y -> y + z^2
+MOVE = (CoordinateChange.shear("x", parse_poly("y^2 + z^2 + y*z", V3))
+        + CoordinateChange.shear("y", parse_poly("z^2", V3)))
 
 
 def test_duval_unit_multiple_without_class_centre():
     # moved A4 is prepared to the centre x:2 y:2 z:4, where no permutation of
     # the class exponents (2, 2, 5) has order one; (1 + x)*J(f) is the
     # Jacobian structure of f for the volume form dx^dy^dz/(1 + x)
-    f = _triangularly_moved(DUVAL_EQUATIONS["A"](4, V3), 1)
+    f = MOVE(DUVAL_EQUATIONS["A"](4, V3))
     report = detect_duval_point(jacobian_poisson(f).scale(parse_poly("1 + x", V3)), f, ORIGIN)
     assert report.surface_class.label() == "A4" and report.surface_class.witness_centre is None
     assert report.duval is True and report.duval_witness_centre is None
@@ -383,7 +351,7 @@ def test_duval_unmatched_bivector_is_not_certified_either_way():
     f = DUVAL_EQUATIONS["A"](4, V3)
     report = detect_duval_point(jacobian_poisson(f) + jacobian_poisson(x).scale(f), f, ORIGIN)
     assert report.duval is True and str(report.duval_witness_centre) == "x:2 y:2 z:5"
-    f = _triangularly_moved(f, 1)
+    f = MOVE(f)
     report = detect_duval_point(jacobian_poisson(f) + jacobian_poisson(x).scale(f), f, ORIGIN)
     assert report.isolated_sigma_zero is True and report.surface_class.label() == "A4"
     assert report.duval is None and report.duval_witness_centre is None
@@ -440,7 +408,7 @@ def test_stabilisation_runs_at_most_three_reductions(monkeypatch, family, n):
     # quarter of the cap 13, so the schedule goes straight to the cap
     # instead of reducing at 12 and again at 13
     label = f"{family}{n or ''}"
-    g = _linear_change(DUVAL_EQUATIONS[family](n, V3), _random_gl3(random.Random(label)))
+    g = random_change(random.Random(label), GL3_ENTRIES, 1)(DUVAL_EQUATIONS[family](n, V3))
     calls = _count_stabilisations(monkeypatch)
     degrees = _count_reductions(monkeypatch)
     mu = milnor_number(g)
@@ -459,7 +427,7 @@ def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
     # runs instead of two, and the report is the one the second gave.  The
     # moved D12 misses its class centres, so classify_surface stabilises,
     # past degree 6, at the schedule's next degree, the cap 13
-    g = _triangularly_moved(DUVAL_EQUATIONS["D"](12, V3), 1)
+    g = MOVE(DUVAL_EQUATIONS["D"](12, V3))
     calls = _count_stabilisations(monkeypatch)
     degrees = _count_reductions(monkeypatch)
     report = detect_duval_point(jacobian_poisson(g).scale(scale), g, ORIGIN)
@@ -472,7 +440,7 @@ def test_duval_isolatedness_read_from_the_milnor_verdict(monkeypatch, scale):
     assert report.diagnostics == []
     # the linearly changed D12 is certified by its principal part, with no
     # stabilisation at all, and its class centre is the witness
-    g = _linear_change(DUVAL_EQUATIONS["D"](12, V3), _random_gl3(random.Random("D12")))
+    g = random_change(random.Random("D12"), GL3_ENTRIES, 1)(DUVAL_EQUATIONS["D"](12, V3))
     report = detect_duval_point(jacobian_poisson(g).scale(scale), g, ORIGIN)
     assert len(calls) == 1 and report.surface_class.milnor == 12
     assert report.duval is True and str(report.duval_witness_centre) == "x:2 y:11/5 z:11"
@@ -489,11 +457,10 @@ def test_diagonalise_hyperbolic_pivot(text, steps, morse, diagonal):
     # other cross terms and both become Morse coordinates
     q = parse_poly(text, V3)
     got_steps, got_morse = _diagonalise(q)
-    assert got_steps == [(v, parse_poly(s, V3)) for v, s in steps]
+    assert got_steps == sum((CoordinateChange.shear(v, parse_poly(s, V3)) for v, s in steps),
+                            CoordinateChange(()))
     assert got_morse == morse
-    for step in got_steps:
-        q = shear(q, *step)
-    assert q == parse_poly(diagonal, V3)
+    assert got_steps(q) == parse_poly(diagonal, V3)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -506,9 +473,8 @@ def test_diagonalise_forms_without_squares(seed):
             for (v, w), c in zip((("x", "y"), ("x", "z"), ("y", "z")), coefficients))
     if q.is_zero():
         return
-    steps, morse = _diagonalise(q)
-    for step in steps:
-        q = shear(q, *step)
+    change, morse = _diagonalise(q)
+    q = change(q)
     for exponent in q.nums:
         if max(exponent) == 1:
             pair = {i for i, e in enumerate(exponent) if e}
@@ -517,7 +483,7 @@ def test_diagonalise_forms_without_squares(seed):
     # a nonzero symmetric matrix with zero diagonal has rank 2 or 3: rank one
     # would make it +-v*v^T, whose diagonal v_i^2 vanishes only for v = 0
     a, b, c = coefficients
-    rank = 3 if _det3([[0, a, b], [a, 0, c], [b, c, 0]]) else 2
+    rank = 3 if det([[0, a, b], [a, 0, c], [b, c, 0]]) else 2
     assert len(morse) == rank and sorted(morse) == sorted(set(morse))
 
 
@@ -525,7 +491,7 @@ def test_duval_isolatedness_of_other_bivectors_is_stabilised(monkeypatch):
     # a unit times J(f) vanishes where J(f) does near the origin, so the
     # Milnor verdict of classify_surface is the one stabilisation; moved A4
     # misses its class centres, so classify_surface stabilises
-    f = _triangularly_moved(DUVAL_EQUATIONS["A"](4, V3), 1)
+    f = MOVE(DUVAL_EQUATIONS["A"](4, V3))
     calls = _count_stabilisations(monkeypatch)
     report = detect_duval_point(jacobian_poisson(f).scale(parse_poly("1 + x", V3)), f, ORIGIN)
     assert len(calls) == 1
@@ -537,7 +503,7 @@ def test_duval_isolatedness_follows_unbounded_and_indeterminate_milnor():
     report = detect_duval_point(jacobian_poisson(whitney), whitney, ORIGIN)
     assert report.surface_class.milnor == "unbounded"
     assert report.isolated_sigma_zero is False and report.duval is False
-    a15 = _triangularly_moved(DUVAL_EQUATIONS["A"](15, V3), 1)
+    a15 = MOVE(DUVAL_EQUATIONS["A"](15, V3))
     report = detect_duval_point(jacobian_poisson(a15), a15, ORIGIN)
     assert report.surface_class.milnor == "indeterminate"
     assert report.duval is None
@@ -576,13 +542,14 @@ def _moved(rng, base, weights, allowed=0):
                 terms[e] = rng.choice(SCALINGS)
                 break
     order = rng.sample(V3, 3)
-    g = Poly(V3, terms).substitute({v: Poly.var(V3, w).scale(rng.choice(SCALINGS))
-                                    for v, w in zip(V3, order)})
+    scales = [rng.choice(SCALINGS) for _ in V3]
+    g = linear_change([[s * (w == v) for w in V3] for v, s in zip(order, scales)])(Poly(V3, terms))
     sources = [v for v in V3 if g.degree_in(v) <= 4]
     if sources and rng.random() < 0.75:
         source = rng.choice(sources)
         target = rng.choice([v for v in V3 if v != source])
-        g = shear(g, source, Poly.var(V3, target).scale(rng.choice((1, -1, 2, -2))))
+        g = CoordinateChange.shear(source, Poly.var(V3, target).scale(
+            rng.choice((1, -1, 2, -2))))(g)
     return g
 
 
@@ -630,7 +597,7 @@ def test_moved_germs_beyond_the_bound_stay_indeterminate(monkeypatch, family, n)
     # x -> x + y^2 + z^2 + y*z, then y -> y + z^2: the preparation misses
     # the class centre, and the local algebra exhausts its bound
     calls = _count_stabilisations(monkeypatch)
-    result = classify_surface(_triangularly_moved(DUVAL_EQUATIONS[family](n, V3), 1))
+    result = classify_surface(MOVE(DUVAL_EQUATIONS[family](n, V3)))
     assert (result.label(), result.milnor) == ("other", "indeterminate")
     assert len(calls) == 1
 

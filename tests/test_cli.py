@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,12 @@ from pathlib import Path
 import pytest
 
 from wblow import cli
+from wblow.polyvector import CoordinateChange
+from wblow.ring import Poly, parse_poly
 from wblow.cli import MAX_COEFFICIENTS, MAX_DEGREE_BOUND, MAX_RESOLVE_STEPS, main
+
+from conftest import V3
+from test_functoriality import CURVE_TRIPLES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -264,6 +270,38 @@ def test_select_centre_heisenberg_refusal_exit(capsys):
                        "--curve", "x", "--curve", "y^2 - z^3")
     assert code == 3
     assert "Heisenberg slot has coefficient 2" in err
+
+
+def test_select_centre_surface_tangency_refusal_exit(capsys):
+    # the one tangency test of a surface triple is the Du Val detector's
+    code, _, err = run(capsys, "select-centre", "--sigma", "@x^@y", "--surface", "x^2 + y^2 + z^2")
+    assert code == 3
+    assert err.strip() == "refused: bivector is not tangent to the surface"
+
+
+def test_select_centre_moved_curve_triples_never_exit_2(capsys):
+    # Heisenberg triples with a curve and a surface vanishing locus and an
+    # abelian point, under 20 seeded pairs of shears v -> v + c*w^k, c in
+    # +-1, +-2 and k in 1, 2: a valid triple the selection cannot handle is
+    # refused (exit 3), never a usage error; the abelian point is selected
+    # in every move
+    rng = random.Random(5)
+    moves = []
+    for _ in range(20):
+        move = CoordinateChange(())
+        for _ in range(2):
+            v, w = rng.sample(V3, 2)
+            move += CoordinateChange.shear(v, (Poly.var(V3, w) ** rng.choice((1, 2))).scale(
+                rng.choice((1, -1, 2, -2))))
+        moves.append(move)
+    codes = []
+    for _, (sigma, generators) in CURVE_TRIPLES:
+        for move in moves:
+            curves = [a for g in generators for a in ("--curve", str(move(parse_poly(g, V3))))]
+            code, _, err = run(capsys, "select-centre", "--sigma", str(move(sigma)), *curves)
+            assert code in (0, 3), (str(move), err)
+            codes.append(code)
+    assert codes[40:] == [0] * 20
 
 
 @pytest.mark.parametrize("surface", [MOVED_A15, "x^2 - (y + z^2)^2*z"],

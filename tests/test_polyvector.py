@@ -11,6 +11,7 @@ from wblow.polyvector import (
     HEISENBERG,
     OTHER,
     SPLIT_NONABELIAN,
+    CoordinateChange,
     LieAlgebra3,
     Polyvector,
     interior_product_df,
@@ -20,11 +21,10 @@ from wblow.polyvector import (
     linearize,
     parse_polyvector,
     schouten,
-    shear,
     wedge,
 )
 
-from conftest import V3, random_poly
+from conftest import V3, random_change, random_poly, undo
 
 F = Fraction
 ORIGIN = (F(0),) * 3
@@ -255,66 +255,16 @@ def test_lie_class_matches_independent_criteria(brackets, expected):
     assert algebra.classify() == expected
 
 
-def _random_linear_change(rng):
-    while True:
-        rows = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-        det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-               - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-               + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-        if det != 0:
-            return rows
-
-
-def _apply_linear_change_to_bivector(sigma, rows):
-    """Transport under new coordinates u = M x, by the bracket rule."""
-    variables = sigma.variables
-    n = 3
-    # inverse of M over the rationals
-    def inverse(m):
-        identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-        aug = [list(m[i]) + identity[i] for i in range(n)]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            scale = aug[col][col]
-            aug[col] = [v / scale for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-        return [row[n:] for row in aug]
-
-    inv = inverse(rows)
-    # x_i = sum_j inv[i][j] u_j; {u_k, u_l} = sum_ij M_ki M_lj {x_i, x_j}
-    images = {variables[i]: sum(
-        (Poly.var(variables, variables[j]).scale(inv[i][j]) for j in range(n)),
-        Poly.zero(variables)) for i in range(n)}
-    terms = {}
-    for k in range(n):
-        for l in range(k + 1, n):
-            total = Poly.zero(variables)
-            for i in range(n):
-                for j in range(n):
-                    coefficient = rows[k][i] * rows[l][j]
-                    if coefficient == 0:
-                        continue
-                    total = total + sigma.bracket_of_coordinates(i, j).scale(coefficient)
-            total = total.substitute(images)
-            if not total.is_zero():
-                terms[(k, l)] = total
-    return Polyvector(2, variables, terms)
-
-
 def test_lie_class_invariant_under_basis_change(rng):
     models = (("x*@x^@y", SPLIT_NONABELIAN), ("x*@y^@z", HEISENBERG),
               ("x^2*@x^@y", ABELIAN))
     for text, expected in models:
         sigma = pv(text)
         for _ in range(20):
-            rows = _random_linear_change(rng)
-            moved = _apply_linear_change_to_bivector(sigma, rows)
+            # to the coordinates u = M*x, M with entries in -3..3
+            moved = undo(random_change(rng, range(-3, 4), 1))(sigma)
             _, lie_class = linearize(moved, ORIGIN)
-            assert lie_class == expected, (text, rows)
+            assert lie_class == expected, (text, moved)
 
 
 # --- shears --------------------------------------------------------------------------------
@@ -324,13 +274,13 @@ def test_shear_straightens_vanishing_surface():
     # u @y^@z + u A_y @x^@z - u A_z @x^@y
     A = parse_poly("y^2 + z^2", V3)
     sigma = Polyvector(2, V3, {(1, 2): parse_poly("x", V3) + A})
-    moved = shear(sigma, "x", -A)
+    moved = CoordinateChange.shear("x", -A)(sigma)
     expected = (Polyvector(2, V3, {(1, 2): parse_poly("x", V3)})
                 + Polyvector(2, V3, {(0, 2): parse_poly("x", V3) * A.diff("y")})
                 - Polyvector(2, V3, {(0, 1): parse_poly("x", V3) * A.diff("z")}))
     assert moved == expected
     # the function x + A becomes the coordinate x under the same shear
-    assert shear(parse_poly("x", V3) + A, "x", -A) == parse_poly("x", V3)
+    assert CoordinateChange.shear("x", -A)(parse_poly("x", V3) + A) == parse_poly("x", V3)
 
 
 def test_shear_round_trip(rng):
@@ -339,8 +289,8 @@ def test_shear_round_trip(rng):
         shift = random_poly(rng, V3, max_degree=2)
         if shift.degree_in("x") > 0:
             continue
-        moved = shear(sigma, "x", shift)
-        back = shear(moved, "x", -shift)
+        moved = CoordinateChange.shear("x", shift)(sigma)
+        back = CoordinateChange.shear("x", -shift)(moved)
         assert back == sigma
 
 
@@ -357,23 +307,25 @@ def test_shear_commutes_with_jacobian(rng):
         f = random_poly(rng, V3, max_degree=4, max_terms=5)
         name = rng.choice(V3)
         shift = _shift_without(rng, name)
-        assert shear(jacobian_poisson(f), name, shift) \
-            == jacobian_poisson(shear(f, name, shift))
-        assert shear(shear(f, name, shift), name, -shift) == f
+        change = CoordinateChange.shear(name, shift)
+        back = CoordinateChange.shear(name, -shift)
+        assert change(jacobian_poisson(f)) == jacobian_poisson(change(f))
+        assert back(change(f)) == f
         sigma = jacobian_poisson(f)
-        assert shear(shear(sigma, name, shift), name, -shift) == sigma
+        assert back(change(sigma)) == sigma
 
 
 def test_shear_substitutes_functions():
     f = parse_poly("x^2 - y^2*z", V3)
-    assert shear(f, "y", parse_poly("-z", V3)) == parse_poly("x^2 - (y - z)^2*z", V3)
+    assert CoordinateChange.shear("y", parse_poly("-z", V3))(f) \
+        == parse_poly("x^2 - (y - z)^2*z", V3)
 
 
 def test_shear_rejects_shift_in_sheared_variable():
     with pytest.raises(ValueError):
-        shear(parse_poly("x*y", V3), "x", parse_poly("x*z", V3))
+        CoordinateChange.shear("x", parse_poly("x*z", V3))(parse_poly("x*y", V3))
     with pytest.raises(ValueError):
-        shear(pv("x*@y^@z"), "x", parse_poly("x^2", V3))
+        CoordinateChange.shear("x", parse_poly("x^2", V3))(pv("x*@y^@z"))
 
 
 def test_parse_polyvector_round_trip(rng):

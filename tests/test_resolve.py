@@ -10,7 +10,7 @@ from wblow import classify
 from wblow import resolve as resolve_module
 from wblow.blowup import exceptional_name, exceptional_singular_points, rational_singular_points
 from wblow.ring import Poly, parse_poly, resultant
-from wblow.polyvector import Polyvector, jacobian_poisson, parse_polyvector
+from wblow.polyvector import CoordinateChange, Polyvector, jacobian_poisson, parse_polyvector
 from wblow.centre import Centre, parse_centre
 from wblow.invariant import lex_compare
 from wblow.resolve import (
@@ -26,7 +26,7 @@ from wblow.resolve import (
     select_centre_32,
 )
 
-from conftest import V2, V3, random_nonzero_poly
+from conftest import V2, V3, random_change, random_nonzero_poly
 
 F = Fraction
 CORPUS = [("node", "y^2 - x^2"), ("cusp", "y^2 - x^3"), ("tacnode", "y^2 - x^4"),
@@ -187,7 +187,7 @@ def _seeded_curves(seed: int = 17, count: int = 24):
             out.append(branch * (y ** a2 - x ** b2 * rng.choice([2, 3, 5])))
         else:
             shift = x ** (b // a + 1) * rng.choice([-3, -1, 2, 5])
-            out.append(branch.substitute({"y": y + shift}))
+            out.append(CoordinateChange.shear("y", shift)(branch))
     return out
 
 
@@ -298,7 +298,7 @@ def test_select_31_heisenberg_surface_vanishing():
     # b = multiplicity of the plane curve = 2
     assert str(choice.centre) == "x:1 y:2 z:2"
     # x -> x - (y^2 + z^2) makes the vanishing surface x + y^2 + z^2 = 0 the plane x = 0
-    assert choice.coordinate_change == [("x", -f)]
+    assert choice.coordinate_change == CoordinateChange.shear("x", -f)
 
 
 def test_select_31_multiplicity_above_one():
@@ -344,6 +344,16 @@ def test_select_31_refuses_unrecognised():
         select_centre_31(sigma, generators)
 
 
+def test_select_31_refuses_undecided_tangency():
+    # the curve-vanishing Heisenberg triple sheared by y -> y + 2*x: neither
+    # generator is coordinate-like, so tangency is not decided
+    f = parse_poly("y^2 + z^2", V3)
+    sigma = Polyvector(2, V3, {(1, 2): parse_poly("x", V3) + f}) + jacobian_poisson(f * f)
+    move = CoordinateChange.shear("y", parse_poly("2*x", V3))
+    with pytest.raises(RefusalError, match="cannot certify tangency"):
+        select_centre_31(move(sigma), [move(parse_poly("x", V3) + f), move(f)])
+
+
 def test_select_31_refuses_scaled_heisenberg_slot():
     # tangent to the curve, but the Heisenberg slot carries 2*x, not x
     sigma = parse_polyvector("2*x*@y^@z", V3)
@@ -378,7 +388,7 @@ def test_select_32_whitney():
     assert choice.report.conilpotent
     assert choice.report is choice.certificate.centre_report
     # the singular line is already the z-axis: no change of coordinates
-    assert choice.coordinate_change == []
+    assert choice.coordinate_change == CoordinateChange(())
 
 
 def test_select_32_sheared_whitney_straightened():
@@ -387,7 +397,7 @@ def test_select_32_sheared_whitney_straightened():
     f = parse_poly("x^2 - (y + z)^2*z", V3)
     [choice] = select_centre_32(jacobian_poisson(f), f)
     assert choice.case == "inv_233_surface"
-    assert choice.coordinate_change == [("y", parse_poly("-z", V3))]
+    assert choice.coordinate_change == CoordinateChange.shear("y", parse_poly("-z", V3))
     assert str(choice.centre) == "x:1 y:1 z:inf"
     assert choice.report.conilpotent
     assert choice.report is choice.certificate.centre_report
@@ -408,8 +418,25 @@ def test_select_32_isolated_type_d_point(text, change):
     [choice] = select_centre_32(jacobian_poisson(f).scale(f), f)
     assert choice.case == "inv_233_surface"
     assert str(choice.centre) == "x:2 y:3 z:3"
-    assert choice.coordinate_change == [(v, parse_poly(s, V3)) for v, s in change]
+    assert choice.coordinate_change == sum(
+        (CoordinateChange.shear(v, parse_poly(s, V3)) for v, s in change), CoordinateChange(()))
     assert choice.certificate.ok()
+
+
+def test_select_32_tests_tangency_once(monkeypatch):
+    # the Du Val detector's tangency test is the selection's only one on the
+    # germ (the step certificate tests the strict transforms), and its
+    # refusal is the selection's
+    calls = []
+    original = classify.is_tangent
+    monkeypatch.setattr(classify, "is_tangent",
+                        lambda sigma, f: calls.append(f) or original(sigma, f))
+    f = parse_poly("x^2 + y^2*z + z^3", V3)
+    [choice] = select_centre_32(jacobian_poisson(f).scale(f), f)
+    assert choice.case == "inv_233_surface" and calls.count(f) == 1
+    with pytest.raises(RefusalError, match="^bivector is not tangent to the surface$"):
+        select_centre_32(parse_polyvector("@x^@y", V3), f)
+    assert RefusalError is classify.RefusalError and issubclass(RefusalError, ValueError)
 
 
 def test_select_32_refuses_type_d_point_without_witness(monkeypatch):
@@ -426,39 +453,20 @@ def test_select_32_refuses_type_d_point_without_witness(monkeypatch):
         select_centre_32(jacobian_poisson(f).scale(f), f)
 
 
-def _moved(f, matrix):
-    """f(M x): each variable replaced by its row of M applied to (x, y, z)."""
-    rows = [sum((Poly.var(V3, v).scale(a) for v, a in zip(V3, row)), Poly.zero(V3))
-            for row in matrix]
-    return f.substitute(dict(zip(V3, rows)))
-
-
-def _seeded_moves():
-    """25 invertible integer matrices with entries in -3..3, from one seed."""
-    rng = random.Random(7)
-    matrices = []
-    while len(matrices) < 25:
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-        if _det3(m):
-            matrices.append(m)
-    return matrices
+# 25 invertible integer matrices with entries in -3..3, from one seed
+RNG_7 = random.Random(7)
+SEEDED_MOVES = [random_change(RNG_7, range(-3, 4), 1) for _ in range(25)]
 
 
 def test_select_32_moved_whitney_umbrellas_are_certified():
     # the class and its preparation do not depend on the coordinates, so
     # every linear move of the Whitney umbrella gets a certified centre
     W = parse_poly("x^2 - y^2*z", V3)
-    for m in _seeded_moves():
-        f = _moved(W, m)
+    for index, move in enumerate(SEEDED_MOVES):
+        f = move(W)
         [choice] = select_centre_32(jacobian_poisson(f), f)
-        assert choice.case == "inv_233_surface", m
-        assert choice.certificate.ok(), m
-
-
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        assert choice.case == "inv_233_surface", index
+        assert choice.certificate.ok(), index
 
 
 def test_select_32_normal_crossings():
@@ -498,23 +506,17 @@ DRAWN_ADE_FORMS = [("A", 1), ("A", 2), ("A", 3), ("A", 6), ("A", 9), ("A", 12),
                    ("E6", None), ("E7", None), ("E8", None)]
 
 
-def _triangularly_moved_ade_germs():
-    """Each ADE form moved six times: x -> x + a*y^2 + b*z^2 + c*y*z, then
-    y -> y + d*z^2, with a, b, c, d in -3..3 from one seeded draw."""
-    rng = random.Random(11)
-    x, y, z = (Poly.var(V3, v) for v in V3)
-    for family, n in DRAWN_ADE_FORMS:
-        f = classify.DUVAL_EQUATIONS[family](n, V3)
-        for _ in range(6):
-            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-            moved = f.substitute({"x": x + y * y.scale(a) + z * z.scale(b) + y * z.scale(c)})
-            yield f"{family}{n or ''}", moved.substitute({"y": y + z * z.scale(d)})
+# each ADE form moved six times: x -> x + a*y^2 + b*z^2 + c*y*z, then
+# y -> y + d*z^2, with a, b, c, d in -3..3 from one seeded draw
+RNG_11 = random.Random(11)
+MOVED_ADE_GERMS = [(f"{family}{n or ''}", random_change(RNG_11, range(-3, 4), 2)(
+    classify.DUVAL_EQUATIONS[family](n, V3))) for family, n in DRAWN_ADE_FORMS for _ in range(6)]
 
 
 def test_select_32_triangularly_moved_duval_triples_are_terminal():
     # (J(f), f) is a Du Val point in any coordinates: no class centre has to
     # match, the Jacobian multiple is the certificate
-    germs = list(_triangularly_moved_ade_germs())
+    germs = MOVED_ADE_GERMS
     assert len(germs) == 78
     for label, f in germs:
         [choice] = select_centre_32(jacobian_poisson(f), f)
@@ -525,7 +527,7 @@ def test_select_32_unit_multiples_on_moved_duval_germs_are_terminal():
     # u*J(f) with u(0) != 0 is the Jacobian structure of f for the volume
     # form dx^dy^dz/u, whether or not a class centre witnesses it
     unit = parse_poly("1 + x + y^2", V3)
-    for label, f in _triangularly_moved_ade_germs():
+    for label, f in MOVED_ADE_GERMS:
         [choice] = select_centre_32(jacobian_poisson(f).scale(unit), f)
         assert choice.case == "terminal_duval", (label, f)
 
@@ -545,11 +547,11 @@ def test_select_32_moved_normal_crossings_are_certified():
     f = parse_poly("(x + 2*z)*(y - z)", V3)
     [choice] = select_centre_32(jacobian_poisson(f), f)
     assert choice.case == "generic_assoc" and choice.certificate.ok()
-    for m in _seeded_moves():
-        f = _moved(parse_poly("x*y", V3), m)
+    for index, move in enumerate(SEEDED_MOVES):
+        f = move(parse_poly("x*y", V3))
         [choice] = select_centre_32(jacobian_poisson(f), f)
-        assert choice.case == "generic_assoc", m
-        assert choice.certificate.ok(), m
+        assert choice.case == "generic_assoc", index
+        assert choice.certificate.ok(), index
 
 
 # the triple draw: twelve surface germs (A2, A4, D4, D6, E6, E7, E8, E12, a
@@ -564,19 +566,15 @@ DRAW_MOVES = (0, 1, 3, -1)
 UNIT = "1 + x"
 
 
-def _drawn_move(f, a):
-    x, y, z = (Poly.var(V3, v) for v in V3)
-    moved = f.substitute({"x": x + (y * y + z * z + y * z).scale(a)})
-    return moved.substitute({"y": y + (z * z).scale(a)})
-
-
 @pytest.fixture(scope="module")
 def triple_draw():
     """(germ, a, multiplier) -> the one selection, or the refusal or abort raised."""
     outcomes = {}
     for text in DRAW_DUVAL + DRAW_OTHER:
         for a in DRAW_MOVES:
-            f = _drawn_move(parse_poly(text, V3), a)
+            move = (CoordinateChange.shear("x", parse_poly("y^2 + z^2 + y*z", V3).scale(a))
+                    + CoordinateChange.shear("y", parse_poly("z^2", V3).scale(a)))
+            f = move(parse_poly(text, V3))
             for multiplier in ("f", UNIT):
                 unit = f if multiplier == "f" else parse_poly(UNIT, V3)
                 try:
