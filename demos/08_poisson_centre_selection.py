@@ -8,7 +8,7 @@ the lifted structure is checked Poisson and tangent to the strict transforms.
 
 from wblow import jacobian_poisson, parse_poly, parse_polyvector
 from wblow.polyvector import Polyvector
-from wblow.resolve import certify_blowup_step, select_centre_31, select_centre_32
+from wblow.resolve import select_centre_31, select_centre_32
 
 V = ("x", "y", "z")
 
@@ -40,7 +40,7 @@ curve_cases = [
      [parse_poly("x^2 - y*z", V), parse_poly("y^2 - x*z", V)]),
 ]
 for name, sigma, generators in curve_cases:
-    selection = select_centre_31(sigma, generators)[0]
+    selection = select_centre_31(sigma, generators)
     print(f"{name}:")
     print(f"   {describe(selection)}")
     print(f"   {selection.rationale}")
@@ -60,18 +60,17 @@ surface_cases = [
      parse_poly("x^2 + y^3 + z^5", V)),
 ]
 for name, sigma, equation in surface_cases:
-    selection = select_centre_32(sigma, equation)[0]
+    selection = select_centre_32(sigma, equation)
     print(f"{name}: {describe(selection)}")
 
 print()
 print("== one fully certified blowup step ==")
-certificate = certify_blowup_step(jacobian_poisson(W), [W],
-                                  select_centre_32(jacobian_poisson(W), W)[0].centre)
+# the selection certifies its own step; the invariant before it is the one
+# the selection searched.  A failed check raises StepAbort, so a certificate
+# records only the conilpotent centre report and the invariants
+certificate = select_centre_32(jacobian_poisson(W), W).certificate
 print("conilpotent:", certificate.centre_report.conilpotent)
-print("lift regular:", certificate.lift_regular,
-      " tangent to the exceptional divisor:", certificate.exceptional_tangent)
-print("lifted bivector still Poisson:", certificate.sigma_proper_poisson)
-print("tangent to the strict transform:", certificate.sigma_tangent_to_transforms)
+print("tangent to the exceptional divisor:", certificate.exceptional_tangent)
 print("invariant before:", str(certificate.invariant_before))
 print("invariants after, per chart:",
       [(chart, None if s is None else str(s))

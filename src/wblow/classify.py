@@ -307,6 +307,7 @@ def class_exponents(kind: str, index: Optional[int] = None) -> Tuple[Fraction, .
 @dataclass
 class SingularityClass:
     kind: str
+    monomial: MonomialCentreResult           # max_monomial_centre of ``prepared``
     index: Optional[int] = None              # n for A(n), D(n)
     invariant: Optional[InvariantSeq] = None
     milnor: Optional[Union[int, str]] = None
@@ -461,55 +462,78 @@ def _class_centres(f: Poly, kind: str, index: Optional[int]) -> Iterator[Centre]
             yield centre
 
 
-def _principal_class(prepared: Poly, morse: List[str], root_type: Optional[str]
-                     ) -> Optional[Tuple[str, Optional[int], int]]:
-    """(kind, index, mu) of the A/D/E class whose normal form is the
-    principal part of the prepared germ, or None.
+def _determined_class(rank: int, root_type: Optional[str], mu: Union[int, str]
+                      ) -> Optional[Tuple[str, Optional[int]]]:
+    """Arnold's determinator: (kind, index) of the class with Hessian rank
+    ``rank``, root type ``root_type`` of the cubic on the Hessian kernel and
+    Milnor number ``mu``, or None for ``other``."""
+    if isinstance(mu, int):
+        if rank >= 2:
+            return A_CLASS, mu
+        if root_type in (DISTINCT_ROOTS, DOUBLE_ROOT) and mu >= 4:
+            return D_CLASS, mu
+        if root_type == TRIPLE_ROOT and mu in (6, 7, 8):
+            return {6: E6, 7: E7, 8: E8}[mu], None
+    elif mu == UNBOUNDED:
+        if rank == 2:
+            return NORMAL_CROSSINGS_2, None
+        if root_type == DOUBLE_ROOT:
+            return WHITNEY_UMBRELLA, None
+    return None
 
-    The candidates follow the determinator: A1 for Hessian rank three;
-    A(m - 1) for rank two, m the smallest pure power of the kernel
-    coordinate; D(m + 1) for a double root, m the smallest pure power of
-    either kernel coordinate (the other one, not the doubled one); E6, E7
-    and E8 for a triple root.  A candidate holds when, at one of its class
-    centres, the germ has order one and its leading term has exactly the
-    support of ``DUVAL_EQUATIONS``, the variables taking the roles x, y, z
-    in the order of their exponents.  Such a leading term has an isolated
-    critical point for any nonzero coefficients, so the germ is
+
+def _principal_milnor(prepared: Poly, morse: List[str], root_type: Optional[str]
+                      ) -> Optional[int]:
+    """The Milnor number of the prepared germ read off its principal part, or
+    None.
+
+    The candidate mu follow the determinator: 1 for Hessian rank three;
+    m - 1 for rank two, m the smallest pure power of the kernel coordinate;
+    m + 1 for a double root, m the smallest pure power of either kernel
+    coordinate (the other one, not the doubled one); 6, 7 and 8 for a triple
+    root.  A candidate holds when, at one of the class centres of its class
+    (``_determined_class``), the germ has order one and its leading term has
+    exactly the support of ``DUVAL_EQUATIONS``, the variables taking the
+    roles x, y, z in the order of their exponents.  Such a leading term has
+    an isolated critical point for any nonzero coefficients, so the germ is
     semi-quasi-homogeneous and its mu is that of the normal form (Arnold,
     Gusein-Zade and Varchenko, Singularities of Differentiable Maps I,
     section 12).  A cubic with distinct roots is the same theorem at
     x:2 v:3 w:3, where the leading term is c*x^2 plus that cubic: mu is 4.
     """
-    if len(morse) == 3:
-        return A_CLASS, 1, 1
+    rank = len(morse)
+    if rank == 3:
+        return 1
     if root_type == DISTINCT_ROOTS:
-        return D_CLASS, 4, 4
+        return 4
     kernel = [i for i, v in enumerate(prepared.variables) if v not in morse]
     pure = [[e[i] for e in prepared.nums if e[i] == sum(e)] for i in kernel]
     powers = [min(p) for p in pure if p]
-    if len(morse) == 2:
-        candidates = [(A_CLASS, m - 1, m - 1) for m in powers]
+    if rank == 2:
+        candidates = [m - 1 for m in powers]
     elif root_type == DOUBLE_ROOT:
-        candidates = [(D_CLASS, m + 1, m + 1) for m in powers]
+        candidates = [m + 1 for m in powers]
     elif root_type == TRIPLE_ROOT:
-        candidates = [(E6, None, 6), (E7, None, 7), (E8, None, 8)]
+        candidates = [6, 7, 8]
     else:
         return None
-    for kind, index, mu in candidates:
+    for mu in candidates:
+        kind, index = _determined_class(rank, root_type, mu)
         normal_form = set(DUVAL_EQUATIONS[kind](index, ("x", "y", "z")).nums)
         for centre in _class_centres(prepared, kind, index):
             roles = sorted(range(3), key=centre.exponents.__getitem__)
             lead = centre.leading_term_poly(prepared)
             if {tuple(e[i] for i in roles) for e in lead.nums} == normal_form:
-                return kind, index, mu
+                return mu
     return None
 
 
 def classify_surface(f: Poly) -> SingularityClass:
     """Classify a surface germ in three variables at the origin.
 
-    Arnold's determinator, from the rank of the Hessian over Q, the cubic
-    part of f on the Hessian kernel and the Milnor number mu:
+    Arnold's determinator (``_determined_class``), from the rank of the
+    Hessian over Q, the cubic part of f on the Hessian kernel and the Milnor
+    number mu:
 
     * rank 3: A1;
     * rank 2: A(mu), or normal crossings when mu is unbounded;
@@ -522,12 +546,13 @@ def classify_surface(f: Poly) -> SingularityClass:
     coordinates related by shears and one square completion, automorphisms
     that leave mu unchanged.  A germ whose leading term at a class centre
     is the normal form is semi-quasi-homogeneous, with the mu of the normal
-    form at any index (``_principal_class``): A19 is certified, though its
+    form at any index (``_principal_milnor``): A19 is certified, though its
     local algebra exhausts the default degree bound.  Otherwise mu comes
     from ``milnor_number`` at ``DEFAULT_DEGREE_BOUND``; a singular line the
     preparation straightens onto an axis is found there.  The monomial
-    centre of the prepared form is the witness when it reaches the exact
-    invariant of the class; for ``other`` its lower bound is reported.
+    centre of the prepared form, searched once and kept as ``monomial``, is
+    the witness when it reaches the exact invariant of the class; for
+    ``other`` its lower bound is reported.
     """
     if len(f.variables) != 3:
         raise ValueError("classify_surface expects a three-variable chart")
@@ -536,55 +561,40 @@ def classify_surface(f: Poly) -> SingularityClass:
     if f.constant_term() != 0:
         raise ValueError("the germ must vanish at the origin; translate first")
     if f.min_total_degree() == 1:
-        return SingularityClass(SMOOTH, prepared=f)
+        return SingularityClass(SMOOTH, max_monomial_centre(f), prepared=f)
 
     prepared, change, morse, root_type = _prepare(f)
-    report = SingularityClass(OTHER_CLASS, preparation=change, prepared=prepared)
-    principal = _principal_class(prepared, morse, root_type)
-    if principal is not None:
-        report.kind, report.index, report.milnor = principal
-    elif len(morse) == 2:
-        mu = report.milnor = milnor_number(prepared)
-        if isinstance(mu, int):
-            report.kind, report.index = A_CLASS, mu
-        elif mu == UNBOUNDED:
-            report.kind = NORMAL_CROSSINGS_2
-        else:
-            report.diagnostics.append(f"Hessian rank 2 but Milnor number {mu}")
-    elif root_type == ZERO_CUBIC:
+    # the search refuses only a zero or unit ideal, and f is neither
+    found = max_monomial_centre(prepared)
+    report = SingularityClass(OTHER_CLASS, found, preparation=change, prepared=prepared)
+    if root_type == ZERO_CUBIC:
         report.diagnostics.append(
             "the cubic vanishes on the Hessian kernel: not a simple singularity")
-    elif root_type is not None:
-        mu = report.milnor = milnor_number(prepared)
-        if root_type == DOUBLE_ROOT and isinstance(mu, int) and mu >= 4:
-            report.kind, report.index = D_CLASS, mu
-        elif root_type == DOUBLE_ROOT and mu == UNBOUNDED:
-            report.kind = WHITNEY_UMBRELLA
-        elif root_type == TRIPLE_ROOT and mu in (6, 7, 8):
-            report.kind = {6: E6, 7: E7, 8: E8}[mu]
+    elif not morse:
+        report.diagnostics.append("the 2-jet vanishes: not a simple singularity")
+    else:
+        mu = _principal_milnor(prepared, morse, root_type)
+        if mu is None:
+            mu = milnor_number(prepared)
+        report.milnor = mu
+        determined = _determined_class(len(morse), root_type, mu)
+        if determined is not None:
+            report.kind, report.index = determined
+        elif len(morse) == 2:
+            report.diagnostics.append(f"Hessian rank 2 but Milnor number {mu}")
         else:
             report.diagnostics.append(f"cubic with a {root_type} root but Milnor number {mu}")
-    else:
-        report.diagnostics.append("the 2-jet vanishes: not a simple singularity")
 
-    try:
-        found: Optional[MonomialCentreResult] = max_monomial_centre(prepared)
-    except ValueError:
-        found = None
     if report.kind == OTHER_CLASS:
-        if found is None:
-            report.diagnostics.append("no admissible monomial centre")
-        else:
-            report.invariant, report.witness_centre = found.invariant, found.centre
+        report.invariant, report.witness_centre = found.invariant, found.centre
         return report
     report.invariant = _class_invariant(report.kind, report.index)
-    if found is not None and found.invariant.entries == report.invariant.entries:
+    if found.invariant.entries == report.invariant.entries:
         report.witness_centre = found.centre
     else:
-        reached = "none" if found is None else f"({found.invariant})"
         report.diagnostics.append(
             f"no monomial centre of the prepared form reaches ({report.invariant}): "
-            f"best {reached}")
+            f"best ({found.invariant})")
     return report
 
 
@@ -686,10 +696,11 @@ def detect_nonnilpotent_point(sigma: Polyvector, y_generators: Sequence[Poly],
 
     The point is non-nilpotent exactly when the linearized conormal Lie
     algebra is split nonabelian.  A derived subalgebra of dimension two or
-    more cannot occur for a curve triple and is surfaced as a diagnostic.
+    more cannot occur for a curve triple and is surfaced as a diagnostic.  A
+    bivector not tangent to the curve is refused (RefusalError).
     """
     if not sigma_tangent_to_ideal(sigma, y_generators):
-        raise ValueError("the bivector is not tangent to the subvariety")
+        raise RefusalError("the bivector is not tangent to the subvariety")
     for g in y_generators:
         if g.evaluate(point) != 0:
             raise ValueError(f"point {point} does not lie on the subvariety")

@@ -1,10 +1,10 @@
 """The ``wblow`` command line: every operation behind the text grammars.
 
 Exit codes: 0 for success or a positive verdict, 1 for a negative
-mathematical verdict (not conilpotent, invalid invariant, unresolved
-singularities, ...), 2 for usage or parse errors, 3 for indeterminate results
-or refusals.  Machine mode (``--machine``) prints one JSON document with
-rationals as "p/q" strings and infinities as "inf"; its bytes are
+mathematical verdict with a witness (not conilpotent, invalid invariant,
+...), 2 for usage or parse errors, 3 for indeterminate results, exhausted
+budgets or refusals.  Machine mode (``--machine``) prints one JSON document
+with rationals as "p/q" strings and infinities as "inf"; its bytes are
 deterministic for identical inputs.
 """
 
@@ -295,6 +295,9 @@ def _dispatch(args) -> int:
                       [str(transform)], machine)
                 return EXIT_OK
             result = pullback_function(value, centre)
+        elif args.slice:
+            raise ValueError("--slice takes the strict transform of a polynomial, "
+                             "not of a polyvector")
         else:
             result = pullback_polyvector(value, centre)
         report = {"command": "blowup",
@@ -389,11 +392,9 @@ def _dispatch(args) -> int:
         else:
             _emit({}, [tree.render(), f"complete: {complete}  blowups: {blowups}"],
                   machine)
-        if complete:
-            return EXIT_OK
-        if any(leaf.status == "indeterminate" for leaf in tree.leaves()):
-            return EXIT_INDETERMINATE
-        return EXIT_NEGATIVE
+        # an incomplete tree has an uncertain search or an exhausted step
+        # budget at a leaf: neither is a witness of a negative verdict
+        return EXIT_OK if complete else EXIT_INDETERMINATE
 
     if command == "select-centre":
         if bool(args.curve) == bool(args.surface):
@@ -405,7 +406,7 @@ def _dispatch(args) -> int:
                 variables = ("x", "y", "z")
             sigma = parse_polyvector(args.sigma, variables, sigma_tokens)
             f = parse_poly(args.surface, variables, surface_tokens)
-            selections = select_centre_32(sigma, f)
+            selection = select_centre_32(sigma, f)
         else:
             variables, (sigma_tokens, *curve_tokens) = _variables_for(
                 args, args.sigma, *args.curve)
@@ -414,21 +415,22 @@ def _dispatch(args) -> int:
             sigma = parse_polyvector(args.sigma, variables, sigma_tokens)
             generators = [parse_poly(g, variables, tokens)
                           for g, tokens in zip(args.curve, curve_tokens)]
-            selections = select_centre_31(sigma, generators)
-        # a terminal point has no centre, hence no conilpotency verdict
+            selection = select_centre_31(sigma, generators)
+        # a terminal point has no centre, hence no certificate and no conilpotency verdict
+        certificate = selection.certificate
+        conilpotent = None if certificate is None else certificate.centre_report.conilpotent
         report = {"command": "select-centre",
                   "selections": [{
-                      "case": s.case,
-                      "centre": None if s.centre is None else str(s.centre),
-                      "conilpotent": None if s.report is None else s.report.conilpotent,
-                      "coordinate_change": s.coordinate_change.lines(),
-                      "rationale": s.rationale} for s in selections]}
-        lines = [f"{s.case}: no centre" if s.centre is None
-                 else f"{s.case}: centre[{s.centre}]  conilpotent={s.report.conilpotent}"
-                 + (f"  coordinate_change: {s.coordinate_change}"
-                    if s.coordinate_change.steps else "")
-                 for s in selections]
-        _emit(report, lines, machine)
+                      "case": selection.case,
+                      "centre": None if selection.centre is None else str(selection.centre),
+                      "conilpotent": conilpotent,
+                      "coordinate_change": selection.coordinate_change.lines(),
+                      "rationale": selection.rationale}]}
+        line = (f"{selection.case}: no centre" if selection.centre is None
+                else f"{selection.case}: centre[{selection.centre}]  conilpotent={conilpotent}")
+        if selection.coordinate_change.steps:
+            line += f"  coordinate_change: {selection.coordinate_change}"
+        _emit(report, [line], machine)
         return EXIT_OK
 
     if command == "verify-normal-form":

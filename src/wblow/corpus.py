@@ -285,11 +285,11 @@ def corpus_triples() -> List[Case]:
 
     def whitney_selection() -> Outcome:
         whitney = parse_poly("x^2 - y^2*z", V3)
-        selections = select_centre_32(jacobian_poisson(whitney), whitney)
-        ok = (len(selections) == 1 and selections[0].case == "inv_233_surface"
-              and str(selections[0].centre) == "x:1 y:1 z:inf"
-              and bool(selections[0].report.conilpotent))
-        return ok, str(selections[0].centre) if selections else "none"
+        selection = select_centre_32(jacobian_poisson(whitney), whitney)
+        ok = (selection.case == "inv_233_surface"
+              and str(selection.centre) == "x:1 y:1 z:inf"
+              and bool(selection.certificate.centre_report.conilpotent))
+        return ok, str(selection.centre)
 
     cases.append(("triples/whitney-centre-selection", whitney_selection))
     return cases

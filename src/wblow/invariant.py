@@ -45,12 +45,15 @@ class InvariantSeq:
 
     def __post_init__(self):
         finite = self.finite_entries()
-        for a, b in zip(finite, finite[1:]):
-            if a > b:
-                raise ValueError(f"entries must be weakly increasing: {self.entries}")
         for a in finite:
             if a <= 0:
-                raise ValueError(f"entries must be positive: {self.entries}")
+                raise ValueError(f"entries must be positive: {self}")
+        # inf is the largest entry, so only more inf may follow it
+        if finite != self.entries[:len(finite)]:
+            raise ValueError(f"entries must be weakly increasing: {self}")
+        for a, b in zip(finite, finite[1:]):
+            if a > b:
+                raise ValueError(f"entries must be weakly increasing: {self}")
 
     def finite_entries(self) -> Tuple[Fraction, ...]:
         return tuple(a for a in self.entries if not is_infinite(a))

@@ -17,9 +17,11 @@ of that vanishing locus).  Surfaces in threefolds are selected, every class,
 in the prepared coordinates of their surface class: the associated centre
 away from invariant (2,3,3) (the classes D and the Whitney umbrella), and at
 it an isolated type-D point's witness centre or, on a singular curve, the
-unweighted centre on the curve.  Every selected centre is
-certified conilpotent; unrecognised inputs are refused with diagnostics, not
-approximated.
+unweighted centre on the curve.  Each returns the one
+:class:`CentreSelection` at the origin.  Every selected centre passes
+:func:`certify_blowup_step`, whose invariant before the step is the monomial
+search the selection already made; unrecognised inputs are refused with
+diagnostics, not approximated.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .polyvector import (
     Polyvector,
     is_poisson,
     jacobian_poisson,
+    linearize,
     _sort_indices,
 )
 from .centre import Centre
@@ -64,7 +67,6 @@ from .classify import (
     RefusalError,
     TripleReport,
     detect_duval_point,
-    detect_nonnilpotent_point,
     line_in_zero_locus,
     sigma_tangent_to_ideal,
 )
@@ -279,13 +281,11 @@ class CentreSelection:
     """A selected blowup centre with its case tag and certificate.
 
     A terminal point has no codegenerate centre: its selection carries no
-    centre, no report and no certificate.  Otherwise ``report`` is the
-    certificate's centre report.
+    centre and no certificate.
     """
 
     case: str
     centre: Optional[Centre]
-    report: Optional[CentreReport]
     rationale: str
     coordinate_change: CoordinateChange = CoordinateChange(())  # applied before the centre
     sigma: Optional[Polyvector] = None                    # in the working coordinates
@@ -379,25 +379,24 @@ def _antiderivative(f: Poly, name: str) -> Poly:
 
 
 def _certified_selection(case: str, sigma: Polyvector, equations: Sequence[Poly],
-                         centre: Centre, rationale: str,
+                         centre: Centre, invariant_before: InvariantSeq, rationale: str,
                          coordinate_change: CoordinateChange = CoordinateChange(())
                          ) -> CentreSelection:
     """Certify one blowup step at ``centre`` and select it.
 
     StepAbort when the centre is not conilpotent or the lifted bivector is
     not regular, Poisson and tangent to the strict transforms.  A chart
-    invariant that does not drop is recorded in the certificate's
+    invariant that does not drop below ``invariant_before``, the monomial
+    bound the selection searched, is recorded in the certificate's
     ``invariant_decreased`` and ``notes`` and does not abort: both sides
     are monomial lower bounds.
     """
-    certificate = certify_blowup_step(sigma, equations, centre)
-    return CentreSelection(case, centre, certificate.centre_report, rationale,
-                           coordinate_change=coordinate_change, sigma=sigma,
-                           certificate=certificate)
+    certificate = certify_blowup_step(sigma, equations, centre, invariant_before)
+    return CentreSelection(case, centre, rationale, coordinate_change=coordinate_change,
+                           sigma=sigma, certificate=certificate)
 
 
-def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
-                     ) -> List[CentreSelection]:
+def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]) -> CentreSelection:
     """Centre selection for a curve in a threefold at the origin; translate first.
 
     The coordinates are normal-form coordinates.  A non-nilpotent point is
@@ -407,8 +406,10 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
     and the Heisenberg cases, where the vanishing locus of the bivector
     being a curve selects the associated centre and a smooth surface selects
     the b-completion of its unweighted centre with b the second invariant
-    entry.  Every selected centre passes the blowup-step certificate.
-    Returns the one selection at the origin, as a list.
+    entry.  Tangency is tested once, and the monomial centre of the pair
+    searched once, as the invariant before the step.  Every selected centre
+    passes the blowup-step certificate.  Returns the one selection at the
+    origin.
     """
     variables = sigma.variables
     if len(variables) != 3:
@@ -416,27 +417,28 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
     if not sigma_tangent_to_ideal(sigma, y_generators):
         raise RefusalError("bivector is not tangent to the curve")
 
+    # the search refuses a generator that does not vanish at the origin, so
+    # the origin, where the bivector is linearized, lies on the curve
     result = max_monomial_centre(y_generators)
     if result.invariant.entries[0] > 1:
-        return [_certified_selection(
-            A1_GT_1, sigma, y_generators, result.centre,
+        return _certified_selection(
+            A1_GT_1, sigma, y_generators, result.centre, result.invariant,
             "curve not contained in a smooth surface: associated centre "
-            "of the pair is conilpotent because kappa_2 <= 1")]
+            "of the pair is conilpotent because kappa_2 <= 1")
 
-    triple = detect_nonnilpotent_point(sigma, y_generators,
-                                       tuple(Fraction(0) for _ in variables))
-    if triple.lie_class == SPLIT_NONABELIAN:
-        return [CentreSelection(
-            TERMINAL_NON_NILPOTENT, None, None,
+    _, lie_class = linearize(sigma, tuple(Fraction(0) for _ in variables))
+    if lie_class == SPLIT_NONABELIAN:
+        return CentreSelection(
+            TERMINAL_NON_NILPOTENT, None,
             "non-nilpotent point: no codegenerate centre exists; "
-            "the point is a terminal singularity of the triple")]
-    if triple.lie_class == ABELIAN:
-        return [_certified_selection(
-            AB_POINT, sigma, y_generators, Centre.unweighted(variables),
+            "the point is a terminal singularity of the triple")
+    if lie_class == ABELIAN:
+        return _certified_selection(
+            AB_POINT, sigma, y_generators, Centre.unweighted(variables), result.invariant,
             "abelian linearization: the unweighted point centre is "
-            "conilpotent (conormal bracket is abelian)")]
-    if triple.lie_class != HEISENBERG:
-        raise RefusalError(f"unexpected linearization class {triple.lie_class}")
+            "conilpotent (conormal bracket is abelian)")
+    if lie_class != HEISENBERG:
+        raise RefusalError(f"unexpected linearization class {lie_class}")
 
     x_name, A, B, (y_name, z_name) = _recognise_heisenberg_form(sigma)
     if not B.is_zero():
@@ -444,11 +446,11 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
             raise RefusalError(
                 "expected the Heisenberg variable to carry exponent one in "
                 f"the associated centre, got {result.centre}")
-        return [_certified_selection(
-            HEIS_CURVE_VANISHING, sigma, y_generators, result.centre,
+        return _certified_selection(
+            HEIS_CURVE_VANISHING, sigma, y_generators, result.centre, result.invariant,
             "Heisenberg point with one-dimensional bivector vanishing "
             "locus: associated centre (x carries exponent one; every term "
-            "has order at least 1 - 1/b - 1/c >= 0)")]
+            "has order at least 1 - 1/b - 1/c >= 0)")
 
     # vanishing locus is the smooth surface x + A = 0: x -> x - A
     # makes it x = 0
@@ -466,14 +468,15 @@ def select_centre_31(sigma: Polyvector, y_generators: Sequence[Poly]
     if b < 1:
         raise RefusalError("curve multiplicity below one after shearing")
     centre = Centre.unweighted(variables, [x_name]).b_completion(b)
-    return [_certified_selection(
+    return _certified_selection(
         HEIS_SURFACE_VANISHING, sheared, sheared_generators, centre,
+        max_monomial_centre(sheared_generators).invariant,
         f"Heisenberg point with smooth surface vanishing locus: "
         f"b-completion of the unweighted surface centre at b = {b}",
-        coordinate_change=change)]
+        coordinate_change=change)
 
 
-def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
+def select_centre_32(sigma: Polyvector, f: Poly) -> CentreSelection:
     """Centre selection for a surface in a threefold at the origin; translate first.
 
     Du Val points of the triple are terminal.  Away from them every class is
@@ -486,8 +489,9 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
     curve, certified through the logarithmic tangency argument.  Every
     selected centre passes the blowup-step certificate.  When the Du Val
     verdict is None, a certified centre still rules a Du Val point out, but
-    a failed certificate is a refusal, not StepAbort.  Returns the one
-    selection at the origin, as a list.
+    a failed certificate is a refusal, not StepAbort.  The monomial centre
+    of the prepared germ is searched once, by ``classify_surface``, and is
+    the invariant before the step.  Returns the one selection at the origin.
     """
     variables = sigma.variables
     if len(variables) != 3 or f.variables != variables:
@@ -495,10 +499,10 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
 
     duval = detect_duval_point(sigma, f, tuple(Fraction(0) for _ in variables))
     if duval.duval:
-        return [CentreSelection(
-            TERMINAL_DUVAL, None, None,
+        return CentreSelection(
+            TERMINAL_DUVAL, None,
             "Du Val point of the triple: no codegenerate centre exists "
-            "(weight sums exceed one)")]
+            "(weight sums exceed one)")
     try:
         return _select_away_from_duval(duval)
     except StepAbort as abort:
@@ -509,40 +513,41 @@ def select_centre_32(sigma: Polyvector, f: Poly) -> List[CentreSelection]:
                            + "; ".join(duval.diagnostics) + f") and {abort}") from abort
 
 
-def _select_away_from_duval(duval: TripleReport) -> List[CentreSelection]:
+def _select_away_from_duval(duval: TripleReport) -> CentreSelection:
     """The certified selection of ``select_centre_32`` at a point that is not
     Du Val, in the prepared coordinates of the surface class."""
     surface = duval.surface_class
     sigma, f, change = duval.prepared_sigma, surface.prepared, surface.preparation
+    found = surface.monomial
     if surface.kind not in (D_CLASS, WHITNEY_UMBRELLA):
-        # a witness is the monomial centre of the prepared germ, found once
-        centre = surface.witness_centre or max_monomial_centre(f).centre
+        # the monomial centre of the prepared germ, which is the witness when there is one
+        centre = found.centre
         reduced = centre.reduced()
         if all(a == 1 for a in reduced.exponents if not is_infinite(a)):
             centre = reduced  # unweighted up to rescaling: report the reduction
-        return [_certified_selection(
-            GENERIC_ASSOC, sigma, [f], centre,
+        return _certified_selection(
+            GENERIC_ASSOC, sigma, [f], centre, found.invariant,
             "invariant differs from (2,3,3): the associated centre is "
-            "conilpotent away from Du Val and Whitney points", coordinate_change=change)]
+            "conilpotent away from Du Val and Whitney points", coordinate_change=change)
 
     line = line_in_zero_locus([f] + [f.diff(v) for v in f.variables])
     if line is None:
         if surface.witness_centre is None:
             raise RefusalError(f"no witness centre for the {surface.label()} point: "
                                + "; ".join(surface.diagnostics))
-        return [_certified_selection(
-            INV_233_SURFACE, sigma, [f], surface.witness_centre,
+        return _certified_selection(
+            INV_233_SURFACE, sigma, [f], surface.witness_centre, found.invariant,
             "invariant (2,3,3) at an isolated type-D point that is not a Du "
-            "Val point of the triple: associated centre", coordinate_change=change)]
+            "Val point of the triple: associated centre", coordinate_change=change)
     assert sum(1 for d in line if d) == 1, \
         f"the preparation {change} leaves the singular line {line} off the axes"
     # one-dimensional singular locus: unweighted centre on the curve
     support = [v for v, d in zip(f.variables, line) if d == 0]
-    return [_certified_selection(
-        INV_233_SURFACE, sigma, [f], Centre.unweighted(f.variables, support),
+    return _certified_selection(
+        INV_233_SURFACE, sigma, [f], Centre.unweighted(f.variables, support), found.invariant,
         "invariant (2,3,3) with a one-dimensional singular locus: "
         "unweighted centre on the curve (logarithmic tangency keeps "
-        "every bracket at non-negative order)", coordinate_change=change)]
+        "every bracket at non-negative order)", coordinate_change=change)
 
 
 # ---------------------------------------------------------------------------
@@ -551,28 +556,23 @@ def _select_away_from_duval(duval: TripleReport) -> List[CentreSelection]:
 
 @dataclass
 class StepCertificate:
+    """The record of one certified blowup step.
+
+    Every check on the bivector (conilpotent centre, regular lift, Poisson
+    and tangent proper part) raises StepAbort when it fails, so a
+    certificate records only the invariants and whether they dropped.
+    """
+
     centre: Centre
     centre_report: Optional[CentreReport]   # None without a bivector
-    lift_regular: bool
-    exceptional_tangent: Optional[bool]
-    sigma_proper_poisson: Optional[bool]
-    sigma_tangent_to_transforms: Optional[bool]
-    invariant_before: Optional[InvariantSeq]
+    exceptional_tangent: Optional[bool]     # None without a bivector
+    invariant_before: InvariantSeq
     invariants_after: List[Tuple[str, Optional[InvariantSeq]]]
-    invariant_decreased: Optional[bool]
+    invariant_decreased: bool
     notes: List[str] = field(default_factory=list)
 
     def ok(self) -> bool:
-        checks = [self.lift_regular]
-        if self.centre_report is not None:
-            checks.append(self.centre_report.conilpotent)
-        if self.sigma_proper_poisson is not None:
-            checks.append(self.sigma_proper_poisson)
-        if self.sigma_tangent_to_transforms is not None:
-            checks.append(self.sigma_tangent_to_transforms)
-        if self.invariant_decreased is not None:
-            checks.append(self.invariant_decreased)
-        return all(bool(c) for c in checks)
+        return self.invariant_decreased
 
 
 class StepAbort(AssertionError):
@@ -580,7 +580,7 @@ class StepAbort(AssertionError):
 
 
 def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
-                        centre: Centre) -> StepCertificate:
+                        centre: Centre, invariant_before: InvariantSeq) -> StepCertificate:
     """Run every certificate for one blowup step.
 
     With a bivector: the centre must be conilpotent, the bivector must lift
@@ -588,21 +588,16 @@ def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
     must stay Poisson and tangent to the strict transforms; each failure
     raises StepAbort.  With or without a bivector: the invariant of the
     ideal generated by the strict transforms is compared lexicographically,
-    in every slice chart, with the invariant of the ideal at the blown-up
-    point (a chart where a strict transform becomes a unit is resolved and
-    drops out).  Both sides are monomial lower bounds, so a chart where it
-    does not drop sets ``invariant_decreased`` to False and adds a note; it
-    does not raise.
+    in every slice chart, with ``invariant_before``, the invariant of the
+    ideal at the blown-up point as the caller's selection searched it (a
+    chart where a strict transform becomes a unit is resolved and drops
+    out).  Both sides are monomial lower bounds, so a chart where it does
+    not drop sets ``invariant_decreased`` to False and adds a note; it does
+    not raise.
     """
     notes: List[str] = []
-    equations = list(equations)
-    before = max_monomial_centre(equations).invariant
-
     centre_report = None
-    lift_regular = True
     tangent = None
-    proper_poisson = None
-    tangent_to_transforms = None
     proper_parts = [pullback_function(equation, centre).proper_part
                     for equation in equations]
 
@@ -613,25 +608,22 @@ def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
             raise StepAbort(f"centre {centre} is not conilpotent; witnesses: "
                             + "; ".join(str(w.to_dict()) for w in witness))
         pull = pullback_polyvector(sigma, centre)
-        lift_regular = pull.regular
         tangent = pull.exceptional_tangent
-        if not lift_regular:
+        if not pull.regular:
             raise StepAbort(f"bivector does not lift along {centre}: minimal "
                             f"t-exponent {pull.min_t_exponent}")
         proper = pull.proper_part
         assert isinstance(proper, Polyvector)
-        proper_poisson = is_poisson(proper)[0]
-        if not proper_poisson:
+        if not is_poisson(proper)[0]:
             raise StepAbort("lifted bivector is no longer Poisson")
         # tangency to the ideal generated by the strict transforms, not to
         # each hypersurface separately (the subvariety may be a complete
         # intersection)
-        tangent_to_transforms = sigma_tangent_to_ideal(proper, proper_parts)
-        if not tangent_to_transforms:
+        if not sigma_tangent_to_ideal(proper, proper_parts):
             raise StepAbort("lifted bivector not tangent to the strict transform")
 
     after: List[Tuple[str, Optional[InvariantSeq]]] = []
-    decreased: Optional[bool] = True
+    decreased = True
     for name in centre.support():
         chart = slice_chart(centre, name)
         transforms = [_restrict_to_slice(p, chart) for p in proper_parts]
@@ -639,23 +631,12 @@ def certify_blowup_step(sigma: Optional[Polyvector], equations: Sequence[Poly],
             after.append((name, None))  # unit ideal: the chart is resolved
             continue
         chart_invariant = max_monomial_centre(transforms).invariant
-        if lex_compare(chart_invariant, before) >= 0:
+        if lex_compare(chart_invariant, invariant_before) >= 0:
             decreased = False
             notes.append(
                 f"invariant lower bound did not decrease in chart {name}: "
-                f"{chart_invariant} vs {before}")
+                f"{chart_invariant} vs {invariant_before}")
         after.append((name, chart_invariant))
 
-    certificate = StepCertificate(
-        centre=centre,
-        centre_report=centre_report,
-        lift_regular=lift_regular,
-        exceptional_tangent=tangent,
-        sigma_proper_poisson=proper_poisson,
-        sigma_tangent_to_transforms=tangent_to_transforms,
-        invariant_before=before,
-        invariants_after=after,
-        invariant_decreased=decreased,
-        notes=notes,
-    )
-    return certificate
+    return StepCertificate(centre, centre_report, tangent, invariant_before, after,
+                           decreased, notes)

@@ -285,6 +285,14 @@ def test_nonnilpotent_requires_tangency():
                                   generators, ORIGIN)
 
 
+def test_nonnilpotent_refuses_a_bivector_not_tangent():
+    # {x, y} = x is not in (y, x^2 - z^3): a refusal, as in detect_duval_point
+    generators = [parse_poly("y", V3), parse_poly("x^2 - z^3", V3)]
+    with pytest.raises(classify_module.RefusalError,
+                       match="^the bivector is not tangent to the subvariety$"):
+        detect_nonnilpotent_point(parse_polyvector("x*@x^@y", V3), generators, ORIGIN)
+
+
 def test_duval_detection_on_families():
     for family, n in (("A", 1), ("A", 2), ("A", 3), ("D", 4), ("D", 5),
                       ("E6", None), ("E7", None), ("E8", None)):

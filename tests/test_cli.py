@@ -125,7 +125,7 @@ def test_normal_form_series_at_the_limit_accepted(capsys):
 
 def test_input_limits_accepted():
     assert main(["milnor", "--bound", str(MAX_DEGREE_BOUND), "x^2 + y^2 + z^2"]) == 0
-    assert main(["resolve-curve", "--max-steps", "0", "y^2 - x^3"]) == 1
+    assert main(["resolve-curve", "--max-steps", "0", "y^2 - x^3"]) == 3
 
 
 def test_usage_error_exit_code(capsys):
@@ -389,6 +389,33 @@ def test_blowup_slice_of_a_truncated_series_is_refused(capsys):
                          "--cap", "6", "y^2 - x^3")
     assert code == 2 and out == ""
     assert "constant term into a truncated polynomial" in err
+
+
+def test_blowup_slice_of_a_polyvector_is_a_usage_error(capsys):
+    # a strict transform is taken of a polynomial only
+    code, out, err = run(capsys, "blowup", "--centre", "x:1 y:1", "--slice", "x", "x*@y")
+    assert code == 2 and out == ""
+    assert "--slice takes the strict transform of a polynomial" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2,inf,3", "entries must be weakly increasing: 2,inf,3"),
+    ("inf,2", "entries must be weakly increasing: inf,2"),
+    ("3,2", "entries must be weakly increasing: 3,2"),
+    ("2,3,0", "entries must be positive: 2,3,0"),
+    ("2,-1,3", "entries must be positive: 2,-1,3"),
+])
+def test_validate_invariant_rejects_malformed_sequences(capsys, text, message):
+    # inf is the largest entry, and positivity is checked before the order
+    code, out, err = run(capsys, "--machine", "validate-invariant", text)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
+def test_validate_invariant_accepts_trailing_infinities(capsys):
+    code, out, _ = run(capsys, "--machine", "validate-invariant", "2,3,inf,inf")
+    assert code == 0
+    assert json.loads(out)["entries"] == "2,3,inf,inf"
 
 
 def test_verify_duval_normal_form_cli(capsys):

@@ -156,7 +156,7 @@ SELECT_32_XFAILS = {
 
 
 def _surface_selection(sigma, f):
-    [choice] = select_centre_32(sigma, f)
+    choice = select_centre_32(sigma, f)
     return choice.case, None if choice.certificate is None else str(
         choice.certificate.invariant_before)
 
@@ -197,6 +197,6 @@ def test_curve_selection_is_functorial(triple, kind, seed):
     sigma, generators = triple
     generators = [parse_poly(g, V3) for g in generators]
     change = _change(kind, seed)
-    [moved] = select_centre_31(change(sigma), [change(g) for g in generators])
-    [choice] = select_centre_31(sigma, generators)
+    moved = select_centre_31(change(sigma), [change(g) for g in generators])
+    choice = select_centre_31(sigma, generators)
     assert moved.case == choice.case

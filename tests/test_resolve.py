@@ -8,11 +8,23 @@ import pytest
 from wblow import blowup as blowup_module
 from wblow import classify
 from wblow import resolve as resolve_module
-from wblow.blowup import exceptional_name, exceptional_singular_points, rational_singular_points
+from wblow.blowup import (
+    check_centre,
+    exceptional_name,
+    exceptional_singular_points,
+    rational_singular_points,
+)
 from wblow.ring import Poly, parse_poly, resultant
-from wblow.polyvector import CoordinateChange, Polyvector, jacobian_poisson, parse_polyvector
+from wblow.polyvector import (
+    CoordinateChange,
+    Polyvector,
+    is_poisson,
+    is_tangent,
+    jacobian_poisson,
+    parse_polyvector,
+)
 from wblow.centre import Centre, parse_centre
-from wblow.invariant import lex_compare
+from wblow.invariant import lex_compare, max_monomial_centre
 from wblow.resolve import (
     RefusalError,
     StepAbort,
@@ -276,12 +288,9 @@ def test_select_31_heisenberg_curve_vanishing():
         sigma = (Polyvector(2, V3, {slot: parse_poly(heis, V3) + f})
                  + jacobian_poisson(f * f).scale(sign))
         generators = [parse_poly(heis, V3) + f, f]
-        selections = select_centre_31(sigma, generators)
-        assert len(selections) == 1
-        choice = selections[0]
+        choice = select_centre_31(sigma, generators)
         assert choice.case == "heis_curve_vanishing"
-        assert choice.report.conilpotent
-        assert choice.report is choice.certificate.centre_report
+        assert choice.certificate.centre_report.conilpotent
         assert choice.centre.exponent_of(heis) == 1
 
 
@@ -289,12 +298,9 @@ def test_select_31_heisenberg_surface_vanishing():
     f = parse_poly("y^2 + z^2", V3)
     sigma = Polyvector(2, V3, {(1, 2): parse_poly("x", V3) + f})
     generators = [parse_poly("x", V3) + f, parse_poly("y^2 - z^3", V3)]
-    selections = select_centre_31(sigma, generators)
-    assert len(selections) == 1
-    choice = selections[0]
+    choice = select_centre_31(sigma, generators)
     assert choice.case == "heis_surface_vanishing"
-    assert choice.report.conilpotent
-    assert choice.report is choice.certificate.centre_report
+    assert choice.certificate.centre_report.conilpotent
     # b = multiplicity of the plane curve = 2
     assert str(choice.centre) == "x:1 y:2 z:2"
     # x -> x - (y^2 + z^2) makes the vanishing surface x + y^2 + z^2 = 0 the plane x = 0
@@ -307,32 +313,29 @@ def test_select_31_multiplicity_above_one():
     g = parse_poly("x^2 - y*z", V3)
     h = parse_poly("y^2 - x*z", V3)
     sigma = jacobian_poisson(g * g)
-    selections = select_centre_31(sigma, [g, h])
-    assert selections[0].case == "a1_gt_1"
-    assert str(selections[0].centre) == "x:2 y:2 z:2"
-    assert selections[0].report.conilpotent
-    assert selections[0].report is selections[0].certificate.centre_report
+    choice = select_centre_31(sigma, [g, h])
+    assert choice.case == "a1_gt_1"
+    assert str(choice.centre) == "x:2 y:2 z:2"
+    assert choice.certificate.centre_report.conilpotent
 
 
 def test_select_31_abelian_point():
     sigma = parse_polyvector("x^2*@x^@y", V3)
     generators = [parse_poly("x", V3), parse_poly("y^2 - z^3", V3)]
-    selections = select_centre_31(sigma, generators)
-    assert selections[0].case == "ab_point"
-    assert str(selections[0].centre) == "x:1 y:1 z:1"
-    assert selections[0].report.conilpotent
-    assert selections[0].report is selections[0].certificate.centre_report
+    choice = select_centre_31(sigma, generators)
+    assert choice.case == "ab_point"
+    assert str(choice.centre) == "x:1 y:1 z:1"
+    assert choice.certificate.centre_report.conilpotent
 
 
 def test_select_31_nonnilpotent_terminal():
     sigma = parse_polyvector("x*@x^@y", V3)
     generators = [parse_poly("x", V3), parse_poly("y^2 - z^3", V3)]
-    selections = select_centre_31(sigma, generators)
-    assert selections[0].case == "terminal_non_nilpotent"
+    choice = select_centre_31(sigma, generators)
+    assert choice.case == "terminal_non_nilpotent"
     # no codegenerate centre exists, so there is nothing to certify
-    assert selections[0].centre is None
-    assert selections[0].report is None
-    assert selections[0].certificate is None
+    assert choice.centre is None
+    assert choice.certificate is None
 
 
 def test_select_31_refuses_unrecognised():
@@ -380,13 +383,10 @@ def test_heisenberg_form_refusals(text, message):
 
 def test_select_32_whitney():
     W = parse_poly("x^2 - y^2*z", V3)
-    selections = select_centre_32(jacobian_poisson(W), W)
-    assert len(selections) == 1
-    choice = selections[0]
+    choice = select_centre_32(jacobian_poisson(W), W)
     assert choice.case == "inv_233_surface"
     assert str(choice.centre) == "x:1 y:1 z:inf"
-    assert choice.report.conilpotent
-    assert choice.report is choice.certificate.centre_report
+    assert choice.certificate.centre_report.conilpotent
     # the singular line is already the z-axis: no change of coordinates
     assert choice.coordinate_change == CoordinateChange(())
 
@@ -395,12 +395,11 @@ def test_select_32_sheared_whitney_straightened():
     # singular line x = 0, y = -z: off the axes, so the preparation of the
     # surface class, y -> y - z, moves it onto the z-axis first
     f = parse_poly("x^2 - (y + z)^2*z", V3)
-    [choice] = select_centre_32(jacobian_poisson(f), f)
+    choice = select_centre_32(jacobian_poisson(f), f)
     assert choice.case == "inv_233_surface"
     assert choice.coordinate_change == CoordinateChange.shear("y", parse_poly("-z", V3))
     assert str(choice.centre) == "x:1 y:1 z:inf"
-    assert choice.report.conilpotent
-    assert choice.report is choice.certificate.centre_report
+    assert choice.certificate.centre_report.conilpotent
     assert choice.certificate.ok()
     straight = parse_poly("x^2 - y^2*z", V3)
     assert choice.sigma == jacobian_poisson(straight)
@@ -415,7 +414,7 @@ def test_select_32_isolated_type_d_point(text, change):
     # f*J(f) vanishes on the surface, so the D point is not Du Val for the
     # triple; it is selected at the witness centre in the prepared coordinates
     f = parse_poly(text, V3)
-    [choice] = select_centre_32(jacobian_poisson(f).scale(f), f)
+    choice = select_centre_32(jacobian_poisson(f).scale(f), f)
     assert choice.case == "inv_233_surface"
     assert str(choice.centre) == "x:2 y:3 z:3"
     assert choice.coordinate_change == sum(
@@ -432,11 +431,59 @@ def test_select_32_tests_tangency_once(monkeypatch):
     monkeypatch.setattr(classify, "is_tangent",
                         lambda sigma, f: calls.append(f) or original(sigma, f))
     f = parse_poly("x^2 + y^2*z + z^3", V3)
-    [choice] = select_centre_32(jacobian_poisson(f).scale(f), f)
+    choice = select_centre_32(jacobian_poisson(f).scale(f), f)
     assert choice.case == "inv_233_surface" and calls.count(f) == 1
     with pytest.raises(RefusalError, match="^bivector is not tangent to the surface$"):
         select_centre_32(parse_polyvector("@x^@y", V3), f)
     assert RefusalError is classify.RefusalError and issubclass(RefusalError, ValueError)
+
+
+def _record_calls(monkeypatch, owners, name):
+    """The argument tuples of every call of ``name`` through the modules ``owners``."""
+    calls = []
+    original = getattr(owners[0], name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+def _generators(ideal):
+    return [ideal] if isinstance(ideal, Poly) else list(ideal)
+
+
+@pytest.mark.parametrize("text, multiplier", [("x^2 + y^3 + z^7", "f"), ("x^2 - y^2*z", "1")],
+                         ids=["E12 with f*J(f)", "Whitney umbrella with J(f)"])
+def test_select_32_searches_the_prepared_germ_once(monkeypatch, text, multiplier):
+    # classify_surface searches the prepared germ; the selected centre and the
+    # certificate's invariant before the step read that one search
+    f = parse_poly(text, V3)
+    prepared = classify.classify_surface(f).prepared
+    sigma = jacobian_poisson(f).scale(f if multiplier == "f" else parse_poly(multiplier, V3))
+    calls = _record_calls(monkeypatch, [classify, resolve_module], "max_monomial_centre")
+    choice = select_centre_32(sigma, f)
+    assert choice.certificate.ok()
+    assert [_generators(g) for (g,) in calls].count([prepared]) == 1
+    assert choice.certificate.invariant_before == max_monomial_centre(prepared).invariant
+
+
+def test_select_31_tests_tangency_once_and_searches_the_pair_once(monkeypatch):
+    # the selection's tangency test is the only one on the input (the
+    # certificate tests the lifted bivector), and its search of the pair is
+    # the certificate's invariant before the step
+    sigma = parse_polyvector("x^2*@x^@y", V3)
+    generators = [parse_poly("x", V3), parse_poly("y^2 - z^3", V3)]
+    tangency = _record_calls(monkeypatch, [classify, resolve_module], "sigma_tangent_to_ideal")
+    searches = _record_calls(monkeypatch, [resolve_module], "max_monomial_centre")
+    choice = select_centre_31(sigma, generators)
+    assert choice.case == "ab_point" and choice.certificate.ok()
+    assert sum(bivector.variables == V3 for bivector, _ in tangency) == 1
+    assert [_generators(g) for (g,) in searches].count(generators) == 1
+    assert str(choice.certificate.invariant_before) == "1,2,3"
 
 
 def test_select_32_refuses_type_d_point_without_witness(monkeypatch):
@@ -464,7 +511,7 @@ def test_select_32_moved_whitney_umbrellas_are_certified():
     W = parse_poly("x^2 - y^2*z", V3)
     for index, move in enumerate(SEEDED_MOVES):
         f = move(W)
-        [choice] = select_centre_32(jacobian_poisson(f), f)
+        choice = select_centre_32(jacobian_poisson(f), f)
         assert choice.case == "inv_233_surface", index
         assert choice.certificate.ok(), index
 
@@ -472,32 +519,27 @@ def test_select_32_moved_whitney_umbrellas_are_certified():
 def test_select_32_normal_crossings():
     f = parse_poly("x*y", V3)
     sigma = parse_polyvector("x*y*@x^@z", V3)
-    selections = select_centre_32(sigma, f)
-    choice = selections[0]
+    choice = select_centre_32(sigma, f)
     assert choice.case == "generic_assoc"
     assert str(choice.centre) == "x:1 y:1 z:inf"
-    assert choice.report.conilpotent
-    assert choice.report is choice.certificate.centre_report
+    assert choice.certificate.centre_report.conilpotent
 
 
 def test_select_32_deep_zero_at_ade_point():
     f = parse_poly("x^2 + y^2 + z^3", V3)
     sigma = jacobian_poisson(f).scale(f * f)
-    selections = select_centre_32(sigma, f)
-    choice = selections[0]
+    choice = select_centre_32(sigma, f)
     assert choice.case == "generic_assoc"
-    assert choice.report.conilpotent
-    assert choice.report is choice.certificate.centre_report
+    assert choice.certificate.centre_report.conilpotent
     assert choice.centre.exponents == (F(2), F(2), F(3))
 
 
 def test_select_32_duval_terminal():
     f = parse_poly("x^2 + y^3 + z^5", V3)
-    selections = select_centre_32(jacobian_poisson(f), f)
-    assert selections[0].case == "terminal_duval"
-    assert selections[0].centre is None
-    assert selections[0].report is None
-    assert selections[0].certificate is None
+    choice = select_centre_32(jacobian_poisson(f), f)
+    assert choice.case == "terminal_duval"
+    assert choice.centre is None
+    assert choice.certificate is None
 
 
 # the ADE normal forms of the triangular-move draw, in the order drawn
@@ -519,7 +561,7 @@ def test_select_32_triangularly_moved_duval_triples_are_terminal():
     germs = MOVED_ADE_GERMS
     assert len(germs) == 78
     for label, f in germs:
-        [choice] = select_centre_32(jacobian_poisson(f), f)
+        choice = select_centre_32(jacobian_poisson(f), f)
         assert choice.case == "terminal_duval", (label, f)
 
 
@@ -528,7 +570,7 @@ def test_select_32_unit_multiples_on_moved_duval_germs_are_terminal():
     # form dx^dy^dz/u, whether or not a class centre witnesses it
     unit = parse_poly("1 + x + y^2", V3)
     for label, f in MOVED_ADE_GERMS:
-        [choice] = select_centre_32(jacobian_poisson(f).scale(unit), f)
+        choice = select_centre_32(jacobian_poisson(f).scale(unit), f)
         assert choice.case == "terminal_duval", (label, f)
 
 
@@ -545,11 +587,11 @@ def test_select_32_moved_normal_crossings_are_certified():
     # x*y and its shear (x + 2*z)*(y - z) are selected in the prepared
     # coordinates of their class, as every linear move of x*y is
     f = parse_poly("(x + 2*z)*(y - z)", V3)
-    [choice] = select_centre_32(jacobian_poisson(f), f)
+    choice = select_centre_32(jacobian_poisson(f), f)
     assert choice.case == "generic_assoc" and choice.certificate.ok()
     for index, move in enumerate(SEEDED_MOVES):
         f = move(parse_poly("x*y", V3))
-        [choice] = select_centre_32(jacobian_poisson(f), f)
+        choice = select_centre_32(jacobian_poisson(f), f)
         assert choice.case == "generic_assoc", index
         assert choice.certificate.ok(), index
 
@@ -578,7 +620,7 @@ def triple_draw():
             for multiplier in ("f", UNIT):
                 unit = f if multiplier == "f" else parse_poly(UNIT, V3)
                 try:
-                    [outcomes[text, a, multiplier]] = select_centre_32(
+                    outcomes[text, a, multiplier] = select_centre_32(
                         jacobian_poisson(f).scale(unit), f)
                 except (RefusalError, StepAbort) as error:
                     outcomes[text, a, multiplier] = error
@@ -618,43 +660,64 @@ def test_select_32_draw_cases(triple_draw):
 
 def test_certify_whitney_step():
     W = parse_poly("x^2 - y^2*z", V3)
-    certificate = certify_blowup_step(jacobian_poisson(W), [W],
-                                      parse_centre("x:1 y:1 z:inf"))
+    certificate = certify_blowup_step(jacobian_poisson(W), [W], parse_centre("x:1 y:1 z:inf"),
+                                      max_monomial_centre(W).invariant)
     assert certificate.ok()
     assert certificate.exceptional_tangent
-    assert certificate.sigma_proper_poisson
-    assert certificate.sigma_tangent_to_transforms
     assert certificate.invariant_decreased
 
 
 def test_certify_aborts_on_wrong_centre():
     W = parse_poly("x^2 - y^2*z", V3)
     with pytest.raises(StepAbort) as err:
-        certify_blowup_step(jacobian_poisson(W), [W], parse_centre("x:2 y:3 z:3"))
+        certify_blowup_step(jacobian_poisson(W), [W], parse_centre("x:2 y:3 z:3"),
+                            max_monomial_centre(W).invariant)
     assert "CD2" in str(err.value) or "CN" in str(err.value)
 
 
+def test_certify_aborts_on_a_lift_that_is_not_poisson():
+    # conilpotent at the point centre, but [sigma, sigma] != 0, and so is the
+    # bracket of the lift
+    sigma = parse_polyvector("y^2*@y^@z + x^2*@x^@y", V3)
+    centre, f = parse_centre("x:1 y:1 z:1"), parse_poly("z", V3)
+    assert check_centre(sigma, centre).conilpotent and not is_poisson(sigma)[0]
+    with pytest.raises(StepAbort, match="^lifted bivector is no longer Poisson$"):
+        certify_blowup_step(sigma, [f], centre, max_monomial_centre(f).invariant)
+
+
+def test_certify_aborts_off_the_strict_transform():
+    # a Poisson bivector conilpotent at the point centre, with {x, y} = z^2
+    # not in (x): its lift is not tangent to the strict transform of x = 0
+    sigma = parse_polyvector("z^2*@x^@y", V3)
+    centre, f = parse_centre("x:1 y:1 z:1"), parse_poly("x", V3)
+    assert check_centre(sigma, centre).conilpotent and is_poisson(sigma)[0]
+    assert not is_tangent(sigma, f)
+    with pytest.raises(StepAbort, match="^lifted bivector not tangent to the strict transform$"):
+        certify_blowup_step(sigma, [f], centre, max_monomial_centre(f).invariant)
+
+
 def test_certify_degenerate_mode_without_bivector():
-    certificate = certify_blowup_step(None, [parse_poly("y^2 - x^3", V2)],
-                                      Centre.from_exponents(V2, (3, 2)))
+    cusp = parse_poly("y^2 - x^3", V2)
+    certificate = certify_blowup_step(None, [cusp], Centre.from_exponents(V2, (3, 2)),
+                                      max_monomial_centre(cusp).invariant)
     assert certificate.ok()
-    assert certificate.sigma_proper_poisson is None
+    assert certificate.exceptional_tangent is None
     assert certificate.centre_report is None
 
 
 def test_certified_selected_centres_for_corpus_triples():
     # every selected centre from the drivers passes the full step certificate
     W = parse_poly("x^2 - y^2*z", V3)
-    selection = select_centre_32(jacobian_poisson(W), W)[0]
-    certificate = certify_blowup_step(jacobian_poisson(W), [W], selection.centre)
+    selection = select_centre_32(jacobian_poisson(W), W)
+    certificate = certify_blowup_step(jacobian_poisson(W), [W], selection.centre,
+                                      max_monomial_centre(W).invariant)
     assert certificate.ok()
 
     f = parse_poly("y^2 + z^2", V3)
     sigma = (Polyvector(2, V3, {(1, 2): parse_poly("x", V3) + f})
              + jacobian_poisson(f * f))
     generators = [parse_poly("x", V3) + f, f]
-    selection = select_centre_31(sigma, generators)[0]
-    certificate = certify_blowup_step(sigma, generators, selection.centre)
+    selection = select_centre_31(sigma, generators)
+    certificate = certify_blowup_step(sigma, generators, selection.centre,
+                                      max_monomial_centre(generators).invariant)
     assert certificate.centre_report.conilpotent
-    assert certificate.lift_regular
-    assert certificate.sigma_proper_poisson

@@ -26,6 +26,7 @@ from wblow.ring import INF, Poly, divides, parse_poly, resultant, univariate_gcd
 from wblow.polyvector import Polyvector, is_poisson, jacobian_poisson, schouten
 from wblow.centre import Centre, parse_centre
 from wblow.blowup import _shift_t_down, check_centre, check_lift, pullback_polyvector
+from wblow.invariant import max_monomial_centre
 
 F = Fraction
 NAMES = ("x", "y", "z", "w")
@@ -333,7 +334,8 @@ def test_blowup_step_pulls_each_equation_back_once(monkeypatch):
     owners = [blowup, resolve]
     W = parse_poly("x^2 - y^2*z", ("x", "y", "z"))
     sigma, centre = jacobian_poisson(W), parse_centre("x:1 y:1 z:inf")
-    step = lambda: resolve.certify_blowup_step(sigma, [W], centre)
+    before = max_monomial_centre(W).invariant
+    step = lambda: resolve.certify_blowup_step(sigma, [W], centre, before)
     assert _call_count(monkeypatch, owners, "pullback_function", step) == 1
     cusp = parse_poly("y^2 - x^3", ("x", "y"))
     curve = lambda: resolve.resolve_plane_curve(cusp)
