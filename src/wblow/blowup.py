@@ -1,4 +1,4 @@
-"""Lifting criteria and symbolic blowdown substitution.
+"""Lifting criteria and the weighted blowdown.
 
 Two independent routes decide whether a polyvector field survives the
 weighted blowup of a centre:
@@ -6,10 +6,10 @@ weighted blowup of a centre:
 * :func:`check_lift` evaluates the order conditions directly on the chart:
   the order of the field must be at least -gcd(w), and wedging with the
   weighted Euler field must have non-negative order.
-* :func:`pullback_polyvector` performs the blowdown substitution
-  x_i -> t^w_i x_i (reduced integer weights), rescales the coordinate frame,
-  wedges with the multiplicative-group generator t*@t - sum w_i x_i @x_i, and
-  inspects t-exponents for poles on the exceptional divisor t = 0.
+* :func:`pullback_polyvector` applies the blowdown x_i -> t^w_i x_i (reduced
+  integer weights) to exponents, rescales the coordinate frame, wedges with
+  the multiplicative-group generator t*@t - sum w_i x_i @x_i, and inspects
+  t-exponents for poles on the exceptional divisor t = 0.
 
 The two routes are kept independent and compared in the test suite.  For
 bivectors, :func:`check_centre` additionally evaluates the coordinate
@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ring import (
@@ -87,7 +88,7 @@ class CentreReport:
 
 @dataclass
 class PullbackResult:
-    """Outcome of the blowdown substitution.
+    """Outcome of a pullback along the blowdown.
 
     min_t_exponent counts in reduced-integer-weight units (so it is an
     integer); for a function it equals ord/gcd(w).  proper_part is the object
@@ -140,7 +141,9 @@ def check_centre(sigma: Polyvector, centre: Centre) -> CentreReport:
     codimension at least two (for codimension one the middle implication can
     fail, matching the trivial blowup of a divisor).
     """
-    if sigma.degree != 2 and not sigma.is_zero():
+    if sigma.is_zero():
+        sigma = Polyvector._from_canonical(2, sigma.variables, {})
+    elif sigma.degree != 2:
         raise ValueError("check_centre expects a bivector")
     if sigma.variables != centre.variables:
         raise ValueError("chart mismatch between bivector and centre")
@@ -238,7 +241,7 @@ def check_lift(xi: Polyvector, centre: Centre) -> CentreReport:
 
 
 # ---------------------------------------------------------------------------
-# blowdown substitution
+# the blowdown
 # ---------------------------------------------------------------------------
 
 def exceptional_name(variables: Sequence[str]) -> str:
@@ -256,14 +259,17 @@ def _extended_chart(centre: Centre) -> Tuple[Tuple[str, ...], int]:
     return variables, len(variables) - 1
 
 
-def _blowdown_images(centre: Centre, extended: Tuple[str, ...]) -> Dict[str, Poly]:
-    reduced = centre.reduced_weights_by_variable()
-    t = Poly.var(extended, extended[-1])
-    images: Dict[str, Poly] = {}
-    for name, weight in zip(centre.variables, reduced):
-        if weight:
-            images[name] = Poly.var(extended, name) * t ** weight
-    return images
+def _blowdown(f: Poly, reduced: Sequence[int], extended: Tuple[str, ...],
+              twist: int = 0) -> Poly:
+    """f(t^w x) * t^twist on the extended chart: each n*x^e becomes
+    n*x^e*t^(w.e + twist) over the same denominator, cut at f's cap."""
+    cap = f.cap
+    nums: Dict[Tuple[int, ...], int] = {}
+    for exponent, n in f.nums.items():
+        power = sum(map(mul, reduced, exponent)) + twist
+        if cap is None or sum(exponent) + power < cap:
+            nums[exponent + (power,)] = n
+    return Poly._from_numerators(extended, nums, f.den, cap)
 
 
 def _shift_t_down(f: Poly, t_index: int, amount: int) -> Poly:
@@ -285,7 +291,7 @@ def _min_t_degree(f: Poly, t_index: int) -> Optional[int]:
 
 
 def pullback_function(f: Poly, centre: Centre) -> PullbackResult:
-    """Blowdown substitution for a function: f(t^w x) = t^m * (strict transform).
+    """Pullback of a function along the blowdown: f(t^w x) = t^m * (strict transform).
 
     m is the weighted order in reduced integer units, i.e. ord(f)/gcd(w); the
     proper part is not divisible by t.
@@ -298,7 +304,7 @@ def pullback_function(f: Poly, centre: Centre) -> PullbackResult:
         f = f.translate(centre.base_point)
         centre = centre.translated_to_origin()
     extended, t_index = _extended_chart(centre)
-    lifted = f.extend_variables(extended).substitute(_blowdown_images(centre, extended))
+    lifted = _blowdown(f, centre.reduced_weights_by_variable(), Poly._chart(extended))
     m = _min_t_degree(lifted, t_index)
     assert m is not None
     expected = centre.ord_poly(f) / centre.weight_data().gcd
@@ -325,13 +331,13 @@ def degeneration_euler_generator(centre: Centre) -> Polyvector:
 
 
 def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
-    """Blowdown substitution for a polyvector, with pole detection.
+    """Pullback of a polyvector along the blowdown, with pole detection.
 
     Coefficients are lifted through x_i -> t^w_i x_i and each @x_i picks up
     t^(-w_i); the pullback to the blowup is represented by E~ ^ xi~ where E~
-    is the degeneration generator.  Everything is computed with a uniform
-    t-power shift so only non-negative exponents appear, and the shift is
-    subtracted at the end.
+    is the degeneration generator.  A uniform t^shift keeps every exponent
+    non-negative: the coefficient of @x_I is one :func:`_blowdown` with the
+    twist shift - sum_{i in I} w_i, and the shift is subtracted at the end.
 
     The result is regular (the polyvector lifts) when the minimum t-exponent
     over all terms of E~ ^ xi~ is non-negative, and tangent to the exceptional
@@ -346,8 +352,6 @@ def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
     extended, t_index = _extended_chart(centre)
     reduced = centre.reduced_weights_by_variable()
     shift = sum(reduced)
-    images = _blowdown_images(centre, extended)
-    t = Poly.var(extended, extended[t_index])
 
     if xi.is_zero():
         zero = Polyvector.zero(xi.degree, extended)
@@ -357,8 +361,7 @@ def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
     lifted_terms: Dict[Tuple[int, ...], Poly] = {}
     for indices, coeff in xi.terms.items():
         frame_twist = shift - sum(reduced[i] for i in indices)
-        lifted = coeff.extend_variables(extended).substitute(images)
-        lifted_terms[indices] = lifted * t ** frame_twist
+        lifted_terms[indices] = _blowdown(coeff, reduced, extended, frame_twist)
     lifted_xi = Polyvector._from_canonical(xi.degree, extended, lifted_terms)
 
     generator = degeneration_euler_generator(centre)

@@ -110,6 +110,13 @@ def _parse_any(text: str, variables: Sequence[str]):
     return parse_poly(text, variables)
 
 
+def _parse_bivector(text: str, variables: Sequence[str],
+                    tokens: Tokens = None) -> Polyvector:
+    """``--sigma``: a zero of any degree, such as ``0``, is the zero bivector."""
+    sigma = parse_polyvector(text, variables, tokens)
+    return Polyvector.zero(2, variables) if sigma.is_zero() else sigma
+
+
 def _with_cap(value, cap: Optional[int]):
     if cap is None:
         return value
@@ -262,7 +269,7 @@ def _dispatch(args) -> int:
 
     if command == "check-centre":
         centre = parse_centre(args.centre)
-        sigma = _with_cap(parse_polyvector(args.sigma, centre.variables), args.cap)
+        sigma = _with_cap(_parse_bivector(args.sigma, centre.variables), args.cap)
         report = check_centre(sigma, centre)
         lines = [f"poisson: {report.poisson}",
                  f"codegenerate: {report.codegenerate}",
@@ -399,22 +406,16 @@ def _dispatch(args) -> int:
     if command == "select-centre":
         if bool(args.curve) == bool(args.surface):
             raise ValueError("pass either --curve generators or --surface")
+        variables, (sigma_tokens, *tokens) = _variables_for(
+            args, args.sigma, *([args.surface] if args.surface else args.curve))
+        if len(variables) != 3:
+            variables = ("x", "y", "z")
+        sigma = _parse_bivector(args.sigma, variables, sigma_tokens)
         if args.surface:
-            variables, (sigma_tokens, surface_tokens) = _variables_for(
-                args, args.sigma, args.surface)
-            if len(variables) != 3:
-                variables = ("x", "y", "z")
-            sigma = parse_polyvector(args.sigma, variables, sigma_tokens)
-            f = parse_poly(args.surface, variables, surface_tokens)
-            selection = select_centre_32(sigma, f)
+            selection = select_centre_32(sigma, parse_poly(args.surface, variables, tokens[0]))
         else:
-            variables, (sigma_tokens, *curve_tokens) = _variables_for(
-                args, args.sigma, *args.curve)
-            if len(variables) != 3:
-                variables = ("x", "y", "z")
-            sigma = parse_polyvector(args.sigma, variables, sigma_tokens)
-            generators = [parse_poly(g, variables, tokens)
-                          for g, tokens in zip(args.curve, curve_tokens)]
+            generators = [parse_poly(g, variables, curve_tokens)
+                          for g, curve_tokens in zip(args.curve, tokens)]
             selection = select_centre_31(sigma, generators)
         # a terminal point has no centre, hence no certificate and no conilpotency verdict
         certificate = selection.certificate

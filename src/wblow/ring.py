@@ -22,7 +22,7 @@ every numerator is a nonzero int, ``den > 0`` and ``gcd(den, *nums) == 1``,
 so ``den == 1`` for zero.  Equal polynomials therefore have equal fields,
 and equality and hashing compare them.  ``Poly.__init__`` is the one
 validating entry: it checks and normalises outside input.  The results of
-``+``, ``-``, ``*``, ``**``, ``scale``, ``diff``, ``substitute``,
+``+``, ``-``, ``*``, ``**``, ``scale``, ``diff``, ``substitute``, ``translate``,
 ``specialise``, ``divides``, ``resultant`` and ``univariate_gcd``, the
 re-charted copies of ``with_cap``, ``extend_variables``, ``drop_variables``
 and ``coefficients_in``, and ``var``, ``const`` and ``zero`` once the chart
@@ -524,17 +524,32 @@ class Poly:
         return Poly._from_numerators(target, out, self.den * common, cap)
 
     def translate(self, point: Sequence[Union[int, Fraction]]) -> "Poly":
-        """Recentre at ``point``: substitute x_i -> x_i + p_i."""
+        """Recentre at ``point``: ``substitute`` x_i -> x_i + p_i, computed as a
+        Taylor shift on the numerators.  With p_i = a/b and K the degree in x_i,
+        n*x_i^k becomes sum_j C(k, j)*n*a^(k-j)*b^(K-k+j)*x_i^j over den*b^K.
+        A truncated polynomial is refused, as ``substitute`` refuses it."""
         point = tuple(_exact(p) for p in point)
         if len(point) != len(self.variables):
             raise ValueError("point length does not match chart")
-        if all(p == 0 for p in point):
+        shifts = [(i, p) for i, p in enumerate(point) if p]
+        if not shifts:
             return self
-        images = {
-            v: Poly.var(self.variables, v) + Poly.const(self.variables, p)
-            for v, p in zip(self.variables, point) if p != 0
-        }
-        return self.substitute(images)
+        if self.cap is not None:
+            raise ValueError(f"cannot substitute {self.variables[shifts[0][0]]} -> series "
+                             "with constant term into a truncated polynomial")
+        nums, den = self.nums, self.den
+        for i, p in shifts:
+            a, b = p.numerator, p.denominator
+            top = max((e[i] for e in nums), default=0)
+            out: Dict[Exponent, int] = {}
+            for exponent, n in nums.items():
+                k = exponent[i]
+                for j in range(k + 1):
+                    e = exponent[:i] + (j,) + exponent[i + 1:]
+                    out[e] = out.get(e, 0) + comb(k, j) * n * a ** (k - j) * b ** (top - k + j)
+            nums = {e: n for e, n in out.items() if n}
+            den *= b ** top
+        return Poly._from_numerators(self.variables, nums, den, None)
 
     def evaluate(self, point: Sequence[Union[int, Fraction]]) -> Fraction:
         point = tuple(_exact(p) for p in point)

@@ -1,11 +1,13 @@
 """Lifting criteria, blowdown substitution, slice charts, singular points."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from wblow.ring import INF, parse_poly
+from wblow import blowup
+from wblow.ring import INF, Poly, parse_poly
 from wblow.polyvector import Polyvector, jacobian_poisson, parse_polyvector
 from wblow.centre import Centre, parse_centre
 from wblow.blowup import (
@@ -74,6 +76,16 @@ def test_whitney_233_fails_cd2_with_witness_w():
     assert cd2[0].combination == parse_poly("x^2 - y^2*z", V3)
     assert cd2[0].offending == F(1)
     assert cd2[0].required == F(7, 6)
+
+
+def test_zero_of_any_degree_is_the_zero_bivector():
+    centre = parse_centre("x:1 y:2 z:3 @ (1,0,2)")
+    reports = [check_centre(Polyvector.zero(degree, V3), centre).to_dict()
+               for degree in range(4)]
+    assert all(report == reports[2] for report in reports)
+    assert reports[2]["conilpotent"] is True and reports[2]["order"] == "inf"
+    with pytest.raises(ValueError, match="expects a bivector"):
+        check_centre(parse_polyvector("x*@y", V3), centre)
 
 
 def test_whitney_point_not_codegenerate():
@@ -183,6 +195,79 @@ def test_oracle_equivalence_randomized(rng):
         assert lift.lift_ok == pulled.regular
         if lift.lift_ok:
             assert lift.exceptional_tangent == pulled.exceptional_tangent
+
+
+def _substituted_blowdown(f, reduced, extended, twist=0):
+    """The blowdown by the general route: x_i -> x_i*t^w_i by ``substitute``,
+    then a product by t^twist."""
+    t = Poly.var(extended, extended[-1])
+    images = {v: Poly.var(extended, v) * t ** w for v, w in zip(f.variables, reduced) if w}
+    return f.extend_variables(extended).substitute(images) * t ** twist
+
+
+def _substituted_translate(f, point):
+    """Recentring by the general route: x_i -> x_i + p_i by ``substitute``."""
+    images = {v: Poly.var(f.variables, v) + Poly.const(f.variables, p)
+              for v, p in zip(f.variables, point) if p}
+    return f.substitute(images) if images else f
+
+
+def _pullback_outcome(pullback, value, centre):
+    try:
+        result = pullback(value, centre)
+    except (ValueError, AssertionError) as error:
+        return type(error).__name__, str(error)
+    proper = result.proper_part
+    coefficients = {(): proper} if isinstance(proper, Poly) else proper.terms
+    return (result.min_t_exponent, result.regular, result.exceptional_tangent,
+            result.variables, getattr(proper, "degree", None),
+            {i: (c.nums, c.den, c.cap) for i, c in coefficients.items()})
+
+
+def _term_count(value):
+    if isinstance(value, Poly):
+        return len(value.nums)
+    return sum(len(c.nums) for c in value.terms.values())
+
+
+def test_pullbacks_match_the_substitution_route(monkeypatch):
+    """pullback_function and pullback_polyvector, whose blowdown and
+    recentring work on exponents and numerators, give the values, orders,
+    verdicts and caps of the same routines run with x_i -> x_i*t^w_i and
+    x_i -> x_i + p_i done by ``substitute``, errors included; the draw covers
+    caps that cut terms, weight-zero variables, based centres with large
+    denominators and charts that already use t."""
+    rng = random.Random(28)
+    charts = (("x",), V2, V3, ("x", "t"), ("t", "y", "z"), ("t", "t1"))
+    seen = dict(cut=0, weight_zero=0, based=0, t_chart=0, refused=0)
+    for _ in range(600):
+        variables = rng.choice(charts)
+        point = None
+        if rng.random() < 0.4:
+            point = [F(rng.randint(-40, 40), rng.choice((1, 7, 97, 1024))) for _ in variables]
+        centre = random_centre(rng, variables)
+        centre = Centre.from_exponents(variables, centre.exponents, point)
+        if rng.random() < 0.5:
+            value, pullback = random_nonzero_poly(rng, variables, max_degree=4), pullback_function
+        else:
+            value, pullback = random_polyvector(rng, variables), pullback_polyvector
+        cap = rng.choice((None, None, 2, 3, 4, 6, 9))
+        if cap is not None:
+            value = value.with_cap(cap) if isinstance(value, Poly) else \
+                value.map_coefficients(lambda c: c.with_cap(cap))
+        outcome = _pullback_outcome(pullback, value, centre)
+        with monkeypatch.context() as patched:
+            patched.setattr(blowup, "_blowdown", _substituted_blowdown)
+            patched.setattr(Poly, "translate", _substituted_translate)
+            assert outcome == _pullback_outcome(pullback, value, centre), (value, centre)
+        seen["weight_zero"] += INF in centre.exponents
+        seen["based"] += point is not None and any(point) and len(outcome) == 6
+        seen["t_chart"] += "t" in variables
+        seen["refused"] += len(outcome) == 2
+        seen["cut"] += (point is None and len(outcome) == 6
+                        and sum(map(len, (n for n, _, _ in outcome[5].values())))
+                        < _term_count(value))
+    assert min(seen.values()) >= 20, seen
 
 
 def test_codim2_shortcut(rng):

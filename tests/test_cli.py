@@ -255,6 +255,22 @@ def test_select_centre_cli(capsys):
     assert "inv_233_surface" in out and "x:1 y:1 z:inf" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-centre", "--centre", "x:1 y:2 z:3"),
+    ("check-centre", "--centre", "x:1 y:2 z:3", "--cap", "4"),
+    ("select-centre", "--surface", "x^2 + y^2 + z^3"),
+    ("select-centre", "--curve", "x", "--curve", "y"),
+])
+@pytest.mark.parametrize("machine", [(), ("--machine",)])
+def test_zero_bivector_written_as_zero(capsys, argv, machine):
+    # "0" parses as a function; as --sigma it is the zero bivector, whatever
+    # the degree its spelling records
+    outputs = {sigma: run(capsys, *machine, *argv, "--sigma", sigma)
+               for sigma in ("0", "0*@x^@y", "0*@z")}
+    assert outputs["0"] == outputs["0*@x^@y"] == outputs["0*@z"]
+    assert outputs["0"][0] == 0 and not outputs["0"][2]
+
+
 def test_select_centre_refusal_exit(capsys):
     # refused at the tangency check: the bivector is not tangent to the curve
     code, _, err = run(capsys, "select-centre",
