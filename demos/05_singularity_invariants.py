@@ -51,11 +51,15 @@ print("(1,1,1) admissible?", is_admissible(parse_centre("x:1 y:1 z:1"), W))
 
 print()
 print("== plane curves and preparation ==")
+# the preparation is a CoordinateChange: applied to the curve it gives the
+# prepared germ, whose maximal monomial centre carries the invariant
 for text in ("y^2 - x^3", "y^2 - x^5", "(y + x^2)^2 - x^5", "x*y"):
-    result = plane_curve_invariant(parse_poly(text, ("x", "y")))
+    curve = parse_poly(text, ("x", "y"))
+    result = plane_curve_invariant(curve)
     note = "" if result.exact else "  [lower bound]"
-    steps = f"  prepared via {result.preparation_log}" if result.preparation_log else ""
-    print(f"{text:20s} -> ({result.invariant}){note}{steps}")
+    steps = f"  prepared by {result.preparation}" if result.preparation.steps else ""
+    replays = result.preparation(curve) == result.prepared
+    print(f"{text:20s} -> ({result.invariant}){note}{steps}  replays: {replays}")
 
 print()
 print("== powers rescale the invariant ==")

@@ -306,10 +306,11 @@ def pullback_function(f: Poly, centre: Centre) -> PullbackResult:
     extended, t_index = _extended_chart(centre)
     lifted = _blowdown(f, centre.reduced_weights_by_variable(), Poly._chart(extended))
     m = _min_t_degree(lifted, t_index)
-    assert m is not None
     expected = centre.ord_poly(f) / centre.weight_data().gcd
-    assert Fraction(m) == expected, \
-        f"t-exponent {m} disagrees with ord/gcd = {expected}"
+    if m is None or Fraction(m) != expected:
+        # only a cap can cut the terms of least t-degree
+        assert f.cap is not None, f"t-exponent {m} disagrees with ord/gcd = {expected}"
+        raise ValueError(f"the cap {f.cap} cuts the lowest-order terms of the pullback")
     return PullbackResult(
         min_t_exponent=m,
         proper_part=_shift_t_down(lifted, t_index, m),
@@ -383,7 +384,9 @@ def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
     tangent = t_component_min is None or t_component_min - shift >= 1
 
     xi_min = polyvector_min_t(lifted_xi, only_t_components=False)
-    assert xi_min is not None
+    if xi_min is None:   # a nonzero coefficient lifts to zero only under a cap
+        cap = next(iter(xi.terms.values())).cap
+        raise ValueError(f"the cap {cap} cuts every term of the pullback")
     proper = lifted_xi.map_coefficients(lambda c: _shift_t_down(c, t_index, xi_min))
 
     return PullbackResult(

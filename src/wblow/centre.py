@@ -43,6 +43,7 @@ from .ring import (
     format_ext,
     is_infinite,
     parse_ext,
+    parse_rational,
 )
 from .polyvector import Polyvector
 
@@ -351,7 +352,7 @@ def parse_centre(text: str) -> Centre:
         suffix = suffix.strip()
         if not (suffix.startswith("(") and suffix.endswith(")")):
             raise ValueError(f"malformed base point {suffix!r}; expected (p1,p2,...)")
-        point = tuple(Fraction(p.strip()) for p in suffix[1:-1].split(","))
+        point = tuple(parse_rational(p) for p in suffix[1:-1].split(","))
         text = body.strip()
     variables: List[str] = []
     exponents: List[ExtRational] = []

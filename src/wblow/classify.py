@@ -22,13 +22,13 @@ Maps I, section 16), which needs no search over coordinates: the rank of the
 Hessian over Q, the root type of the cubic part on the Hessian kernel and the
 Milnor number decide between A, D, E, normal crossings, the Whitney umbrella
 and ``other``.  The class fixes the invariant exactly.  One exact linear
-change of coordinates, logged as shears, and one completion of the square
-prepare the germ so that the centre of its class sees the normal form; the
-monomial centre of the prepared form witnesses the invariant.  When the
-leading term there is the normal form, the germ is semi-quasi-homogeneous
-and has the Milnor number of the normal form (Arnold, Gusein-Zade and
-Varchenko, section 12), which needs no local algebra and no degree bound;
-every other germ goes through ``milnor_number``.
+change and one completion of the square prepare the germ and put its
+coordinates in the roles of the normal form, which give the centre of its
+class; the monomial centre of the prepared form witnesses the invariant.
+When the leading term at the class centre is the normal form, the germ is
+semi-quasi-homogeneous with the Milnor number of the normal form (Arnold,
+Gusein-Zade and Varchenko, section 12): no local algebra and no degree
+bound; every other germ goes through ``milnor_number``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 from operator import mul
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .ring import MAX_TERMS, Point, Poly, _expansion_bound, divides, insert_row
 from .polyvector import (
@@ -291,13 +291,16 @@ E7 = "E7"
 E8 = "E8"
 OTHER_CLASS = "other"
 
-# quasi-homogeneity exponents of the standard equations, per class
+# quasi-homogeneity exponents of the standard equations, per class, in the
+# roles x, y, z of ``DUVAL_EQUATIONS``
 def class_exponents(kind: str, index: Optional[int] = None) -> Tuple[Fraction, ...]:
     if kind == A_CLASS:
-        assert index is not None and index >= 1
+        if index is None or index < 1:
+            raise ValueError("A(n) requires n >= 1")
         return (Fraction(2), Fraction(2), Fraction(index + 1))
     if kind == D_CLASS:
-        assert index is not None and index >= 4
+        if index is None or index < 4:
+            raise ValueError("D(n) requires n >= 4")
         return (Fraction(2), 2 + Fraction(2, index - 2), Fraction(index - 1))
     return {E6: (Fraction(2), Fraction(3), Fraction(4)),
             E7: (Fraction(2), Fraction(3), Fraction(9, 2)),
@@ -312,15 +315,14 @@ class SingularityClass:
     invariant: Optional[InvariantSeq] = None
     milnor: Optional[Union[int, str]] = None
     witness_centre: Optional[Centre] = None
+    class_centre: Optional[Centre] = None    # for A, D, E: see ``_class_centre``
     preparation: CoordinateChange = CoordinateChange(())
     prepared: Optional[Poly] = None          # the germ after ``preparation``
     diagnostics: List[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind == A_CLASS and (self.index is None or self.index < 1):
-            raise ValueError("A(n) requires n >= 1")
-        if self.kind == D_CLASS and (self.index is None or self.index < 4):
-            raise ValueError("D(n) requires n >= 4")
+        if self.kind in (A_CLASS, D_CLASS):
+            class_exponents(self.kind, self.index)   # refuses an index out of range
 
     def label(self) -> str:
         if self.kind in (A_CLASS, D_CLASS):
@@ -342,7 +344,7 @@ def _complete_square(f: Poly) -> CoordinateChange:
         for name in f.variables:
             found = subleading_shift(f, name) if f.degree_in(name) == 2 else None
             if found is not None:
-                return CoordinateChange.shear(name, found[0])
+                return CoordinateChange.shear(name, found)
     return CoordinateChange(())
 
 
@@ -368,7 +370,7 @@ def _diagonalise(q: Poly) -> Tuple[CoordinateChange, List[str]]:
             pivots = squares[:1]
             found = subleading_shift(q, pivots[0])
             step = CoordinateChange(()) if found is None else CoordinateChange.shear(
-                pivots[0], found[0])
+                pivots[0], found)
         else:
             exponent = min(q.nums)
             pivots = [v for v, e in zip(variables, exponent) if e]
@@ -429,37 +431,45 @@ def _class_invariant(kind: str, index: Optional[int]) -> InvariantSeq:
     return validate_invariant(InvariantSeq(entries))
 
 
-def _prepare(f: Poly) -> Tuple[Poly, CoordinateChange, List[str], Optional[str]]:
-    """One exact linear change, logged as shears, then one square completion.
+def _prepare(f: Poly) -> Tuple[Poly, CoordinateChange, Tuple[str, ...], int, Optional[str]]:
+    """One exact linear change, a product of shears, then one square completion.
 
     The change diagonalises the Hessian, its pivots becoming the Morse
     coordinates.  With one Morse coordinate it also puts the multiple linear
     factor of the cubic on the Hessian kernel onto a kernel coordinate.
-    Returns the prepared form, the change, the Morse coordinates and the
-    root type of that cubic (None unless the Hessian has rank one).
+    Returns the prepared form, the change, the coordinates in the roles x,
+    y, z of ``DUVAL_EQUATIONS`` (the Morse coordinates, then the kernel
+    coordinates, the one carrying the multiple factor first), the rank of
+    the Hessian and the root type of that cubic (None unless the rank is one).
     """
     change, morse = _diagonalise(_homogeneous_part(f, 2))
+    kernel = tuple(v for v in f.variables if v not in morse)
     root_type = None
     if len(morse) == 1:
         on_kernel = change(_homogeneous_part(f, 3)).coefficients_in(morse[0])[0]
-        kernel = on_kernel.variables
         root_type, factor = binary_cubic_type(on_kernel)
-        if factor is not None and factor[0] != 0 and factor[1] != 0:
+        if factor is not None and factor[0] == 0:
+            kernel = kernel[::-1]    # the factor is l_w w
+        elif factor is not None and factor[1] != 0:
             # v -> v - (l_w/l_v) w turns the factor l_v v + l_w w into l_v v
             change += CoordinateChange.shear(
                 kernel[0], Poly.var(f.variables, kernel[1]).scale(-factor[1] / factor[0]))
     prepared = change(f)
     completion = _complete_square(prepared)
-    return completion(prepared), change + completion, morse, root_type
+    return completion(prepared), change + completion, tuple(morse) + kernel, len(morse), root_type
 
 
-def _class_centres(f: Poly, kind: str, index: Optional[int]) -> Iterator[Centre]:
-    """The centres at the permutations of the class exponents where f has
-    order one, in the sorted order of the permutations."""
-    for permutation in sorted(set(itertools.permutations(class_exponents(kind, index)))):
-        centre = Centre(f.variables, permutation)
-        if centre.ord_poly(f) == 1:
-            yield centre
+def _class_centre(f: Poly, roles: Sequence[str], kind: str, index: Optional[int]
+                  ) -> Optional[Centre]:
+    """The centre giving the coordinates in ``roles`` the class exponents of
+    the roles x, y, z, when f has order one there; None otherwise.  On a
+    germ from ``_prepare`` no other assignment of them gives order one: a
+    Morse coordinate carries its square (or the hyperbolic pair its product)
+    and needs the exponent 2, and the cubic's multiple factor v (v^2 M or
+    v^3) needs the exponent of y."""
+    exponents = dict(zip(roles, class_exponents(kind, index)))
+    centre = Centre(f.variables, tuple(exponents[v] for v in f.variables))
+    return centre if centre.ord_poly(f) == 1 else None
 
 
 def _determined_class(rank: int, root_type: Optional[str], mu: Union[int, str]
@@ -482,49 +492,41 @@ def _determined_class(rank: int, root_type: Optional[str], mu: Union[int, str]
     return None
 
 
-def _principal_milnor(prepared: Poly, morse: List[str], root_type: Optional[str]
-                      ) -> Optional[int]:
+def _principal_milnor(prepared: Poly, roles: Sequence[str], rank: int,
+                      root_type: Optional[str]) -> Optional[int]:
     """The Milnor number of the prepared germ read off its principal part, or
     None.
 
     The candidate mu follow the determinator: 1 for Hessian rank three;
-    m - 1 for rank two, m the smallest pure power of the kernel coordinate;
-    m + 1 for a double root, m the smallest pure power of either kernel
-    coordinate (the other one, not the doubled one); 6, 7 and 8 for a triple
-    root.  A candidate holds when, at one of the class centres of its class
-    (``_determined_class``), the germ has order one and its leading term has
-    exactly the support of ``DUVAL_EQUATIONS``, the variables taking the
-    roles x, y, z in the order of their exponents.  Such a leading term has
+    m - 1 for rank two and m + 1 for a double root, m the smallest pure
+    power of the coordinate in role z; 6, 7 and 8 for a triple root.  A
+    candidate holds when the germ has order one at the class centre of its
+    class (``_determined_class``, ``_class_centre``) and its leading term
+    there has exactly the support of ``DUVAL_EQUATIONS``, the coordinates
+    in ``roles`` taking the roles x, y, z.  Such a leading term has
     an isolated critical point for any nonzero coefficients, so the germ is
     semi-quasi-homogeneous and its mu is that of the normal form (Arnold,
     Gusein-Zade and Varchenko, Singularities of Differentiable Maps I,
     section 12).  A cubic with distinct roots is the same theorem at
     x:2 v:3 w:3, where the leading term is c*x^2 plus that cubic: mu is 4.
     """
-    rank = len(morse)
     if rank == 3:
         return 1
     if root_type == DISTINCT_ROOTS:
         return 4
-    kernel = [i for i, v in enumerate(prepared.variables) if v not in morse]
-    pure = [[e[i] for e in prepared.nums if e[i] == sum(e)] for i in kernel]
-    powers = [min(p) for p in pure if p]
-    if rank == 2:
-        candidates = [m - 1 for m in powers]
-    elif root_type == DOUBLE_ROOT:
-        candidates = [m + 1 for m in powers]
-    elif root_type == TRIPLE_ROOT:
+    order = [prepared.variables.index(v) for v in roles]
+    if root_type == TRIPLE_ROOT:
         candidates = [6, 7, 8]
-    else:
-        return None
+    else:     # rank two or a double root: m, the smallest pure power of role z
+        m = min((e[order[2]] for e in prepared.nums if e[order[2]] == sum(e)), default=None)
+        candidates = [] if m is None else [m + (1 if root_type == DOUBLE_ROOT else -1)]
     for mu in candidates:
         kind, index = _determined_class(rank, root_type, mu)
-        normal_form = set(DUVAL_EQUATIONS[kind](index, ("x", "y", "z")).nums)
-        for centre in _class_centres(prepared, kind, index):
-            roles = sorted(range(3), key=centre.exponents.__getitem__)
-            lead = centre.leading_term_poly(prepared)
-            if {tuple(e[i] for i in roles) for e in lead.nums} == normal_form:
-                return mu
+        centre = _class_centre(prepared, roles, kind, index)
+        lead = centre.leading_term_poly(prepared).nums if centre is not None else {}
+        if {tuple(e[i] for i in order) for e in lead} \
+                == set(DUVAL_EQUATIONS[kind](index, ("x", "y", "z")).nums):
+            return mu
     return None
 
 
@@ -563,24 +565,24 @@ def classify_surface(f: Poly) -> SingularityClass:
     if f.min_total_degree() == 1:
         return SingularityClass(SMOOTH, max_monomial_centre(f), prepared=f)
 
-    prepared, change, morse, root_type = _prepare(f)
+    prepared, change, roles, rank, root_type = _prepare(f)
     # the search refuses only a zero or unit ideal, and f is neither
     found = max_monomial_centre(prepared)
     report = SingularityClass(OTHER_CLASS, found, preparation=change, prepared=prepared)
     if root_type == ZERO_CUBIC:
         report.diagnostics.append(
             "the cubic vanishes on the Hessian kernel: not a simple singularity")
-    elif not morse:
+    elif not rank:
         report.diagnostics.append("the 2-jet vanishes: not a simple singularity")
     else:
-        mu = _principal_milnor(prepared, morse, root_type)
+        mu = _principal_milnor(prepared, roles, rank, root_type)
         if mu is None:
             mu = milnor_number(prepared)
         report.milnor = mu
-        determined = _determined_class(len(morse), root_type, mu)
+        determined = _determined_class(rank, root_type, mu)
         if determined is not None:
             report.kind, report.index = determined
-        elif len(morse) == 2:
+        elif rank == 2:
             report.diagnostics.append(f"Hessian rank 2 but Milnor number {mu}")
         else:
             report.diagnostics.append(f"cubic with a {root_type} root but Milnor number {mu}")
@@ -589,6 +591,8 @@ def classify_surface(f: Poly) -> SingularityClass:
         report.invariant, report.witness_centre = found.invariant, found.centre
         return report
     report.invariant = _class_invariant(report.kind, report.index)
+    if report.is_du_val():
+        report.class_centre = _class_centre(prepared, roles, report.kind, report.index)
     if found.invariant.entries == report.invariant.entries:
         report.witness_centre = found.centre
     else:
@@ -720,9 +724,9 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
     where the sheared bivector is kept as ``prepared_sigma``: the bivector
     has an isolated zero; the surface germ is of type A, D or E; and the
     bivector is Jacobian for some volume form.  The third holds when, at the
-    quasi-homogeneity exponents of the class, the leading term of the
-    bivector is a constant multiple of the Jacobian structure of the leading
-    term of the equation; that centre is reported as the witness.  It also
+    class centre of the surface class, the leading term of the bivector is
+    a constant multiple of the Jacobian structure of the leading term of the
+    equation; that centre is reported as the witness.  It also
     holds, with ``duval_witness_centre`` None, for a unit multiple u*J(f)
     with u(0) != 0: that is the Jacobian structure of f for the volume form
     u^-1*dx^dy^dz.  An isolated Du Val germ that matches neither is not
@@ -761,14 +765,12 @@ def detect_duval_point(sigma: Polyvector, f: Poly, point: Point) -> TripleReport
         report.duval = False
         return report
 
-    for centre in _class_centres(prepared_f, surface.kind, surface.index):
-        lead_f = centre.leading_term_poly(prepared_f)
-        lead_sigma = centre.leading_term_polyvector(prepared_sigma)
-        if _is_unit_multiple(lead_sigma, jacobian_poisson(lead_f)):
-            report.duval = True
-            report.duval_witness_centre = centre
-            return report
-    if jacobian_multiple:
+    centre = surface.class_centre
+    if centre is not None and _is_unit_multiple(
+            centre.leading_term_polyvector(prepared_sigma),
+            jacobian_poisson(centre.leading_term_poly(prepared_f))):
+        report.duval_witness_centre = centre
+    if report.duval_witness_centre is not None or jacobian_multiple:
         report.duval = True
         return report
     report.diagnostics.append("no class centre matches the leading term of the bivector, "
@@ -818,7 +820,6 @@ class NormalFormReport:
     ok: bool
     checks: Dict[str, bool]
     notes: List[str] = field(default_factory=list)
-    sigma: Optional[Polyvector] = None
 
 
 def _series_in(base: Poly, coefficients: Sequence[Union[int, Fraction]],
@@ -930,6 +931,7 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
         family = params["family"]
         n = params.get("n")
         unit = params.get("unit")
+        exponents = class_exponents(family, n)
         f = DUVAL_EQUATIONS[family](n, V)
         sigma = jacobian_poisson(f)
         if unit is not None:
@@ -939,8 +941,6 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
                 raise ValueError("the unit must be invertible at the origin")
             sigma = sigma.scale(unit)
         checks["poisson"] = is_poisson(sigma)[0]
-        kind_tag = {"A": A_CLASS, "D": D_CLASS}.get(family, family)
-        exponents = class_exponents(kind_tag, n)
         centre = Centre.from_exponents(V, exponents)
         scale = Fraction(1) if unit is None else unit.constant_term()
         checks["leading_term"] = (
@@ -953,5 +953,4 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
     else:
         raise ValueError(f"unknown normal form kind {kind!r}")
 
-    report = NormalFormReport(kind, all(checks.values()), checks, notes, None)
-    return report
+    return NormalFormReport(kind, all(checks.values()), checks, notes)

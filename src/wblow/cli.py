@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ring import ParseError, Poly, format_ext, parse_poly, tokenize
+from .ring import ParseError, Poly, format_ext, parse_poly, parse_rational, tokenize
 from .polyvector import Polyvector, jacobian_poisson, parse_polyvector, schouten
 from .centre import parse_centre
 from .blowup import (
@@ -325,7 +325,7 @@ def _dispatch(args) -> int:
         if len(variables) == 2:
             plane = plane_curve_invariant(f)
             report = {"command": "invariant", "invariant": str(plane.invariant),
-                      "exact": plane.exact, "preparation": plane.preparation_log}
+                      "exact": plane.exact, "preparation": plane.preparation.lines()}
             lines = [f"invariant: ({plane.invariant})"
                      + ("" if plane.exact else "  [certified lower bound]")]
             _emit(report, lines, machine)
@@ -436,7 +436,7 @@ def _dispatch(args) -> int:
 
     if command == "verify-normal-form":
         if args.kind == "split_log":
-            params = {"k": args.k, "lam": Fraction(args.lam)}
+            params = {"k": args.k, "lam": parse_rational(args.lam)}
         elif args.kind == "heisenberg_pencil":
             if not args.f:
                 raise ValueError("heisenberg_pencil requires --f")
@@ -480,7 +480,7 @@ def _coeff_list(text: str) -> List[Fraction]:
     pieces = text.split(",")
     if len(pieces) > MAX_COEFFICIENTS:
         raise ValueError(f"{len(pieces)} coefficients exceed the limit {MAX_COEFFICIENTS}")
-    return [Fraction(piece.strip()) for piece in pieces]
+    return [parse_rational(piece) for piece in pieces]
 
 
 if __name__ == "__main__":

@@ -12,11 +12,11 @@ Two computable lower bounds for the invariant of an ideal are provided:
 * :func:`max_monomial_centre` maximises over centres that are monomial in the
   given coordinates (exact maximum over that restricted family, a lex lower
   bound for the true coordinate-free invariant);
-* :func:`plane_curve_invariant` prepares a plane-curve germ (a shear that
+* :func:`plane_curve_invariant` prepares a plane-curve germ by a shear that
   exposes the pure power of the multiplicity, then a shift killing the
-  subleading coefficient) and takes the maximal monomial centre of the
-  prepared germ.  Exact for multiplicity two; a certified lower bound beyond
-  that.
+  subleading coefficient, keeps them as one ``CoordinateChange`` and takes
+  the maximal monomial centre of the prepared germ.  Exact for multiplicity
+  two; a certified lower bound beyond that.
 """
 
 from __future__ import annotations
@@ -76,11 +76,7 @@ class InvariantSeq:
     def parse(cls, text: str) -> "InvariantSeq":
         entries = []
         for piece in text.split(","):
-            piece = piece.strip()
-            if "." in piece:  # decimal like 4.5 for convenience
-                entries.append(Fraction(piece))
-            else:
-                entries.append(parse_ext(piece))
+            entries.append(parse_ext(piece))
         return cls(tuple(entries))
 
 
@@ -333,18 +329,18 @@ def max_monomial_centre(f: Union[Poly, Sequence[Poly]]) -> MonomialCentreResult:
 class PlaneCurveInvariant:
     invariant: InvariantSeq
     centre: Centre                # the maximal monomial centre of the prepared germ
-    prepared: Poly                # the germ after preparation
-    preparation_log: List[str]
+    prepared: Poly                # the germ after ``preparation``
+    preparation: CoordinateChange
     exact: bool                   # certified for c*u^2 + b(v), else a lower bound
 
 
-def subleading_shift(f: Poly, name: str) -> Optional[Tuple[Poly, Poly, Fraction]]:
+def subleading_shift(f: Poly, name: str) -> Optional[Poly]:
     """The shift removing the coefficient of name^(d-1), d the degree of f in name.
 
     When the coefficient ``lead`` of name^d is a constant and the coefficient
     ``sub`` of name^(d-1) is nonzero, name -> name + shift with
     shift = -sub/(d*lead) removes it exactly (for d = 2, completing the
-    square).  Returns (shift on f's chart, sub, d*lead), or None.
+    square).  Returns the shift on f's chart, or None.
     """
     coefficients = f.coefficients_in(name)
     d = len(coefficients) - 1
@@ -353,8 +349,7 @@ def subleading_shift(f: Poly, name: str) -> Optional[Tuple[Poly, Poly, Fraction]
     lead, sub = coefficients[d], coefficients[d - 1]
     if lead.total_degree() != 0 or sub.is_zero():
         return None
-    divisor = d * lead.constant_term()
-    return sub.extend_variables(f.variables).scale(-1 / divisor), sub, divisor
+    return sub.extend_variables(f.variables).scale(-1 / (d * lead.constant_term()))
 
 
 def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
@@ -364,7 +359,8 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
     v -> v + c*u exposes u^d when neither pure power of degree d occurs, and
     when the germ is monic of degree d in u the shift
     u -> u - (coefficient of u^(d-1))/d removes the subleading coefficient
-    exactly.  The invariant and the centre are then those of
+    exactly.  Both steps make up ``preparation``.  The invariant and the
+    centre are then those of
     :func:`max_monomial_centre` of the prepared germ: with u^d present,
     a_2 = min j*d/(d-i) over the monomials u^i v^j with i < d.  Exact for
     d = 2 when the prepared germ is c*u^2 + b(v) (completing the square);
@@ -377,10 +373,9 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
     if f.constant_term() != 0:
         raise ValueError("the germ must vanish at the origin")
 
-    log: List[str] = []
     d = f.min_total_degree()
     u, v = f.variables
-    work = f
+    change = CoordinateChange(())
     powers = [name for name in f.variables
               if tuple(d if w == name else 0 for w in f.variables) in f.nums]
     # prefer a variable of degree d, in which the subleading shift can apply
@@ -393,22 +388,19 @@ def plane_curve_invariant(f: Poly) -> PlaneCurveInvariant:
         cone = [(e[1], n) for e, n in f.nums.items() if sum(e) == d]
         c = next(c for k in range(1, d + 1) for c in (k, -k)
                  if sum(a * c ** j for j, a in cone) != 0)
-        work = CoordinateChange.shear(v, Poly.var(f.variables, u).scale(c))(f)
+        change = CoordinateChange.shear(v, Poly.var(f.variables, u).scale(c))
         main = u
-        log.append(f"shear {v} -> {v} + {c}*{u}")
+    work = change(f)
 
-    found = subleading_shift(work, main) if work.degree_in(main) == d else None
-    if found is not None:
-        shift, sub, divisor = found
-        work = CoordinateChange.shear(main, shift)(work)
-        log.append(f"shift {main} -> {main} - ({sub})/{divisor}")
+    shift = subleading_shift(work, main) if work.degree_in(main) == d else None
+    if shift is not None:
+        step = CoordinateChange.shear(main, shift)
+        change, work = change + step, step(work)
 
     result = max_monomial_centre(work)
-    if result.invariant.length() == 1:
-        log.append("no monomial off the pure power; length-one invariant")
     # completing the square certifies (2, a_2) only on c*u^2 + b(v)
     prepared = work.coefficients_in(main)
     weierstrass = (len(prepared) == d + 1 and prepared[d].total_degree() == 0
                    and prepared[d - 1].is_zero())
     exact = d == 2 and weierstrass and result.invariant.length() == 2
-    return PlaneCurveInvariant(result.invariant, result.centre, work, log, exact)
+    return PlaneCurveInvariant(result.invariant, result.centre, work, change, exact)

@@ -233,7 +233,7 @@ def _resolve_chart(equation: Poly, chart_id: str, parent_id: Optional[str],
             centre=centre,
             singular_points=[tuple(Fraction(0) for _ in local.variables)],
             notes=[f"singular point {tuple(str(c) for c in point)}"]
-                  + plane.preparation_log,
+                  + plane.preparation.lines(),
         )
         node.children.append(point_node)
         proper = pullback_function(plane.prepared, centre).proper_part

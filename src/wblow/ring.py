@@ -166,11 +166,16 @@ def format_ext(a: ExtRational) -> str:
     return str(a)
 
 
+def parse_rational(text: str) -> Fraction:
+    """``3``, ``-3/2`` or ``4.5``; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def parse_ext(text: str) -> ExtRational:
-    text = text.strip()
-    if text == "inf":
-        return INF
-    return Fraction(text)
+    return INF if text.strip() == "inf" else parse_rational(text)
 
 
 # ---------------------------------------------------------------------------
@@ -1239,8 +1244,10 @@ class _ExprParser:
             if self.peek()[0] == "/":
                 self.advance()
                 denominator_token = self.expect("int")
-                return Poly.const(self.variables,
-                                  Fraction(numerator, int(denominator_token[1])))
+                denominator = int(denominator_token[1])
+                if denominator == 0:
+                    raise ParseError("zero denominator", denominator_token[2])
+                return Poly.const(self.variables, Fraction(numerator, denominator))
             return Poly.const(self.variables, numerator)
         if token[0] == "name":
             if token[1] not in self.variables:

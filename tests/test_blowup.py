@@ -215,7 +215,7 @@ def _substituted_translate(f, point):
 def _pullback_outcome(pullback, value, centre):
     try:
         result = pullback(value, centre)
-    except (ValueError, AssertionError) as error:
+    except ValueError as error:
         return type(error).__name__, str(error)
     proper = result.proper_part
     coefficients = {(): proper} if isinstance(proper, Poly) else proper.terms

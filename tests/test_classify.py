@@ -771,15 +771,21 @@ def test_determinator_jets_against_sympy(rank, kind, seed):
     f = quadratic + cubic + higher
     if f.is_zero() or f.min_total_degree() < 2:
         return
-    _, _, morse, root_type = _prepare(f)
+    prepared, _, roles, rank, root_type = _prepare(f)
+    assert sorted(roles) == list(V3)
 
     symbols = sympy.symbols("x y z")
     expression = sympy.sympify(str(f).replace("^", "**"), locals=dict(zip(V3, symbols)))
     hessian = sympy.hessian(expression, symbols).subs(dict.fromkeys(symbols, 0))
-    assert len(morse) == hessian.rank()
+    assert rank == hessian.rank()
     if hessian.rank() != 1:
         assert root_type is None
         return
+    # the prepared cubic on the kernel has its multiple factor on role y
+    x, y = (V3.index(v) for v in roles[:2])
+    on_kernel = [e for e in prepared.nums if sum(e) == 3 and e[x] == 0]
+    least = {DOUBLE_ROOT: 2, TRIPLE_ROOT: 3}.get(root_type, 0)
+    assert all(e[y] >= least for e in on_kernel)
     # restrict the cubic part to the kernel, parametrised by s*k1 + t*k2
     s, t = sympy.symbols("s t")
     k1, k2 = hessian.nullspace()

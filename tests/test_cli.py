@@ -12,12 +12,15 @@ from pathlib import Path
 import pytest
 
 from wblow import cli
+from wblow.centre import parse_centre
+from wblow.invariant import max_monomial_centre
 from wblow.polyvector import CoordinateChange
 from wblow.ring import Poly, parse_poly
 from wblow.cli import MAX_COEFFICIENTS, MAX_DEGREE_BOUND, MAX_RESOLVE_STEPS, main
 
-from conftest import V3
+from conftest import V3, random_poly
 from test_functoriality import CURVE_TRIPLES
+from test_machine_bytes import COMMAND_CALLS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,6 +74,89 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "order", "--centre", "x:2 y:3", "2x")
     assert code == 2
     assert "implicit multiplication" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("blowup", "--centre", "x:1 y:1", "--cap", "2", "x + y^2"),
+    ("blowup", "--centre", "x:1/5 y:1", "--cap", "7", "y^4 + x"),
+    ("blowup", "--centre", "x:1 y:1", "--cap", "2", "x*@x"),
+    ("blowup", "--centre", "x:1 y:1", "--cap", "2", "y^2*@x + x*@y"),
+    ("validate-invariant", "1/0"),
+    ("order", "--centre", "x:1/0 y:1", "x"),
+    ("order", "--centre", "x:1 y:1 @ (1/0,0)", "x"),
+    ("order", "--centre", "x:1 y:1", "1/0*x"),
+    ("verify-normal-form", "split_log", "--lam", "1/0"),
+    ("verify-normal-form", "heisenberg_pencil", "--f", "y", "--a-coefficients", "1/0"),
+    ("verify-normal-form", "duval_family", "--family", "D", "--n", "2"),
+    ("verify-normal-form", "duval_family", "--family", "A", "--n", "0"),
+], ids=["cap cuts every lifted term", "cap cuts the lowest t-power",
+        "cap cuts a polyvector", "cap cuts a two-term polyvector", "invariant 1/0",
+        "centre exponent 1/0", "base point 1/0", "coefficient 1/0", "lam 1/0",
+        "coefficient list 1/0", "D2", "A0"])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    # exit 1 is a negative verdict with a witness, never a crash: each of
+    # these once escaped main as an AssertionError or ZeroDivisionError
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def _machine(capsys, *argv):
+    code = main(["--machine", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _replayed(steps, f):
+    """The printed steps ``name -> image`` rebuilt as a CoordinateChange
+    and applied to f."""
+    pairs = [step.split(" -> ") for step in steps]
+    return CoordinateChange(tuple((name, parse_poly(image, f.variables))
+                                  for name, image in pairs))(f)
+
+
+PINNED_CURVES = [argv[1] for argv in COMMAND_CALLS
+                 if argv[0] == "invariant" and "z" not in argv[1]]
+PINNED_GERMS = [argv[1] for argv in COMMAND_CALLS if argv[0] == "classify"]
+
+
+def _random_curves(count: int):
+    rng = random.Random(20261020)
+    curves = []
+    while len(curves) < count:
+        f = random_poly(rng, ("x", "y"), max_degree=5, max_terms=5)
+        f = Poly(("x", "y"), {e: c for e, c in f.terms.items() if sum(e) >= 2})
+        if f.is_zero():
+            continue
+        # hide the pure powers under a shear in half of the draws
+        if rng.random() < 0.5:
+            f = CoordinateChange.shear("y", Poly.var(("x", "y"), "x").scale(
+                rng.choice((1, -1, 2, -3))))(f)
+        curves.append(str(f))
+    return curves
+
+
+def test_printed_curve_preparations_replay(capsys):
+    prepared = 0
+    for text in PINNED_CURVES + _random_curves(40):
+        code, report = _machine(capsys, "invariant", "--vars", "x,y", "--", text)
+        assert code == 0, text
+        f = parse_poly(text, ("x", "y"))
+        replayed = _replayed(report["preparation"], f)
+        assert str(max_monomial_centre(replayed).invariant) == report["invariant"], text
+        prepared += bool(report["preparation"])
+    assert prepared >= 10
+
+
+def test_printed_classify_preparations_replay(capsys):
+    witnessed = 0
+    for text in PINNED_GERMS:
+        _, report = _machine(capsys, "classify", text)
+        if report["witness_centre"] is None:
+            continue
+        replayed = _replayed(report["preparation"], parse_poly(text, V3))
+        assert parse_centre(report["witness_centre"]).ord_poly(replayed) == 1, text
+        witnessed += 1
+    assert witnessed >= 8
 
 
 @pytest.mark.parametrize("argv", [

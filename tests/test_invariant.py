@@ -379,13 +379,14 @@ def test_plane_curve_tschirnhaus_shift():
     f = parse_poly("(y + x^2)^2 - x^5", V2)
     result = plane_curve_invariant(f)
     assert result.invariant.finite_entries() == (F(2), F(5))
-    assert any("shift" in step for step in result.preparation_log)
+    assert result.preparation.lines() == ["y -> -x^2 + y"]
 
 
 def test_plane_curve_shear_catalogue():
     result = plane_curve_invariant(parse_poly("x*y", V2))
     assert result.invariant.finite_entries() == (F(2), F(2))
-    assert any("shear" in step for step in result.preparation_log)
+    # the shear y -> y + x exposes x^2, then the square is completed
+    assert result.preparation.lines() == ["y -> x + y", "x -> x - 1/2*y"]
 
 
 def test_plane_curve_shear_beyond_small_slopes():
@@ -394,7 +395,7 @@ def test_plane_curve_shear_beyond_small_slopes():
     f = parse_poly("x*y*(y - x)*(y + x)*(y - 2*x)*(y + 2*x)*(y - 3*x)*(y + 3*x)"
                    "*(x - 2*y)*(x + 2*y)*(x - 3*y)*(x + 3*y)", V2)
     result = plane_curve_invariant(f)
-    assert result.preparation_log[0] == "shear y -> y + 4*x"
+    assert result.preparation.lines()[0] == "y -> 4*x + y"
     assert result.invariant.finite_entries() == (F(12), F(12))
     assert str(result.centre) == "x:12 y:12"
     assert not result.exact
@@ -403,11 +404,11 @@ def test_plane_curve_shear_beyond_small_slopes():
 def test_plane_curve_prefers_the_variable_that_takes_the_shift():
     # both pure powers occur; the germ has degree d only in y, where the
     # subleading shift straightens it: (y + x)^2 - x^5 is an A4 germ
-    for text, expected in (("(y + x)^2 - x^5", (F(2), F(5))),
-                           ("(y - x)^3 + x^7", (F(3), F(7)))):
+    for text, expected, shift in (("(y + x)^2 - x^5", (F(2), F(5)), "y -> -x + y"),
+                                  ("(y - x)^3 + x^7", (F(3), F(7)), "y -> x + y")):
         result = plane_curve_invariant(parse_poly(text, V2))
         assert result.invariant.finite_entries() == expected, text
-        assert result.preparation_log[0].startswith("shift y -> y"), text
+        assert result.preparation.lines() == [shift], text
     tree = resolve_plane_curve(parse_poly("(y + x)^2 - x^5", V2))
     assert tree.children[0].invariant.finite_entries() == (F(2), F(5))
 
@@ -454,6 +455,7 @@ def assert_reader_agrees(f: Poly):
     assert plane.invariant.finite_entries() == expected, f
     assert plane.centre == centre, f
     assert plane.centre.ord_poly(plane.prepared) == 1, f
+    assert plane.preparation(f) == plane.prepared, f
     assert plane.exact == (d == 2 and a2 is not None
                            and is_weierstrass(plane.prepared, d)), f
     return plane
@@ -494,8 +496,13 @@ def test_plane_curve_matches_newton_reader_on_random_curves():
         shift = x.scale(rng.choice((1, -1, 2, -3, 4, -5))) + (x ** 2).scale(rng.randint(-3, 3))
         for germ in (f, CoordinateChange.shear("y", shift)(f)):
             plane = assert_reader_agrees(germ)
-            log = plane.preparation_log
-            sheared += bool(log) and log[0].startswith("shear")
+            d = germ.min_total_degree()
+            if (d, 0) not in germ.nums and (0, d) not in germ.nums:
+                # neither pure power: the first step is the shear y -> y + c*x
+                name, image = plane.preparation.steps[0]
+                slope = (image - Poly.var(V2, "y")).terms
+                assert name == "y" and list(slope) == [(1, 0)], germ
+                sheared += 1
             raised += lex_compare(plane.invariant, max_monomial_centre(germ).invariant) > 0
         checked += 1
     # some germs need the first shear, and the preparation raises some

@@ -42,7 +42,18 @@ Intended changes recorded in these digests, relative to the previous ones:
   mu = 16 (a semi-quasi-homogeneous germ) without the local algebra, whose
   degree bound 12 runs out.  ``milnor`` keeps the local algebra as its
   only route, so ``milnor x^2 + y^2 + z^20`` stays ``indeterminate``
-  while ``classify`` certifies A19.
+  while ``classify`` certifies A19;
+* `invariant` prints the plane-curve preparation as the steps of its
+  ``CoordinateChange``, ``name -> <image>`` as `classify` does, and
+  `resolve-curve` notes them so on the chart of the singular point:
+  ``(y + x^2)^2 - x^5`` prints ``["y -> -x^2 + y"]`` instead of
+  ``["shift y -> y - (2*x^2)/2"]``; ``x*y`` ``["y -> x + y","x -> x -
+  1/2*y"]`` instead of ``["shear y -> y + 1*x","shift x -> x - (y)/2"]``;
+  the degree-12 cone ``["y -> 4*x + y","x -> x - 649421/2162160*y"]``
+  instead of ``["shear y -> y + 4*x","shift x -> x -
+  (163654092*y)/544864320"]``; and ``(y + x)^2 - x^5``, in `invariant`
+  and in `resolve-curve`, ``["y -> -x + y"]`` instead of ``["shift y -> y
+  - (2*x)/2"]``.
 
 The call on ``y^2 - x^64`` pins an output that the integer elimination
 kernel left unchanged.  The product above is searched by elimination on
@@ -177,21 +188,21 @@ EXPECTED = {
     ("invariant", "y^2 - x^3"):
         (0, "4cd47bbb50f7aecac0c3bd3590c8140e80556237b89baeda9df066857fa42fca"),
     ("invariant", "(y + x^2)^2 - x^5"):
-        (0, "951ee005fe16cb87ca9d2793bc8fa60ba8924ba8e6b05826fdf64fb90b964c11"),
+        (0, "edfb81d42c25a09b249c3c1fab498bde2706e1720c9cc605c43ce3cc6b9087cb"),
     ("invariant", "x*y"):
-        (0, "b2442ff645adfe0b4b259b1b08ed0f16a68a5d21aae8884c0e2a3cc7d0590693"),
+        (0, "b1fbe683b720d1488582326daf45a12e30a38e45400dec5a3d94d99f99ac6191"),
     ("invariant", "y^3 - x^5"):
         (0, "3e11e91a63f26cdd8d9092f8e397355cdabaaf540cce1945a50f1fb332cb3402"),
     ("invariant", CONE_12):
-        (0, "ca5522079485b5173568c4f56ee5b7032d581e0605d80101e8579c8dbb4ce24b"),
+        (0, "28ca4950d51555e32bfa94726f09493f57fd4b5be2a163eadf3fe253b198842e"),
     ("invariant", "x^2 - y^2*z"):
         (0, "3a28d00fff44f4629d1ff9d84ee9a4d43628de58bc86e248116956c4a8dcacfb"),
     ("invariant", "(y + x)^2 - x^5"):
-        (0, "371f7508030eb4af0742ac1daeb60ec5fb465bfdbcbb62ad2c0669e21a8f2143"),
+        (0, "e1efaedc9d823555c3cb794541fe690ba1fea2d3ef2a0327ba84b7e2b3b62812"),
     ("resolve-curve", "y^2 - x^3"):
         (0, "38d10827189edd11e43d847238eccef1df1108411f9ddfd93333d3b9251a1257"),
     ("resolve-curve", "(y + x)^2 - x^5"):
-        (0, "1d788336a7813f3e358bb3343e066dc41fc4621e6520fbacda819d05b8529d83"),
+        (0, "f8241aaf016ca97012c749c2a2af5fa49fcff39c2f41a220643aa4f1875965ae"),
     ("resolve-curve", "y^3 - x^5"):
         (0, "4d5a60894944c4d3a39f38bcafaf8c0de89693e80ccec1a9afced4f59e94fe41"),
     ("resolve-curve", "y^2 - (x^2 - 2)^2"):

@@ -1,6 +1,7 @@
 """Wedge, Schouten bracket, Poisson and tangency tests, linearization."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,45 @@ def test_jacobi_validation_negative():
         LieAlgebra3(((F(0), F(0), F(1)),
                      (F(1), F(0), F(0)),
                      (F(0), F(0), F(1))))
+
+
+def _jacobiator_vanishes(brackets) -> bool:
+    """The Jacobi identity on every ordered triple of distinct basis
+    vectors: the six-permutation oracle for LieAlgebra3's one triple."""
+    pairs = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+
+    def bracket(u, v):
+        out = [F(0)] * 3
+        for i, j in itertools.product(range(3), repeat=2):
+            if i != j and u[i] and v[j]:
+                sign, b = (1, brackets[pairs[(i, j)]]) if i < j else (-1, brackets[pairs[(j, i)]])
+                out = [o + sign * u[i] * v[j] * c for o, c in zip(out, b)]
+        return out
+
+    basis = [[F(int(i == k)) for k in range(3)] for i in range(3)]
+    for i, j, k in itertools.permutations(range(3)):
+        terms = [bracket(basis[a], bracket(basis[b], basis[c]))
+                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+        if any(sum(t[m] for t in terms) for m in range(3)):
+            return False
+    return True
+
+
+def test_jacobi_validation_against_all_permutations():
+    # seeded sparse structure constants, so that both verdicts occur
+    rng = random.Random(20261020)
+    verdicts = set()
+    for _ in range(400):
+        brackets = tuple(tuple(rng.choice((F(0),) * 6 + (F(1), F(-1), F(2), F(1, 2)))
+                               for _ in range(3)) for _ in range(3))
+        holds = _jacobiator_vanishes(brackets)
+        verdicts.add(holds)
+        if holds:
+            LieAlgebra3(brackets)
+        else:
+            with pytest.raises(ValueError):
+                LieAlgebra3(brackets)
+    assert verdicts == {True, False}
 
 
 def _small_lie_algebras():
