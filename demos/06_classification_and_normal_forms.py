@@ -86,5 +86,5 @@ examples = [
     ("duval_family", dict(family="E8", n=None, unit=parse_poly("1 + x", V))),
 ]
 for kind, params in examples:
-    report = verify_normal_form(kind, cap=9, **params)
+    report = verify_normal_form(kind, **params)
     print(f"{kind:18s} ok={report.ok}  checks={report.checks}")

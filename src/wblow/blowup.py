@@ -35,7 +35,7 @@ from .ring import (
     univariate_gcd,
 )
 from .polyvector import Polyvector, wedge
-from .centre import Centre
+from .centre import Centre, require_exact
 
 EXCEPTIONAL_VARIABLE = "t"
 
@@ -141,6 +141,7 @@ def check_centre(sigma: Polyvector, centre: Centre) -> CentreReport:
     codimension at least two (for codimension one the middle implication can
     fail, matching the trivial blowup of a divisor).
     """
+    require_exact(sigma)
     if sigma.is_zero():
         sigma = Polyvector._from_canonical(2, sigma.variables, {})
     elif sigma.degree != 2:
@@ -217,6 +218,7 @@ def check_lift(xi: Polyvector, centre: Centre) -> CentreReport:
     E, which is Euler-like on the chart.  The lift is tangent to the
     exceptional divisor exactly when ord(xi) >= 0.
     """
+    require_exact(xi)
     if xi.variables != centre.variables:
         raise ValueError("chart mismatch between polyvector and centre")
     if centre.is_trivial():
@@ -262,14 +264,10 @@ def _extended_chart(centre: Centre) -> Tuple[Tuple[str, ...], int]:
 def _blowdown(f: Poly, reduced: Sequence[int], extended: Tuple[str, ...],
               twist: int = 0) -> Poly:
     """f(t^w x) * t^twist on the extended chart: each n*x^e becomes
-    n*x^e*t^(w.e + twist) over the same denominator, cut at f's cap."""
-    cap = f.cap
-    nums: Dict[Tuple[int, ...], int] = {}
-    for exponent, n in f.nums.items():
-        power = sum(map(mul, reduced, exponent)) + twist
-        if cap is None or sum(exponent) + power < cap:
-            nums[exponent + (power,)] = n
-    return Poly._from_numerators(extended, nums, f.den, cap)
+    n*x^e*t^(w.e + twist) over the same denominator."""
+    nums = {exponent + (sum(map(mul, reduced, exponent)) + twist,): n
+            for exponent, n in f.nums.items()}
+    return Poly._from_numerators(extended, nums, f.den, None)
 
 
 def _shift_t_down(f: Poly, t_index: int, amount: int) -> Poly:
@@ -281,13 +279,7 @@ def _shift_t_down(f: Poly, t_index: int, amount: int) -> Poly:
             raise ValueError("cannot remove more t-powers than present")
         new = exponent[:t_index] + (exponent[t_index] - amount,) + exponent[t_index + 1:]
         nums[new] = n
-    return Poly._from_numerators(f.variables, nums, f.den, f.cap)
-
-
-def _min_t_degree(f: Poly, t_index: int) -> Optional[int]:
-    if f.is_zero():
-        return None
-    return min(e[t_index] for e in f.nums)
+    return Poly._from_numerators(f.variables, nums, f.den, None)
 
 
 def pullback_function(f: Poly, centre: Centre) -> PullbackResult:
@@ -296,6 +288,7 @@ def pullback_function(f: Poly, centre: Centre) -> PullbackResult:
     m is the weighted order in reduced integer units, i.e. ord(f)/gcd(w); the
     proper part is not divisible by t.
     """
+    require_exact(f)
     if f.is_zero():
         raise ValueError("pullback of the zero polynomial")
     if f.variables != centre.variables:
@@ -305,12 +298,9 @@ def pullback_function(f: Poly, centre: Centre) -> PullbackResult:
         centre = centre.translated_to_origin()
     extended, t_index = _extended_chart(centre)
     lifted = _blowdown(f, centre.reduced_weights_by_variable(), Poly._chart(extended))
-    m = _min_t_degree(lifted, t_index)
+    m = min(e[t_index] for e in lifted.nums)
     expected = centre.ord_poly(f) / centre.weight_data().gcd
-    if m is None or Fraction(m) != expected:
-        # only a cap can cut the terms of least t-degree
-        assert f.cap is not None, f"t-exponent {m} disagrees with ord/gcd = {expected}"
-        raise ValueError(f"the cap {f.cap} cuts the lowest-order terms of the pullback")
+    assert m == expected, f"t-exponent {m} disagrees with ord/gcd = {expected}"
     return PullbackResult(
         min_t_exponent=m,
         proper_part=_shift_t_down(lifted, t_index, m),
@@ -345,6 +335,7 @@ def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
     divisor t = 0 when every @t-component is divisible by t.  proper_part is
     t^-k xi~ with k the minimal t-exponent of xi~ itself.
     """
+    require_exact(xi)
     if xi.variables != centre.variables:
         raise ValueError("chart mismatch")
     if centre.base_point is not None:
@@ -368,25 +359,14 @@ def pullback_polyvector(xi: Polyvector, centre: Centre) -> PullbackResult:
     generator = degeneration_euler_generator(centre)
     full = wedge(generator, lifted_xi)
 
-    def polyvector_min_t(pv: Polyvector, only_t_components: bool) -> Optional[int]:
-        minima = []
-        for indices, coeff in pv.terms.items():
-            if only_t_components and t_index not in indices:
-                continue
-            degree = _min_t_degree(coeff, t_index)
-            if degree is not None:
-                minima.append(degree)
-        return min(minima) if minima else None
+    # the least t-exponent of the (@t-)components; t*@t ^ xi~ makes both exist
+    def min_t(pv: Polyvector, only_t_components: bool = False) -> int:
+        return min(e[t_index] for indices, coeff in pv.terms.items()
+                   if not only_t_components or t_index in indices for e in coeff.nums)
 
-    overall = polyvector_min_t(full, only_t_components=False)
-    min_exponent = 0 if overall is None else overall - shift
-    t_component_min = polyvector_min_t(full, only_t_components=True)
-    tangent = t_component_min is None or t_component_min - shift >= 1
-
-    xi_min = polyvector_min_t(lifted_xi, only_t_components=False)
-    if xi_min is None:   # a nonzero coefficient lifts to zero only under a cap
-        cap = next(iter(xi.terms.values())).cap
-        raise ValueError(f"the cap {cap} cuts every term of the pullback")
+    min_exponent = min_t(full) - shift
+    tangent = min_t(full, only_t_components=True) - shift >= 1
+    xi_min = min_t(lifted_xi)
     proper = lifted_xi.map_coefficients(lambda c: _shift_t_down(c, t_index, xi_min))
 
     return PullbackResult(

@@ -18,7 +18,8 @@ weights are computed once per instance and memoised; equality and hashing
 see only the three fields.  The reduced weights and their gcd are read off
 the exponents with integer gcd and lcm, and the weights are gcd times the
 reduced weights.  Weighted orders are integer dot products with the reduced
-weights, scaled by their gcd at the end.
+weights, scaled by their gcd at the end.  Orders and leading terms here,
+and the lifting criteria and pullbacks of ``blowup``, take exact input only.
 
 Text syntax: ``x:2 y:3 z:inf``, rationals allowed (``y:9/2``), with an
 optional base point suffix ``@ (p1,p2,p3)``.
@@ -46,6 +47,14 @@ from .ring import (
     parse_rational,
 )
 from .polyvector import Polyvector
+
+
+def require_exact(value: Union[Poly, Polyvector]) -> None:
+    """Refuse a truncated input: a term of high total degree can carry the
+    lowest weight (y^4 + x has order 4 at x:1/5 y:1, its cut at 3 order 5)."""
+    for f in (value,) if isinstance(value, Poly) else value.terms.values():
+        if f.cap is not None:
+            raise ValueError(f"a weighted order is not determined modulo total degree {f.cap}")
 
 
 @dataclass(frozen=True)
@@ -221,6 +230,7 @@ class Centre:
 
     def ord_poly(self, f: Poly) -> ExtRational:
         """Minimum weighted order over the support; inf for the zero polynomial."""
+        require_exact(f)
         if f.variables != self.variables:
             raise ValueError(f"chart mismatch: {f.variables} vs {self.variables}")
         f = self._recentre_poly(f)
@@ -257,6 +267,7 @@ class Centre:
         Always at least -kappa_j for a degree-j polyvector; this bound is
         asserted.
         """
+        require_exact(xi)
         if xi.variables != self.variables:
             raise ValueError(f"chart mismatch: {xi.variables} vs {self.variables}")
         if xi.is_zero():
@@ -290,6 +301,7 @@ class Centre:
         the variable names of the source chart (dotted coordinates are a
         display convention only).
         """
+        require_exact(f)
         f = self._recentre_poly(f)
         if f.is_zero():
             raise ValueError("the zero polynomial has no leading term")
@@ -298,9 +310,10 @@ class Centre:
         return Poly._from_numerators(
             self.variables,
             {e: n for e, n in f.nums.items() if sum(map(mul, weights, e)) == minimum},
-            f.den, f.cap)
+            f.den, None)
 
     def leading_term_polyvector(self, xi: Polyvector) -> Polyvector:
+        require_exact(xi)
         if xi.is_zero():
             raise ValueError("the zero polyvector has no leading term")
         xi = xi if self.base_point is None else xi.translate(self.base_point)
@@ -312,8 +325,7 @@ class Centre:
             kept = {e: n for e, n in coeff.nums.items()
                     if sum(map(mul, weights, e)) == target}
             if kept:
-                out[indices] = Poly._from_numerators(self.variables, kept, coeff.den,
-                                                     coeff.cap)
+                out[indices] = Poly._from_numerators(self.variables, kept, coeff.den, None)
         return Polyvector._from_canonical(xi.degree, self.variables, out)
 
     def leading_term(self, value: Union[Poly, Polyvector]) -> Union[Poly, Polyvector]:

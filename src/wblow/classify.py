@@ -819,12 +819,10 @@ class NormalFormReport:
     kind: str
     ok: bool
     checks: Dict[str, bool]
-    notes: List[str] = field(default_factory=list)
 
 
-def _series_in(base: Poly, coefficients: Sequence[Union[int, Fraction]],
-               cap: Optional[int]) -> Poly:
-    """sum coefficients[i] * base^(1 + i), truncated at cap.
+def _series_in(base: Poly, coefficients: Sequence[Union[int, Fraction]]) -> Poly:
+    """sum coefficients[i] * base^(1 + i).
 
     Refused with ValueError, before expanding, when the highest power may
     have more than ``ring.MAX_TERMS`` terms, as the parser refuses a power.
@@ -833,8 +831,8 @@ def _series_in(base: Poly, coefficients: Sequence[Union[int, Fraction]],
         bound = _expansion_bound(base, exponent=len(coefficients))
         if bound > MAX_TERMS:
             raise ValueError(f"expansion of up to {bound} terms exceeds the limit {MAX_TERMS}")
-    total = Poly.zero(base.variables, cap)
-    power = base.with_cap(cap)
+    total = Poly.zero(base.variables)
+    power = base
     for i, c in enumerate(coefficients):
         if c:
             total = total + power.scale(Fraction(c))
@@ -843,13 +841,20 @@ def _series_in(base: Poly, coefficients: Sequence[Union[int, Fraction]],
     return total
 
 
-def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport:
+_NORMAL_FORM_PARAMETERS = {SPLIT_LOG: {"k", "lam"}, WHITNEY_FAMILY: {"a_coefficients"},
+                           HEISENBERG_PENCIL: {"f", "a_coefficients", "b_coefficients"},
+                           DUVAL_FAMILY: {"family", "n", "unit"}}
+
+
+def verify_normal_form(kind: str, **params) -> NormalFormReport:
     """Construct a stated local normal form and verify its asserted properties.
 
     Families:
 
-    * ``split_log`` (k, lam): (x @x + z^(k+1)/(1 + lam z^k) @z) ^ @y, the
-      rational coefficient expanded as a geometric series below ``cap``.
+    * ``split_log`` (k, lam): s = (x @x + z^(k+1)/(1 + lam z^k) @z) ^ @y, checked
+      as the polynomial u*s, u = 1 + lam z^k.  The unit keeps each property:
+      [u s, u s] = u^2 [s, s], as s^#(du) ^ s = 0 for a 3-dim bivector (pointwise
+      decomposable); the leading term x @x^@y; x dividing s(dx).
     * ``heisenberg_pencil`` (f, a_coefficients, b_coefficients):
       (x + A(f)) @y^@z + [volume, B(f)] with A = sum a_i f^i (i >= 1), same
       for B.
@@ -858,37 +863,31 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
     * ``duval_family`` (family, n, unit): unit * jacobian of the standard
       type-A/D/E equation.
 
-    Each family asserts the Poisson condition (exactly, or to ``cap`` when a
-    truncation is involved), the stated leading term, and the stated
-    tangency; reports, never guesses, when the cap is too small to certify.
+    Each family asserts, exactly, the Poisson condition, the stated leading
+    term and the stated tangency.  A parameter the family does not read is
+    refused with ValueError.
     """
+    if kind not in _NORMAL_FORM_PARAMETERS:
+        raise ValueError(f"unknown normal form kind {kind!r}")
+    unknown = sorted(set(params) - _NORMAL_FORM_PARAMETERS[kind])
+    if unknown:
+        raise ValueError(f"{kind} reads no parameter {', '.join(unknown)}")
     V = ("x", "y", "z")
     checks: Dict[str, bool] = {}
-    notes: List[str] = []
 
     if kind == SPLIT_LOG:
         k = int(params["k"])
         lam = Fraction(params.get("lam", 0))
         if k < 1:
             raise ValueError("split_log requires k >= 1")
-        if cap < k + 2:
-            return NormalFormReport(kind, False, {}, [
-                f"cap {cap} too small to certify: needs at least k + 2 = {k + 2}"])
-        z = Poly.var(V, "z").with_cap(cap)
-        # z^(k+1) / (1 + lam z^k) as a geometric series below the cap
-        series = z * _series_in(z ** k, [(-lam) ** m for m in range((cap - 2) // k)], cap)
-        field_part = Polyvector(1, V, {(0,): Poly.var(V, "x").with_cap(cap), (2,): series})
-        sigma = wedge(field_part, Polyvector.basis_vector(V, "y").map_coefficients(
-            lambda c: c.with_cap(cap)))
-        checks["poisson_to_cap"] = is_poisson(sigma)[0]
-        unweighted = Centre.unweighted(V)
-        checks["leading_term"] = (
-            unweighted.leading_term_polyvector(sigma)
-            == wedge(Polyvector(1, V, {(0,): Poly.var(V, "x").with_cap(cap)}),
-                     Polyvector.basis_vector(V, "y").map_coefficients(
-                         lambda c: c.with_cap(cap))))
-        checks["tangent_to_plane"] = is_tangent(sigma, Poly.var(V, "x").with_cap(cap))
-        notes.append(f"certified modulo degree {cap}")
+        x, z = Poly.var(V, "x"), Poly.var(V, "z")
+        unit = Poly.const(V, 1) + (z ** k).scale(lam)
+        d_y = Polyvector.basis_vector(V, "y")
+        sigma = wedge(Polyvector(1, V, {(0,): x * unit, (2,): z ** (k + 1)}), d_y)
+        checks["poisson"] = is_poisson(sigma)[0]
+        checks["leading_term"] = (Centre.unweighted(V).leading_term_polyvector(sigma)
+                                  == wedge(Polyvector(1, V, {(0,): x}), d_y))
+        checks["tangent_to_plane"] = is_tangent(sigma, x)
 
     elif kind == HEISENBERG_PENCIL:
         f = params["f"]
@@ -896,8 +895,8 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
             f = f.extend_variables(V)
         if f.degree_in("x") > 0 or f.constant_term() != 0:
             raise ValueError("the pencil parameter must be x-free and vanish at 0")
-        A = _series_in(f, params.get("a_coefficients", ()), None)
-        B = _series_in(f, params.get("b_coefficients", ()), None)
+        A = _series_in(f, params.get("a_coefficients", ()))
+        B = _series_in(f, params.get("b_coefficients", ()))
         sigma = (Polyvector(2, V, {(1, 2): Poly.var(V, "x") + A})
                  + jacobian_poisson(B))
         checks["poisson"] = is_poisson(sigma)[0]
@@ -917,7 +916,7 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
 
     elif kind == WHITNEY_FAMILY:
         W = (Poly.var(V, "x") ** 2 - Poly.var(V, "y") ** 2 * Poly.var(V, "z"))
-        A = _series_in(W, params.get("a_coefficients", ()), None)
+        A = _series_in(W, params.get("a_coefficients", ()))
         sigma = jacobian_poisson(W) + Polyvector(2, V, {(1, 2): W * A})
         checks["poisson"] = is_poisson(sigma)[0]
         centre = Centre.from_exponents(V, (2, 3, 3))
@@ -927,7 +926,7 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
         isolated, _ = local_dimension_is_zero(list(sigma.terms.values()))
         checks["non_isolated_zero"] = isolated is False
 
-    elif kind == DUVAL_FAMILY:
+    else:  # DUVAL_FAMILY
         family = params["family"]
         n = params.get("n")
         unit = params.get("unit")
@@ -950,7 +949,4 @@ def verify_normal_form(kind: str, *, cap: int = 9, **params) -> NormalFormReport
         checks["duval_detected"] = bool(
             detect_duval_point(sigma, f, origin).duval)
 
-    else:
-        raise ValueError(f"unknown normal form kind {kind!r}")
-
-    return NormalFormReport(kind, all(checks.values()), checks, notes)
+    return NormalFormReport(kind, all(checks.values()), checks)

@@ -17,7 +17,8 @@ import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .ring import ParseError, Poly, format_ext, parse_poly, parse_rational, tokenize
+from .ring import (INF, ExtRational, ParseError, Poly, format_ext, parse_poly,
+                   parse_rational, tokenize)
 from .polyvector import Polyvector, jacobian_poisson, parse_polyvector, schouten
 from .centre import parse_centre
 from .blowup import (
@@ -117,22 +118,23 @@ def _parse_bivector(text: str, variables: Sequence[str],
     return Polyvector.zero(2, variables) if sigma.is_zero() else sigma
 
 
-def _with_cap(value, cap: Optional[int]):
-    if cap is None:
-        return value
-    if isinstance(value, Poly):
-        return value.with_cap(cap)
-    return value.map_coefficients(lambda c: c.with_cap(cap))
-
-
-def _count_up_to(limit: int):
-    """An argparse type: an integer from 0 to ``limit``."""
+def _count_up_to(limit: ExtRational):
+    """An argparse type: an integer from 0 to ``limit``, which may be INF."""
     def count(text: str) -> int:
         value = int(text)
         if not 0 <= value <= limit:
             raise argparse.ArgumentTypeError(f"{value} is not between 0 and {limit}")
         return value
     return count
+
+
+def _precision(cap: Optional[int]) -> Tuple[Optional[int], str]:
+    """``modulo_degree`` and the human suffix of a derivative of input capped
+    at ``cap``: a derivative lowers the cap by one."""
+    if cap is None:
+        return None, ""
+    degree = max(cap - 1, 0)
+    return degree, f" (modulo total degree {degree})"
 
 
 # built on the first call, not at import, then reused: parse_args returns a fresh Namespace
@@ -158,21 +160,21 @@ def _parser() -> argparse.ArgumentParser:
         if expr:
             sub.add_argument("expression", help=expr)
         if cap:
-            sub.add_argument("--cap", type=int, default=None,
+            sub.add_argument("--cap", type=_count_up_to(INF), default=None,
                              help="truncation: work modulo total degree >= N")
         if vars_flag:
             sub.add_argument("--vars", default=None,
                              help="comma-separated chart variables (else inferred)")
         return sub
 
-    add("order", centre=True, expr="polynomial or polyvector", cap=True)
-    add("lt", centre=True, expr="polynomial or polyvector", cap=True)
+    add("order", centre=True, expr="polynomial or polyvector")
+    add("lt", centre=True, expr="polynomial or polyvector")
     schouten_parser = add("schouten", expr="first polyvector", cap=True)
     schouten_parser.add_argument("other", help="second polyvector")
     add("jacobian", expr="potential polynomial in three variables", cap=True)
-    add("check-centre", centre=True, sigma=True, cap=True)
-    add("lift", centre=True, sigma=True, cap=True)
-    blowup_parser = add("blowup", centre=True, expr="polynomial or polyvector", cap=True)
+    add("check-centre", centre=True, sigma=True)
+    add("lift", centre=True, sigma=True)
+    blowup_parser = add("blowup", centre=True, expr="polynomial or polyvector")
     blowup_parser.add_argument("--slice", default=None,
                                help="slice-chart variable for a strict transform")
     add("invariant", expr="polynomial vanishing at the origin")
@@ -193,7 +195,6 @@ def _parser() -> argparse.ArgumentParser:
     nf = subs.add_parser("verify-normal-form")
     nf.add_argument("kind", choices=["split_log", "heisenberg_pencil",
                                      "whitney_family", "duval_family"])
-    nf.add_argument("--cap", type=int, default=9)
     nf.add_argument("--k", type=int, default=1)
     nf.add_argument("--lam", default="0")
     nf.add_argument("--f", default=None, help="pencil parameter f(y,z)")
@@ -233,7 +234,7 @@ def _dispatch(args) -> int:
 
     if command == "order":
         centre = parse_centre(args.centre)
-        value = _with_cap(_parse_any(args.expression, centre.variables), args.cap)
+        value = _parse_any(args.expression, centre.variables)
         order = centre.ord(value)
         _emit({"command": "order", "order": format_ext(order)},
               [format_ext(order)], machine)
@@ -241,7 +242,7 @@ def _dispatch(args) -> int:
 
     if command == "lt":
         centre = parse_centre(args.centre)
-        value = _with_cap(_parse_any(args.expression, centre.variables), args.cap)
+        value = _parse_any(args.expression, centre.variables)
         lead = centre.leading_term(value)
         _emit({"command": "lt", "leading_term": str(lead),
                "order": format_ext(centre.ord(value))},
@@ -251,25 +252,29 @@ def _dispatch(args) -> int:
     if command == "schouten":
         variables, (left_tokens, right_tokens) = _variables_for(args, args.expression,
                                                                 args.other)
-        left = _with_cap(parse_polyvector(args.expression, variables, left_tokens), args.cap)
-        right = _with_cap(parse_polyvector(args.other, variables, right_tokens), args.cap)
-        bracket = schouten(left, right)
-        _emit({"command": "schouten", "bracket": str(bracket),
-               "zero": bracket.is_zero()}, [str(bracket)], machine)
+        left = parse_polyvector(args.expression, variables, left_tokens)
+        right = parse_polyvector(args.other, variables, right_tokens)
+        bracket = schouten(*(side.map_coefficients(lambda c: c.with_cap(args.cap))
+                             for side in (left, right)))
+        degree, suffix = _precision(args.cap)
+        _emit({"command": "schouten", "bracket": str(bracket), "modulo_degree": degree,
+               "zero": bracket.is_zero()}, [str(bracket) + suffix], machine)
         return EXIT_OK
 
     if command == "jacobian":
         variables, (tokens,) = _variables_for(args, args.expression)
         if len(variables) != 3:
             variables = tuple(sorted(set(variables) | {"x", "y", "z"}))[:3]
-        f = _with_cap(parse_poly(args.expression, variables, tokens), args.cap)
+        f = parse_poly(args.expression, variables, tokens).with_cap(args.cap)
         sigma = jacobian_poisson(f)
-        _emit({"command": "jacobian", "sigma": str(sigma)}, [str(sigma)], machine)
+        degree, suffix = _precision(args.cap)
+        _emit({"command": "jacobian", "modulo_degree": degree, "sigma": str(sigma)},
+              [str(sigma) + suffix], machine)
         return EXIT_OK
 
     if command == "check-centre":
         centre = parse_centre(args.centre)
-        sigma = _with_cap(_parse_bivector(args.sigma, centre.variables), args.cap)
+        sigma = _parse_bivector(args.sigma, centre.variables)
         report = check_centre(sigma, centre)
         lines = [f"poisson: {report.poisson}",
                  f"codegenerate: {report.codegenerate}",
@@ -282,7 +287,7 @@ def _dispatch(args) -> int:
 
     if command == "lift":
         centre = parse_centre(args.centre)
-        xi = _with_cap(_parse_any(args.sigma, centre.variables), args.cap)
+        xi = _parse_any(args.sigma, centre.variables)
         xi_pv = Polyvector.from_poly(xi) if isinstance(xi, Poly) else xi
         report = check_lift(xi_pv, centre)
         lines = [f"lifts: {report.lift_ok}",
@@ -293,7 +298,7 @@ def _dispatch(args) -> int:
 
     if command == "blowup":
         centre = parse_centre(args.centre)
-        value = _with_cap(_parse_any(args.expression, centre.variables), args.cap)
+        value = _parse_any(args.expression, centre.variables)
         if isinstance(value, Poly):
             if args.slice:
                 transform = strict_transform_in_chart(value, centre, args.slice)
@@ -448,15 +453,13 @@ def _dispatch(args) -> int:
         else:
             unit = parse_poly(args.unit, ("x", "y", "z")) if args.unit else None
             params = {"family": args.family, "n": args.n, "unit": unit}
-        result = verify_normal_form(args.kind, cap=args.cap, **params)
+        result = verify_normal_form(args.kind, **params)
         report = {"command": "verify-normal-form", "kind": args.kind,
-                  "ok": result.ok, "checks": result.checks, "notes": result.notes}
+                  "ok": result.ok, "checks": result.checks}
         lines = [f"{name}: {ok}" for name, ok in result.checks.items()]
         lines.append(f"verified: {result.ok}")
-        _emit(report, lines + result.notes, machine)
-        if result.ok:
-            return EXIT_OK
-        return EXIT_NEGATIVE if result.checks else EXIT_INDETERMINATE
+        _emit(report, lines, machine)
+        return EXIT_OK if result.ok else EXIT_NEGATIVE
 
     if command == "corpus":
         cases = run_corpus(CORPORA[args.name]())

@@ -34,7 +34,10 @@ these operations.
 A polynomial may carry a truncation cap N, in which case it represents a
 residue modulo terms of total degree >= N (a truncated power series).  Every
 operation propagates the minimum cap of its operands, and derivatives lower
-the cap by one.
+the cap by one.  The ring and ``polyvector`` operations honour a cap, or
+refuse it where they cannot (``translate``, ``specialise``, ``resultant``, a
+``substitute`` with constant terms).  The weighted layers, ``centre`` and
+``blowup``, refuse truncated input: a total-degree cut fixes no weighted order.
 
 Expression grammar (whitespace insignificant)::
 

@@ -270,7 +270,7 @@ def test_criterion_9_plane_curve_resolution():
 def test_criterion_10_normal_form_verification():
     for k in (1, 2, 3):
         for lam in (0, 1):
-            result = verify_normal_form("split_log", k=k, lam=lam, cap=9)
+            result = verify_normal_form("split_log", k=k, lam=lam)
             assert result.ok, (k, lam, result.checks)
     f = parse_poly("y^2 + z^2", V3)
     pencil_instances = [
@@ -280,19 +280,17 @@ def test_criterion_10_normal_form_verification():
          "b_coefficients": [0, 0, 2]},
     ]
     for params in pencil_instances:
-        result = verify_normal_form("heisenberg_pencil", cap=9, **params)
+        result = verify_normal_form("heisenberg_pencil", **params)
         assert result.ok, result.checks
     for coefficients in ([1], [0, 1]):  # A(W) = W and W^2
-        result = verify_normal_form("whitney_family", cap=9,
-                                    a_coefficients=coefficients)
+        result = verify_normal_form("whitney_family", a_coefficients=coefficients)
         assert result.ok, result.checks
     unit = parse_poly("1 + x", V3)
     for family, n in (("A", 1), ("A", 2), ("D", 4),
                       ("E6", None), ("E7", None), ("E8", None)):
-        result = verify_normal_form("duval_family", cap=9, family=family,
-                                    n=n, unit=unit)
+        result = verify_normal_form("duval_family", family=family, n=n, unit=unit)
         assert result.ok, (family, result.checks)
-    report(10, "split_log, heisenberg_pencil, whitney_family, duval_family verified to cap 9")
+    report(10, "split_log, heisenberg_pencil, whitney_family, duval_family verified exactly")
 
 
 def test_criterion_11_triple_detectors():

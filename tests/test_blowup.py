@@ -26,6 +26,7 @@ from wblow.blowup import (
 from conftest import V2, V3, random_nonzero_poly, random_poly
 
 F = Fraction
+TRUNCATED = "a weighted order is not determined modulo total degree {}"
 WHITNEY_SIGMA = "2*x*@y^@z - 2*y*z*@z^@x - y^2*@x^@y"
 
 
@@ -224,19 +225,14 @@ def _pullback_outcome(pullback, value, centre):
             {i: (c.nums, c.den, c.cap) for i, c in coefficients.items()})
 
 
-def _term_count(value):
-    if isinstance(value, Poly):
-        return len(value.nums)
-    return sum(len(c.nums) for c in value.terms.values())
-
-
 def test_pullbacks_match_the_substitution_route(monkeypatch):
     """pullback_function and pullback_polyvector, whose blowdown and
     recentring work on exponents and numerators, give the values, orders,
     verdicts and caps of the same routines run with x_i -> x_i*t^w_i and
     x_i -> x_i + p_i done by ``substitute``, errors included; the draw covers
-    caps that cut terms, weight-zero variables, based centres with large
-    denominators and charts that already use t."""
+    truncated input, which both refuse with one message, weight-zero
+    variables, based centres with large denominators and charts that already
+    use t."""
     rng = random.Random(28)
     charts = (("x",), V2, V3, ("x", "t"), ("t", "y", "z"), ("t", "t1"))
     seen = dict(cut=0, weight_zero=0, based=0, t_chart=0, refused=0)
@@ -264,10 +260,63 @@ def test_pullbacks_match_the_substitution_route(monkeypatch):
         seen["based"] += point is not None and any(point) and len(outcome) == 6
         seen["t_chart"] += "t" in variables
         seen["refused"] += len(outcome) == 2
-        seen["cut"] += (point is None and len(outcome) == 6
-                        and sum(map(len, (n for n, _, _ in outcome[5].values())))
-                        < _term_count(value))
+        # a polyvector whose every coefficient is cut is the exact zero
+        if cap is not None and (isinstance(value, Poly) or not value.is_zero()):
+            assert outcome == ("ValueError", TRUNCATED.format(cap)), (value, centre)
+            seen["cut"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("centre, text, cap", [
+    ("x:1 y:1", "x + y^2", 2),
+    ("x:1/5 y:1", "y^4 + x", 7),
+    ("x:1 y:1", "x*@x", 2),
+    ("x:1 y:1", "y^2*@x + x*@y", 2),
+], ids=["cap cuts every lifted term", "cap cuts the lowest t-power",
+        "cap cuts a polyvector", "cap cuts a two-term polyvector"])
+def test_truncated_pullback_is_refused(centre, text, cap):
+    # a cap can cut the lifted terms of least t-degree, so the pullbacks
+    # refuse any truncated input
+    centre = parse_centre(centre)
+    if "@" in text:
+        value = parse_polyvector(text, centre.variables).map_coefficients(
+            lambda c: c.with_cap(cap))
+        pullback = pullback_polyvector
+    else:
+        value, pullback = parse_poly(text, centre.variables).with_cap(cap), pullback_function
+    with pytest.raises(ValueError, match=f"^{TRUNCATED.format(cap)}$"):
+        pullback(value, centre)
+
+
+def test_every_weighted_entry_point_refuses_truncated_input():
+    """Orders, leading terms, lifting criteria, pullbacks and strict
+    transforms refuse a truncated polynomial, and a polyvector with one
+    truncated coefficient, with one message, at a based centre before any
+    recentring; the exact input passes.  y^4 + x has order 4 at x:1/5, its
+    cut at 3 order 5."""
+    f = parse_poly("y^4 + x", V3)
+    sigma = parse_polyvector("x*@y^@z + y^2*@x^@y", V3)
+    one_cut = Polyvector(2, V3, {(1, 2): sigma.terms[(1, 2)].with_cap(3),
+                                 (0, 1): sigma.terms[(0, 1)]})
+    function_calls = (Centre.ord_poly, Centre.ord_poly_with_witness, Centre.ord,
+                      Centre.leading_term_poly, Centre.leading_term,
+                      lambda c, g: pullback_function(g, c),
+                      lambda c, g: strict_transform_in_chart(g, c, "y"))
+    polyvector_calls = (Centre.ord_polyvector, Centre.ord, Centre.leading_term_polyvector,
+                        Centre.leading_term, lambda c, xi: check_centre(xi, c),
+                        lambda c, xi: check_lift(xi, c),
+                        lambda c, xi: pullback_polyvector(xi, c))
+    for text in ("x:1/5 y:1 z:1", "x:1/5 y:1 z:1 @ (1,0,2)"):
+        centre = parse_centre(text)
+        cases = ([(call, f, f.with_cap(3)) for call in function_calls]
+                 + [(call, sigma, truncated) for call in polyvector_calls
+                    for truncated in (sigma.map_coefficients(lambda c: c.with_cap(3)),
+                                      one_cut)])
+        for call, exact, truncated in cases:
+            call(centre, exact)
+            with pytest.raises(ValueError, match=f"^{TRUNCATED.format(3)}$"):
+                call(centre, truncated)
+    assert parse_centre("x:1/5 y:1 z:1").ord_poly(f) == 4
 
 
 def test_codim2_shortcut(rng):

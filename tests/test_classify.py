@@ -665,16 +665,22 @@ def test_d_series_uses_its_own_exponents():
 # --- normal forms --------------------------------------------------------------------------
 
 def test_split_log_family():
-    for k in (1, 2, 3):
-        for lam in (0, 1):
-            report = verify_normal_form("split_log", k=k, lam=lam, cap=9)
+    # checked exactly, through the polynomial multiple by the unit 1 + lam*z^k
+    for k in range(1, 7):
+        for lam in (0, 1, -2, F(1, 3)):
+            report = verify_normal_form("split_log", k=k, lam=lam)
             assert report.ok, (k, lam, report.checks)
+            assert list(report.checks) == ["poisson", "leading_term", "tangent_to_plane"]
 
 
-def test_split_log_cap_too_small():
-    report = verify_normal_form("split_log", k=3, lam=1, cap=4)
-    assert not report.ok and not report.checks
-    assert any("cap" in note for note in report.notes)
+@pytest.mark.parametrize("kind, params, unknown", [
+    ("duval_family", dict(family="A", n=3, bogus=1), "bogus"),
+    ("split_log", dict(k=2, cap=9), "cap"),
+    ("whitney_family", dict(a_coefficients=[1], f=None, n=2), "f, n"),
+])
+def test_normal_form_refuses_parameters_it_does_not_read(kind, params, unknown):
+    with pytest.raises(ValueError, match=f"^{kind} reads no parameter {unknown}$"):
+        verify_normal_form(kind, **params)
 
 
 def test_heisenberg_pencil_family():
@@ -686,7 +692,7 @@ def test_heisenberg_pencil_family():
          "b_coefficients": [0, 0, 2]},
     ]
     for params in instances:
-        report = verify_normal_form("heisenberg_pencil", cap=9, **params)
+        report = verify_normal_form("heisenberg_pencil", **params)
         assert report.ok, (params, report.checks)
 
 
@@ -702,8 +708,7 @@ def test_pencil_series_refused_before_expanding():
 
 def test_whitney_family():
     for coefficients in ([1], [0, 1]):
-        report = verify_normal_form("whitney_family", cap=9,
-                                    a_coefficients=coefficients)
+        report = verify_normal_form("whitney_family", a_coefficients=coefficients)
         assert report.ok, report.checks
 
 
@@ -711,8 +716,7 @@ def test_duval_family_normal_forms():
     unit = parse_poly("1 + x", V3)
     for family, n in (("A", 1), ("A", 2), ("D", 4),
                       ("E6", None), ("E7", None), ("E8", None)):
-        report = verify_normal_form("duval_family", cap=9, family=family,
-                                    n=n, unit=unit)
+        report = verify_normal_form("duval_family", family=family, n=n, unit=unit)
         assert report.ok, (family, n, report.checks)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from wblow import cli
+from wblow.blowup import strict_transform_in_chart
 from wblow.centre import parse_centre
 from wblow.invariant import max_monomial_centre
 from wblow.polyvector import CoordinateChange
@@ -77,10 +78,6 @@ def test_parse_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("blowup", "--centre", "x:1 y:1", "--cap", "2", "x + y^2"),
-    ("blowup", "--centre", "x:1/5 y:1", "--cap", "7", "y^4 + x"),
-    ("blowup", "--centre", "x:1 y:1", "--cap", "2", "x*@x"),
-    ("blowup", "--centre", "x:1 y:1", "--cap", "2", "y^2*@x + x*@y"),
     ("validate-invariant", "1/0"),
     ("order", "--centre", "x:1/0 y:1", "x"),
     ("order", "--centre", "x:1 y:1 @ (1/0,0)", "x"),
@@ -89,10 +86,8 @@ def test_parse_error_exit_code(capsys):
     ("verify-normal-form", "heisenberg_pencil", "--f", "y", "--a-coefficients", "1/0"),
     ("verify-normal-form", "duval_family", "--family", "D", "--n", "2"),
     ("verify-normal-form", "duval_family", "--family", "A", "--n", "0"),
-], ids=["cap cuts every lifted term", "cap cuts the lowest t-power",
-        "cap cuts a polyvector", "cap cuts a two-term polyvector", "invariant 1/0",
-        "centre exponent 1/0", "base point 1/0", "coefficient 1/0", "lam 1/0",
-        "coefficient list 1/0", "D2", "A0"])
+], ids=["invariant 1/0", "centre exponent 1/0", "base point 1/0", "coefficient 1/0",
+        "lam 1/0", "coefficient list 1/0", "D2", "A0"])
 def test_bad_input_is_a_usage_error(capsys, argv):
     # exit 1 is a negative verdict with a witness, never a crash: each of
     # these once escaped main as an AssertionError or ZeroDivisionError
@@ -207,6 +202,64 @@ def test_normal_form_series_at_the_limit_accepted(capsys):
                        "--a-coefficients", _coefficients(MAX_COEFFICIENTS),
                        "--b-coefficients", _coefficients(MAX_COEFFICIENTS))
     assert code == 0 and "verified: True" in out
+
+
+def _integer_options():
+    """(command, option) for every option of the parser that reads an integer."""
+    commands = next(action for action in cli._parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {(command, option) for command, parser in commands.choices.items()
+            for action in parser._actions if action.type is not None
+            for option in action.option_strings}
+
+
+def test_every_integer_option_refuses_minus_one(capsys):
+    # a negative count is a usage error, not an empty truncation or search
+    calls = {("schouten", "--cap"): ("x*@y", "y*@x"),
+             ("jacobian", "--cap"): ("x^2 + y^3",),
+             ("milnor", "--bound"): ("x^2 + y^2 + z^2",),
+             ("resolve-curve", "--max-steps"): ("y^2 - x^3",),
+             ("verify-normal-form", "--k"): ("split_log",),
+             ("verify-normal-form", "--n"): ("duval_family",)}
+    assert _integer_options() == set(calls)
+    for (command, option), arguments in calls.items():
+        assert run(capsys, command, *arguments)[0] == 0, command
+        code, out, _ = run(capsys, command, option, "-1", *arguments)
+        assert (code, out) == (2, ""), (command, option)
+
+
+@pytest.mark.parametrize("argv, key, exact", [
+    (("order", "--centre", "x:1/5 y:1", "y^4 + x"), "order", "4"),
+    (("lt", "--centre", "x:1/5 y:1", "y^4 + x"), "leading_term", "y^4"),
+    (("check-centre", "--centre", "x:1 y:1 z:1", "--sigma", "x*@y^@z + y^2*@x^@y"),
+     "codegenerate", False),
+    (("lift", "--centre", "x:1/5 y:1", "--sigma", "y^4*@y + x*@y"), "order", "3"),
+    (("blowup", "--centre", "x:1/5 y:1", "y^4*@y + x*@y"), "min_t_exponent", 3),
+    (("verify-normal-form", "split_log"), "ok", True),
+], ids=["order", "lt", "check-centre", "lift", "blowup", "verify-normal-form"])
+def test_weighted_commands_take_no_cap(capsys, argv, key, exact):
+    # a cut by total degree fixes no weighted order: a term of high degree
+    # can carry the lowest weight, as y^4 does at x:1/5 y:1
+    assert _machine(capsys, *argv)[1][key] == exact
+    code, out, err = run(capsys, *argv, "--cap", "3")
+    assert code == 2 and out == "" and "unrecognized arguments: --cap 3" in err
+
+
+@pytest.mark.parametrize("command, argv, exact", [
+    ("schouten", ("x^2*@y", "y^2*@x"), "2*x^2*y*@x - 2*x*y^2*@y"),
+    ("jacobian", ("x^3 + y*z",), "y*@x^@y - z*@x^@z + 3*x^2*@y^@z"),
+])
+def test_capped_results_state_their_precision(capsys, command, argv, exact):
+    # a derivative lowers the cap by one: input capped at 3 gives a result
+    # known modulo total degree 2, which the output says
+    key = "bracket" if command == "schouten" else "sigma"
+    code, report = _machine(capsys, command, *argv)
+    assert (code, report[key], report["modulo_degree"]) == (0, exact, None)
+    code, report = _machine(capsys, command, "--cap", "3", *argv)
+    assert (code, report["modulo_degree"]) == (0, 2)
+    assert run(capsys, command, *argv)[1] == exact + "\n"
+    code, out, _ = run(capsys, command, "--cap", "3", *argv)
+    assert out.endswith(" (modulo total degree 2)\n")
 
 
 def test_input_limits_accepted():
@@ -343,7 +396,7 @@ def test_select_centre_cli(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("check-centre", "--centre", "x:1 y:2 z:3"),
-    ("check-centre", "--centre", "x:1 y:2 z:3", "--cap", "4"),
+    ("check-centre", "--centre", "x:1 y:2 z:3 @ (1,0,0)"),
     ("select-centre", "--surface", "x^2 + y^2 + z^3"),
     ("select-centre", "--curve", "x", "--curve", "y"),
 ])
@@ -485,12 +538,12 @@ def test_blowup_slice_chart_cli(capsys):
     assert out.strip() == "y^2 - 1"
 
 
-def test_blowup_slice_of_a_truncated_series_is_refused(capsys):
+def test_blowup_slice_of_a_truncated_series_is_refused():
     # setting x = 1 in a series truncated at degree 6 would keep only y^2
-    code, out, err = run(capsys, "blowup", "--centre", "x:1 y:2", "--slice", "x",
-                         "--cap", "6", "y^2 - x^3")
-    assert code == 2 and out == ""
-    assert "constant term into a truncated polynomial" in err
+    f = parse_poly("y^2 - x^3", ("x", "y")).with_cap(6)
+    with pytest.raises(ValueError, match="^a weighted order is not determined modulo "
+                                         "total degree 6$"):
+        strict_transform_in_chart(f, parse_centre("x:1 y:2"), "x")
 
 
 def test_blowup_slice_of_a_polyvector_is_a_usage_error(capsys):
@@ -528,11 +581,8 @@ def test_verify_duval_normal_form_cli(capsys):
 
 def test_verify_normal_form_cli(capsys):
     code, out, _ = run(capsys, "verify-normal-form", "split_log",
-                       "--k", "2", "--lam", "1", "--cap", "9")
+                       "--k", "2", "--lam", "1")
     assert code == 0 and "verified: True" in out
-    code, _, _ = run(capsys, "verify-normal-form", "split_log",
-                     "--k", "3", "--cap", "4")
-    assert code == 3  # cap too small: indeterminate, not failure
 
 
 def test_corpus_commands(capsys):

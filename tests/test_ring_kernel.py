@@ -26,7 +26,6 @@ from wblow.ring import INF, Poly, divides, parse_poly, resultant, univariate_gcd
 from wblow.polyvector import Polyvector, is_poisson, jacobian_poisson, schouten
 from wblow.centre import Centre, parse_centre
 from wblow.blowup import _shift_t_down, check_centre, check_lift, pullback_polyvector
-from wblow.cli import main
 from wblow.invariant import max_monomial_centre
 
 F = Fraction
@@ -210,10 +209,10 @@ def test_translate_is_the_substitution(seed):
     assert translated.translate(tuple(-p for p in point)) == a
 
 
-def test_translate_refuses_a_truncated_polynomial(capsys):
+def test_translate_refuses_a_truncated_polynomial():
     """A nonzero shift of a truncated polynomial is refused with the message
-    of ``substitute``, naming the first shifted variable; from the command
-    line it is a usage error."""
+    of ``substitute``, naming the first shifted variable, also as the
+    coefficient of a polyvector."""
     f = parse_poly("x^2 + y^2", ("x", "y")).with_cap(3)
     assert f.translate((0, 0)) is f
     for point, name in (((1, 0), "x"), ((0, F(1, 3)), "y"), ((2, 5), "x")):
@@ -221,11 +220,11 @@ def test_translate_refuses_a_truncated_polynomial(capsys):
             f.translate(point)
         assert str(refusal.value) == (f"cannot substitute {name} -> series with constant "
                                       "term into a truncated polynomial")
-    code = main(["blowup", "--centre", "x:1 y:1 @ (1,0)", "--cap", "3", "x^2 + y^2"])
-    captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (2, "", (
-        "error: cannot substitute x -> series with constant term into a truncated "
-        "polynomial\n"))
+    xi = Polyvector(1, ("x", "y"), {(1,): f})
+    with pytest.raises(ValueError) as refusal:
+        xi.translate((1, 0))
+    assert str(refusal.value) == ("cannot substitute x -> series with constant term "
+                                  "into a truncated polynomial")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
